@@ -28,6 +28,8 @@ from .degeneracy import criticality_residual, real_span_residual
 from .errors import (
     AllValuesZeroError,
     ArcInsideVarietyError,
+    BadArcError,
+    DimensionMismatchError,
     PolySyntaxError,
     SingularFiberError,
     TruncationExhaustedError,
@@ -220,12 +222,12 @@ def _tokenize_arc(text):
         for kind in ("var", "t", "nat", "imag", "op"):
             if m.group(kind):
                 if kind == "var":
-                    tokens.append(("var", int(m.group("vidx")), m.start()))
+                    tokens.append(("var", int(m.group("vidx")), m.start(kind)))
                 elif kind == "op":
-                    tokens.append((m.group("op"), None, m.start()))
+                    tokens.append((m.group("op"), None, m.start(kind)))
                 else:
                     val = int(m.group("nat")) if kind == "nat" else None
-                    tokens.append((kind, val, m.start()))
+                    tokens.append((kind, val, m.start(kind)))
                 break
         pos = m.end()
     tokens.append(("end", None, len(text)))
@@ -300,19 +302,24 @@ class _ArcParser:
             raise PolySyntaxError(tok[2], "a coefficient or 't'", self.text)
         return Fraction(0), coeff
 
+    def denominator(self):
+        _, den, pos = self.expect("nat")
+        if den == 0:
+            raise PolySyntaxError(pos, "a nonzero denominator", self.text)
+        return den
+
     def exponent(self):
         if self.peek()[0] == "(":
             self.take()
             num = self.expect("nat")[1]
             self.expect("/")
-            den = self.expect("nat")[1]
+            den = self.denominator()
             self.expect(")")
             return Fraction(num, den)
         num = self.expect("nat")[1]
         if self.peek()[0] == "/":
             self.take()
-            den = self.expect("nat")[1]
-            return Fraction(num, den)
+            return Fraction(num, self.denominator())
         return Fraction(num)
 
     def coefficient(self):
@@ -322,7 +329,7 @@ class _ArcParser:
             num = Fraction(value)
             if self.peek()[0] == "/":
                 self.take()
-                num /= self.expect("nat")[1]
+                num /= self.denominator()
             if self.peek()[0] == "imag":
                 self.take()
                 return GaussianRational(Fraction(0), num)
@@ -404,7 +411,7 @@ def expand_arc(f: MixedPoly, arc: Arc, order: int | None = None):
     exact (untruncated) arc the full polynomial series is returned.
     """
     if arc.n != f.n:
-        raise ValueError("arc and polynomial variable counts differ")
+        raise DimensionMismatchError("arc and polynomial variable counts differ")
     trunc = arc.truncation_order
     if order is not None and trunc is not None and order > trunc:
         raise TruncationOverflowError(
@@ -528,9 +535,9 @@ def limit_tangent(f: MixedPoly, arc: Arc, max_steps: int = 10_000) -> LimitTange
     step, so the limit plane is exact.
     """
     if arc.is_zero():
-        raise ValueError("arc is identically zero")
+        raise BadArcError("arc is identically zero")
     if arc.n != f.n:
-        raise ValueError("arc and polynomial variable counts differ")
+        raise DimensionMismatchError("arc and polynomial variable counts differ")
     fseries = _substitute(f, arc, arc.truncation_order)
     if not fseries:
         raise ArcInsideVarietyError("f vanishes identically along the arc")
@@ -634,10 +641,10 @@ def af_test_arc(f: MixedPoly, arc: Arc, I) -> AfArcVerdict:
         jet = arc.jets[i - 1]
         if i in I:
             if len(jet) != 1 or jet[0][0] != 0:
-                raise ValueError(f"coordinate z{i} must be a nonzero constant")
+                raise BadArcError(f"coordinate z{i} must be a nonzero constant")
         else:
             if jet and exps[i - 1] == 0:
-                raise ValueError(f"coordinate z{i} must vanish at t = 0")
+                raise BadArcError(f"coordinate z{i} must vanish at t = 0")
     limit = limit_tangent(f, arc)
     if not limit.independent:
         return AfArcVerdict(contains_CI=None, I=I, limit=limit)

@@ -10,11 +10,12 @@ failed containment test) into exit code 2.  Errors exit with code 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import arcs, constructors, degeneracy, newton, zeta
-from .errors import MixedMilnorError
+from .errors import BadRequestError, MixedMilnorError
 from .poly import MixedPoly, parse_poly
 
 EXIT_OK = 0
@@ -27,11 +28,17 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_point(text: str):
-    return [_parse_complex(part) for part in text.split(",")]
+    try:
+        return [_parse_complex(part) for part in text.split(",")]
+    except ValueError:
+        raise BadRequestError(f"cannot read {text!r} as a complex point") from None
 
 
 def _parse_ints(text: str):
-    return [int(x) for x in text.replace(",", " ").split()]
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise BadRequestError(f"cannot read {text!r} as a list of integers") from None
 
 
 def _load_poly(args, suffix="") -> MixedPoly:
@@ -176,13 +183,7 @@ def cmd_transversality(args):
         samples=args.samples,
         seed=args.seed,
     )
-    result = {
-        "samples_drawn": report.samples_drawn,
-        "accepted": report.accepted,
-        "skipped_singular": report.skipped_singular,
-        "min_residual": report.min_residual,
-        "mean_residual": report.mean_residual,
-    }
+    result = dataclasses.asdict(report)
     text = (
         f"accepted {report.accepted} samples; min residual {report.min_residual:.6g}"
     )
@@ -197,11 +198,7 @@ def cmd_openness(args):
     report = arcs.boundary_openness_probe(
         f, p, epsilon=args.epsilon, samples=args.samples, seed=args.seed
     )
-    result = {
-        "arg_coverage": report.arg_coverage,
-        "sector_halfwidth": report.sector_halfwidth,
-        "nonzero_samples": report.nonzero_samples,
-    }
+    result = dataclasses.asdict(report)
     text = f"coverage {report.arg_coverage:.4f}" + (
         f", sector halfwidth {report.sector_halfwidth:.4f}"
         if report.sector_halfwidth is not None
@@ -335,22 +332,26 @@ def _request_echo(args) -> dict:
     return {k: getattr(args, k) for k in fields if getattr(args, k, None) not in (None, False)}
 
 
+def _report_error(command, seed, exc, as_json) -> int:
+    if as_json:
+        payload = {
+            "command": command,
+            "seed": seed,
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def _run_one(args) -> int:
     _apply_defaults(args)
     handler = _COMMANDS[args.command]
     try:
         result, negative, text = handler(args)
     except MixedMilnorError as exc:
-        payload = {
-            "command": args.command,
-            "seed": args.seed,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        if args.as_json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _report_error(args.command, args.seed, exc, args.as_json)
     if args.as_json:
         report = {
             "command": args.command,
@@ -366,24 +367,44 @@ def _run_one(args) -> int:
     return EXIT_OK
 
 
+def _batch_args(parser, line, lineno):
+    """Parsed arguments of one batch line; BadRequestError if unreadable."""
+    try:
+        request = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise BadRequestError(f"batch line {lineno} is not JSON: {exc}") from None
+    if not isinstance(request, dict) or request.get("command") not in _COMMANDS:
+        raise BadRequestError(
+            f"batch line {lineno} is not a JSON object with a known 'command'"
+        )
+    argv = [request.pop("command")]
+    for key, value in request.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            if value:
+                argv.append(flag)
+        else:
+            argv.extend([flag, str(value)])
+    try:
+        return parser.parse_args(argv)
+    except SystemExit:
+        # argparse has printed the usage error; report the line and go on
+        raise BadRequestError(f"batch line {lineno} has invalid arguments") from None
+
+
 def _run_batch(args, parser) -> int:
     worst = EXIT_OK
     with open(args.batch, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            request = json.loads(line)
-            argv = [request.pop("command")]
-            for key, value in request.items():
-                flag = "--" + key.replace("_", "-")
-                if isinstance(value, bool):
-                    if value:
-                        argv.append(flag)
-                else:
-                    argv.extend([flag, str(value)])
-            sub_args = parser.parse_args(argv)
-            code = _run_one(sub_args)
+            try:
+                sub_args = _batch_args(parser, line, lineno)
+            except BadRequestError as exc:
+                code = _report_error(args.command, args.seed, exc, args.as_json)
+            else:
+                code = _run_one(sub_args)
             worst = max(worst, code)
     return worst
 
@@ -398,10 +419,7 @@ def main(argv=None) -> int:
         if getattr(args, "batch", None):
             return _run_batch(args, parser)
         return _run_one(args)
-    except MixedMilnorError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

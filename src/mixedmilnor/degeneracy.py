@@ -356,13 +356,17 @@ def tameness_witness_polys(f: MixedPoly, face: FaceDescriptor) -> dict:
     T_j is real-valued; where some T_j has no zero on the relevant domain,
     the face function is locally tame.
     """
+    return _witness_polys(newton.face_function(f, face), face)
+
+
+def _witness_polys(fd: MixedPoly, face: FaceDescriptor) -> dict:
+    """tameness_witness_polys for the already built face function fd."""
     if face.kind is not FaceKind.NONCOMPACT_ESSENTIAL:
         raise NotEssentialFaceError("tameness witnesses need an essential face")
-    fd = newton.face_function(f, face)
     g, h = fd.real_imag_parts()
     I = face.noncompact_directions
     out = {}
-    for j in range(1, f.n + 1):
+    for j in range(1, fd.n + 1):
         if j in I:
             continue
         q = g.wirtinger(j, "zbar") * h.wirtinger(j, "zbar").conjugate()
@@ -388,22 +392,16 @@ def _sign_definite_diagonal(T: MixedPoly):
     return 1 if signs.pop() else -1
 
 
-def _is_single_monomial(poly: MixedPoly) -> bool:
-    return len(poly.terms) == 1
-
-
-def _certify_symbolically(f, face, T_polys):
+def _certify_symbolically(fd, face, T_polys):
     """Infinite-radius certificates covering the symbolic patterns in use."""
     for j in sorted(T_polys):
         if _sign_definite_diagonal(T_polys[j]) is not None:
             return f"sign-definite-T[{j}]"
-    fd = newton.face_function(f, face)
     if fd.is_holomorphic():
-        for j in range(1, f.n + 1):
+        for j in range(1, fd.n + 1):
             if j in face.noncompact_directions:
                 continue
-            dj = fd.wirtinger(j, "z")
-            if not dj.is_zero() and _is_single_monomial(dj):
+            if len(fd.wirtinger(j, "z").terms) == 1:
                 return f"holomorphic-gradient[{j}]"
     return None
 
@@ -459,8 +457,9 @@ def _rho_probe(fpoly, I, shell, budget, rng):
 
 
 def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
-    T_polys = tameness_witness_polys(f, face)
-    certified = _certify_symbolically(f, face, T_polys)
+    fd = newton.face_function(f, face)
+    T_polys = _witness_polys(fd, face)
+    certified = _certify_symbolically(fd, face, T_polys)
     if certified is not None:
         return FaceTameness(
             face=face,
@@ -474,7 +473,6 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
         )
     I = sorted(face.noncompact_directions)
     free = [j for j in range(1, f.n + 1) if j not in face.noncompact_directions]
-    fd = newton.face_function(f, face)
     rng = np.random.default_rng([seed, face_index])
     shells = [probe_radius, probe_radius / 2, probe_radius / 4]
     frozen_per_shell = 4
@@ -540,7 +538,7 @@ def local_tameness_check(
     else is Inconclusive.
     """
     I = frozenset(I)
-    if not f.restrict(I).is_zero():
+    if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")
     faces = newton.faces_with_directions(f, I)
     results = []

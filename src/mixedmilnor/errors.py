@@ -67,6 +67,11 @@ class ArcInsideVarietyError(MixedMilnorError, ValueError):
     """f vanishes identically along the arc; no limit tangent exists."""
 
 
+class BadArcError(MixedMilnorError, ValueError):
+    """Arc unsuitable for the analysis: identically zero, or not limiting
+    into the open stratum of C^I."""
+
+
 class SingularFiberError(MixedMilnorError, ValueError):
     """Point is (numerically) a mixed critical point of its fiber."""
 
@@ -93,7 +98,7 @@ class ZetaIntegralityError(MixedMilnorError, ArithmeticError):
 
 
 class DimensionMismatchError(MixedMilnorError, ValueError):
-    """Constructor arguments disagree on the number of variables."""
+    """Arguments disagree on the number of variables."""
 
 
 class UnknownCorpusNameError(MixedMilnorError, KeyError):
@@ -102,3 +107,7 @@ class UnknownCorpusNameError(MixedMilnorError, KeyError):
 
 class BadParamsError(MixedMilnorError, ValueError):
     """Corpus parameters outside the documented range."""
+
+
+class BadRequestError(MixedMilnorError, ValueError):
+    """A command-line value or a batch line that cannot be read."""

@@ -1,10 +1,9 @@
 """Exact rational linear algebra and polyhedral primitives.
 
 Everything operates on small integer/rational data (supports are capped at
-64 points, ambient dimension at 6), so the algorithms favor exactness over
-asymptotics: faces come from brute-force normal enumeration over support
-subsets, volumes from recursive facet triangulation with rational
-determinants.
+64 points), so the algorithms favor exactness over asymptotics: faces come
+from brute-force normal enumeration over support subsets, volumes from
+recursive facet triangulation with rational determinants.
 """
 
 from __future__ import annotations
@@ -35,26 +34,10 @@ def _fractionize(rows):
 
 def rank(rows) -> int:
     """Rank of a rational matrix given as a list of row vectors."""
-    m = _fractionize(rows)
-    if not m:
+    if not rows:
         return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    ncols = len(rows[0])
+    return ncols - len(nullspace(rows, ncols))
 
 
 def affine_rank(points) -> int:
@@ -226,15 +209,6 @@ def newton_faces(support, n):
     return sorted(
         faces.values(), key=lambda f: (sorted(f.rays), sorted(f.generators))
     )
-
-
-def compact_support_points(faces):
-    """Support points lying on some compact face (the compact boundary)."""
-    pts = set()
-    for f in faces:
-        if f.is_compact():
-            pts.update(f.generators)
-    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,6 @@ class WeightVector:
     def value(self, xi) -> int:
         return sum(w * x for w, x in zip(self.p, xi))
 
-    def is_strictly_positive(self) -> bool:
-        return all(x > 0 for x in self.p)
-
 
 @dataclass(frozen=True)
 class FaceDescriptor:
@@ -114,6 +111,48 @@ def _support(f: MixedPoly):
     return sorted(f.support())
 
 
+def vanishes_on(f: MixedPoly, I) -> bool:
+    """True when f^I == 0, i.e. no support point of f lies in R^I.
+
+    f^I keeps the terms whose exponents vanish outside I, so it is zero
+    exactly when every support point has a nonzero coordinate outside I.
+    """
+    outside = [k for k in range(f.n) if k + 1 not in I]
+    return all(any(xi[k] for k in outside) for xi in f.support())
+
+
+@dataclass(frozen=True)
+class NewtonBoundary:
+    """The Newton boundary of one polynomial, built once and shared.
+
+    support is sorted; faces are in the lattice enumeration order (by
+    noncompact directions, then generators); compact_points are the support
+    points on some compact face.
+    """
+
+    support: tuple
+    faces: tuple
+    vertices: frozenset
+    compact_points: frozenset
+
+
+def newton_boundary(f: MixedPoly) -> NewtonBoundary:
+    """The Newton boundary of f, enumerated on first use and memoized on f."""
+    if f._boundary is None:
+        support = _support(f)
+        faces = lattice.newton_faces(support, f.n)
+        compact = [fc.generators for fc in faces if fc.is_compact()]
+        compact_pts = frozenset().union(*compact)
+        boundary = NewtonBoundary(
+            support=tuple(support),
+            faces=tuple(_descriptor(f, fc, compact_pts) for fc in faces),
+            vertices=frozenset().union(*(g for g in compact if len(g) == 1)),
+            compact_points=compact_pts,
+        )
+        object.__setattr__(f, "_boundary", boundary)
+    return f._boundary
+
+
 def _face_dim(face: lattice.LatticeFace, compact_pts) -> int:
     gens = sorted(face.generators & compact_pts) or sorted(face.generators)
     rows = []
@@ -128,18 +167,15 @@ def _face_dim(face: lattice.LatticeFace, compact_pts) -> int:
     return lattice.rank(rows)
 
 
-def _descriptor(f, face, compact_pts, vanish_lookup=None):
+def _descriptor(f, face, compact_pts):
     if face.is_compact():
         kind = FaceKind.COMPACT
         compact_part = face.generators
     else:
-        I = face.rays
-        if vanish_lookup is None:
-            vanish = f.restrict(I).is_zero()
-        else:
-            vanish = vanish_lookup(I)
         kind = (
-            FaceKind.NONCOMPACT_ESSENTIAL if vanish else FaceKind.NONCOMPACT_INESSENTIAL
+            FaceKind.NONCOMPACT_ESSENTIAL
+            if vanishes_on(f, face.rays)
+            else FaceKind.NONCOMPACT_INESSENTIAL
         )
         compact_part = frozenset(face.generators & compact_pts)
     return FaceDescriptor(
@@ -153,19 +189,6 @@ def _descriptor(f, face, compact_pts, vanish_lookup=None):
     )
 
 
-def _vanish_lookup(f):
-    """Map I -> does f^(complement-fixed set) vanish, computed on demand."""
-    cache = {}
-
-    def lookup(I):
-        I = frozenset(I)
-        if I not in cache:
-            cache[I] = f.restrict(I).is_zero()
-        return cache[I]
-
-    return lookup
-
-
 def support_vertices(f: MixedPoly):
     """Support points, Newton-polyhedron vertices, and the convenience flag.
 
@@ -173,17 +196,13 @@ def support_vertices(f: MixedPoly):
     conv(support) + R_{>=0}^n.  f is convenient when its compact boundary
     meets every coordinate axis, i.e. every axis carries a support point.
     """
-    support = _support(f)
-    faces = lattice.newton_faces(support, f.n)
-    vertices = set()
-    for face in faces:
-        if face.is_compact() and len(face.generators) == 1:
-            vertices.update(face.generators)
+    boundary = newton_boundary(f)
+    support = boundary.support
     convenient = all(
         any(pt[i] > 0 and all(x == 0 for j, x in enumerate(pt) if j != i) for pt in support)
         for i in range(f.n)
     )
-    return frozenset(support), frozenset(vertices), convenient
+    return frozenset(support), boundary.vertices, convenient
 
 
 def delta_of_weight(f: MixedPoly, P):
@@ -194,34 +213,29 @@ def delta_of_weight(f: MixedPoly, P):
     """
     if not isinstance(P, WeightVector):
         P = WeightVector(tuple(P))
-    support = _support(f)
+    boundary = newton_boundary(f)
     if P.n != f.n:
         raise ValueError("weight length does not match variable count")
-    vals = {xi: P.value(xi) for xi in support}
-    d = min(vals.values())
-    gens = frozenset(xi for xi, v in vals.items() if v == d)
-    lat = lattice.LatticeFace(gens, P.zero_set(), P.p, d)
-    all_faces = lattice.newton_faces(support, f.n)
-    compact_pts = lattice.compact_support_points(all_faces)
-    face = _descriptor(f, lat, compact_pts)
-    face_poly = face_function(f, face)
-    return d, face, face_poly
+    lat = lattice._argmin_face(boundary.support, P.p)
+    face = _descriptor(f, lat, boundary.compact_points)
+    return lat.d, face, face_function(f, face)
+
+
+def _terms_on(f: MixedPoly, points) -> MixedPoly:
+    """Sum of the terms of f whose support point lies in points."""
+    return MixedPoly(
+        f.n, {m: c for m, c in f.terms.items() if m.support_point() in points}
+    )
 
 
 def face_function(f: MixedPoly, face: FaceDescriptor) -> MixedPoly:
     """Sum of the terms of f supported on the face."""
-    gens = face.generators
-    return MixedPoly(
-        f.n, {m: c for m, c in f.terms.items() if m.support_point() in gens}
-    )
+    return _terms_on(f, face.generators)
 
 
 def compact_part_function(f: MixedPoly, face: FaceDescriptor) -> MixedPoly:
     """Sum of the terms supported on the compact part Delta_0 of the face."""
-    gens = face.compact_part
-    return MixedPoly(
-        f.n, {m: c for m, c in f.terms.items() if m.support_point() in gens}
-    )
+    return _terms_on(f, face.compact_part)
 
 
 def vanishing_subsets(f: MixedPoly) -> VanishingReport:
@@ -235,26 +249,15 @@ def vanishing_subsets(f: MixedPoly) -> VanishingReport:
         raise TooManyVariablesError(
             f"subset enumeration guarded at {MAX_VANISHING_VARS} variables"
         )
-    vanishing = set()
-    nonvanishing = set()
     indices = range(1, f.n + 1)
-    for size in range(1, f.n + 1):
-        for I in combinations(indices, size):
-            I = frozenset(I)
-            if f.restrict(I).is_zero():
-                vanishing.add(I)
-            else:
-                nonvanishing.add(I)
-    return VanishingReport(frozenset(vanishing), frozenset(nonvanishing))
+    subsets = {frozenset(I) for k in indices for I in combinations(indices, k)}
+    vanishing = frozenset(I for I in subsets if vanishes_on(f, I))
+    return VanishingReport(vanishing, frozenset(subsets - vanishing))
 
 
-def all_faces(f: MixedPoly, include_polyhedron=False) -> list:
+def all_faces(f: MixedPoly) -> list:
     """Every proper face of the Newton polyhedron as a FaceDescriptor."""
-    support = _support(f)
-    faces = lattice.newton_faces(support, f.n)
-    compact_pts = lattice.compact_support_points(faces)
-    lookup = _vanish_lookup(f)
-    return [_descriptor(f, face, compact_pts, vanish_lookup=lookup) for face in faces]
+    return list(newton_boundary(f).faces)
 
 
 def faces_with_directions(f: MixedPoly, I) -> list:
@@ -264,7 +267,7 @@ def faces_with_directions(f: MixedPoly, I) -> list:
     one of them, so degeneracy checks iterate this full list.
     """
     I = frozenset(I)
-    return [fc for fc in all_faces(f) if fc.noncompact_directions == I]
+    return [fc for fc in newton_boundary(f).faces if fc.noncompact_directions == I]
 
 
 def essential_noncompact_faces(f: MixedPoly, include_inessential=False) -> list:
@@ -275,7 +278,7 @@ def essential_noncompact_faces(f: MixedPoly, include_inessential=False) -> list:
     include_inessential=True the maximal non-essential non-compact faces
     are reported too.
     """
-    faces = [fc for fc in all_faces(f) if not fc.is_compact()]
+    faces = [fc for fc in newton_boundary(f).faces if not fc.is_compact()]
     by_dirs = {}
     for fc in faces:
         by_dirs.setdefault(fc.noncompact_directions, []).append(fc)
@@ -304,9 +307,9 @@ def top_faces(f: MixedPoly, I) -> list:
     the lowest-degree support point on that axis with unit weight.
     """
     I = sorted(set(I))
-    fI = f.restrict(I)
-    if fI.is_zero():
+    if vanishes_on(f, I):
         raise VanishingSubsetError(f"f vanishes on the subspace of {set(I)}")
+    fI = f.restrict(I)
     proj = {}
     for m in fI.terms:
         xi = m.support_point()
@@ -317,11 +320,7 @@ def top_faces(f: MixedPoly, I) -> list:
         low = min(pts)
         weight = [0] * f.n
         weight[I[0] - 1] = 1
-        gens = frozenset(xi for q in (low,) for xi in proj[q])
-        poly = MixedPoly(
-            f.n, {m: c for m, c in fI.terms.items() if m.support_point() in gens}
-        )
-        return [(WeightVector(tuple(weight)), poly)]
+        return [(WeightVector(tuple(weight)), _terms_on(fI, proj[low]))]
     k = len(I)
     for face in lattice.newton_faces(pts, k):
         if not face.is_compact():
@@ -334,10 +333,7 @@ def top_faces(f: MixedPoly, I) -> list:
         gens = set()
         for q in face.generators:
             gens.update(proj[q])
-        poly = MixedPoly(
-            f.n, {m: c for m, c in fI.terms.items() if m.support_point() in gens}
-        )
-        out.append((WeightVector(tuple(weight)), poly))
+        out.append((WeightVector(tuple(weight)), _terms_on(fI, gens)))
     out.sort(key=lambda pair: pair[0].p)
     return out
 

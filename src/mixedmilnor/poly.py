@@ -150,7 +150,7 @@ class MixedPoly:
     when their term maps are equal.
     """
 
-    __slots__ = ("n", "terms", "_eval_cache", "_wirt_cache")
+    __slots__ = ("n", "terms", "_eval_cache", "_wirt_cache", "_boundary")
 
     def __init__(self, n, terms=None):
         if n < 1:
@@ -170,6 +170,8 @@ class MixedPoly:
         object.__setattr__(self, "terms", merged)
         object.__setattr__(self, "_eval_cache", None)
         object.__setattr__(self, "_wirt_cache", {})
+        # Newton boundary, filled in on first use by newton.newton_boundary
+        object.__setattr__(self, "_boundary", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MixedPoly is immutable")
@@ -329,14 +331,6 @@ class MixedPoly:
         result = MixedPoly(self.n, out)
         self._wirt_cache[key] = result
         return result
-
-    def grad_z(self):
-        """Tuple of the n holomorphic partials as polynomials."""
-        return tuple(self.wirtinger(j, "z") for j in range(1, self.n + 1))
-
-    def grad_zbar(self):
-        """Tuple of the n antiholomorphic partials as polynomials."""
-        return tuple(self.wirtinger(j, "zbar") for j in range(1, self.n + 1))
 
     def real_imag_parts(self):
         """Exact split f = g + i h with g, h real-valued.

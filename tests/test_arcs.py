@@ -12,6 +12,9 @@ from mixedmilnor.constructors import corpus
 from mixedmilnor.errors import (
     AllValuesZeroError,
     ArcInsideVarietyError,
+    BadArcError,
+    DimensionMismatchError,
+    PolySyntaxError,
     SingularFiberError,
     TruncationOverflowError,
 )
@@ -46,6 +49,21 @@ class TestArcParsing:
     def test_zero_coordinate(self):
         arc = parse_arc("z2 = t", n=3)
         assert arc.jets[0] == () and arc.jets[2] == ()
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("z1 = 1/0; z2 = t", 7), ("z1 = 1; z2 = t^(1/0)", 18), ("z1 = t^1/0", 9)],
+    )
+    def test_zero_denominator(self, text, position):
+        with pytest.raises(PolySyntaxError) as info:
+            parse_arc(text)
+        assert info.value.position == position
+        assert info.value.expected == "a nonzero denominator"
+
+    def test_error_position_is_the_token(self):
+        with pytest.raises(PolySyntaxError) as info:
+            parse_arc("z1 =   ;")
+        assert info.value.position == 7
 
     def test_evaluate(self):
         arc = parse_arc("z1 = 1 + t; z2 = 2i*t^2")
@@ -172,6 +190,13 @@ class TestLimitTangent:
         assert np.allclose(a.covector_g, b.covector_g, atol=1e-12)
         assert np.allclose(a.covector_h, b.covector_h, atol=1e-12)
 
+    def test_typed_precondition_errors(self):
+        f = corpus("tibar")
+        with pytest.raises(BadArcError):
+            limit_tangent(f, parse_arc("z2 = 0", n=2))
+        with pytest.raises(DimensionMismatchError):
+            limit_tangent(f, parse_arc("z1 = t; z3 = t"))
+
     def test_arc_inside_variety(self):
         with pytest.raises(ArcInsideVarietyError):
             limit_tangent(corpus("fig1"), parse_arc("z3 = t", n=3))
@@ -258,6 +283,10 @@ class TestAfTest:
             af_test_arc(f, parse_arc("z1 = t; z2 = t"), {1})
         with pytest.raises(ValueError):
             af_test_arc(f, parse_arc("z1 = 1; z2 = 1 + t"), {1})
+
+    def test_stratum_violation_is_typed(self):
+        with pytest.raises(BadArcError):
+            af_test_arc(corpus("tibar"), parse_arc("z1 = 1; z2 = 1"), {1})
 
 
 class TestTransversality:

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from mixedmilnor.cli import main
 
@@ -176,6 +177,26 @@ class TestErrors:
     def test_missing_input(self, capsys):
         assert main(["newton"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["af-test", "--corpus", "tibar", "--arc", "z1 = 1; z2 = 1", "--subset", "1"],
+             "BadArcError"),
+            (["openness", "--corpus", "tibar", "--point", "1, x"], "BadRequestError"),
+            (["af-test", "--corpus", "tibar", "--arc", "z1 = 1", "--subset", "x"],
+             "BadRequestError"),
+            (["arc-limit", "--corpus", "tibar", "--arc", "z1 = 1/0; z2 = t"], "PolySyntaxError"),
+            (["arc-limit", "--corpus", "tibar", "--arc", "z1 = 1; z2 = t^(1/0)"],
+             "PolySyntaxError"),
+        ],
+    )
+    def test_typed_json_error(self, capsys, argv, error):
+        code, out = run(capsys, *argv, "--json")
+        assert code == 1
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"]["type"] == error
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -213,3 +234,32 @@ class TestBatch:
             rest = rest[idx:].strip()
             count += 1
         assert count == 2
+
+    def test_malformed_lines_do_not_stop_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "requests.jsonl"
+        good = json.dumps({"command": "vanishing", "corpus": "fig1", "json": True})
+        batch.write_text(
+            "\n".join(
+                [
+                    "{not json",
+                    good,
+                    json.dumps(["vanishing"]),
+                    json.dumps({"command": "vanishing", "no_such_flag": 1}),
+                    good,
+                ]
+            )
+        )
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        rest = out.strip()
+        reports = []
+        while rest:
+            report, idx = decoder.raw_decode(rest)
+            jsonschema.validate(report, SCHEMA)
+            reports.append(report)
+            rest = rest[idx:].strip()
+        assert ["error" in r for r in reports] == [True, False, True, True, False]
+        assert {r["error"]["type"] for r in reports if "error" in r} == {"BadRequestError"}
+        assert reports[1]["result"]["vanishing"] == [[3]]

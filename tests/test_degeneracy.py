@@ -157,6 +157,19 @@ class TestWitnessPolys:
 
 
 class TestLocalTameness:
+    def test_face_function_built_once_per_face(self, monkeypatch):
+        built = []
+        original = newton.face_function
+
+        def counting(f, face):
+            built.append(face)
+            return original(f, face)
+
+        monkeypatch.setattr(newton, "face_function", counting)
+        f = corpus("tibar_a", (1,))
+        verdict = dg.local_tameness_check(f, {1}, budget=4)
+        assert len(built) == len(verdict.faces) >= 1
+
     def test_not_vanishing_rejected(self):
         with pytest.raises(NotVanishingError):
             dg.local_tameness_check(corpus("fig1"), {1})

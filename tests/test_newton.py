@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import hull_2d_oracle, newton_vertices_oracle, random_mixed_poly
-from mixedmilnor import newton
+from mixedmilnor import lattice, newton
+from mixedmilnor.cli import main
 from mixedmilnor.constructors import corpus
 from mixedmilnor.errors import VanishingSubsetError, ZeroPolynomialError
 from mixedmilnor.newton import FaceKind, WeightVector
@@ -28,6 +29,14 @@ class TestSupportVertices:
     def test_zero_polynomial(self):
         with pytest.raises(ZeroPolynomialError):
             newton.support_vertices(MixedPoly.zero(2))
+
+    def test_constant_term_is_not_convenience(self):
+        # convenience asks for a support point with a positive coordinate on
+        # each axis; the constant term makes every f^{i} nonzero without one
+        f = parse_poly("1 + z1*z2")
+        _, _, convenient = newton.support_vertices(f)
+        assert convenient is False
+        assert newton.vanishing_subsets(f).vanishing == frozenset()
 
     def test_random_2d_against_hull_oracle(self):
         rng = np.random.default_rng(41)
@@ -141,6 +150,15 @@ class TestVanishingSubsets:
             report = newton.vanishing_subsets(f)
             assert frozenset(range(1, f.n + 1)) in report.nonvanishing
 
+    def test_support_predicate_matches_restriction(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            f = random_mixed_poly(rng, n=3)
+            report = newton.vanishing_subsets(f)
+            for I in report.vanishing | report.nonvanishing:
+                assert newton.vanishes_on(f, I) == f.restrict(I).is_zero()
+                assert report.is_vanishing(I) == f.restrict(I).is_zero()
+
     def test_variable_count_guard(self):
         from mixedmilnor.errors import TooManyVariablesError
 
@@ -155,6 +173,42 @@ class TestVanishingSubsets:
         pts = [(i, i * i % 97) for i in range(70)]
         with pytest.raises(TooManySupportPointsError):
             newton_faces(pts, 2)
+
+
+class TestBoundaryBuiltOnce:
+    @pytest.fixture
+    def face_calls(self, monkeypatch):
+        calls = []
+        original = lattice.newton_faces
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lattice, "newton_faces", counting)
+        return calls
+
+    def test_newton_report(self, face_calls):
+        newton.newton_report(parse_poly("z1^3 + z2^3 + z2*z3^2"))
+        assert len(face_calls) == 1
+
+    def test_shared_across_queries(self, face_calls):
+        f = parse_poly("z1^3 + z2^3 + z2*z3^2")
+        newton.all_faces(f)
+        newton.faces_with_directions(f, {3})
+        newton.support_vertices(f)
+        newton.delta_of_weight(f, (1, 3, 0))
+        assert len(face_calls) == 1
+
+    def test_cli_tame_over_all_vanishing_subsets(self, face_calls, capsys):
+        assert len(newton.vanishing_subsets(corpus("parusinski")).vanishing) == 5
+        main(["tame", "--corpus", "parusinski", "--budget", "1"])
+        assert len(face_calls) == 1
+
+    def test_vanishing_builds_no_faces(self, face_calls):
+        for name, params in [("parusinski", ()), ("cyclic", (2, 2, 2)), ("d_n", (4,))]:
+            newton.vanishing_subsets(corpus(name, params))
+        assert face_calls == []
 
 
 class TestEssentialFaces:

@@ -30,6 +30,7 @@ from .errors import (
     ArcInsideVarietyError,
     BadArcError,
     DimensionMismatchError,
+    NonPositiveArgumentError,
     PolySyntaxError,
     SingularFiberError,
     TruncationExhaustedError,
@@ -661,6 +662,12 @@ def af_test_arc(f: MixedPoly, arc: Arc, I) -> AfArcVerdict:
 REGULARITY_THRESHOLD = 1e-12
 
 
+def _require_positive(**values):
+    for name, value in values.items():
+        if not value > 0:
+            raise NonPositiveArgumentError(f"{name} must be positive, got {value}")
+
+
 def transversality_residual(f: MixedPoly, p) -> float:
     """Normalized distance of p from the tangent span of its fiber.
 
@@ -671,9 +678,7 @@ def transversality_residual(f: MixedPoly, p) -> float:
     p = np.asarray(p, dtype=np.complex128)
     if criticality_residual(f, p) <= REGULARITY_THRESHOLD:
         raise SingularFiberError("point is numerically a mixed critical point")
-    g, h = f.real_imag_parts()
-    bg = g.gradients(p).d_zbar
-    bh = h.gradients(p).d_zbar
+    bg, bh = f.gradients(p).real_imag_zbar()
     norm = np.linalg.norm(p)
     if norm == 0:
         raise ValueError("transversality residual is undefined at the origin")
@@ -703,6 +708,7 @@ def transversality_scan(
     (rejection sampling), and reports residual statistics over the accepted
     points, skipping numerically singular ones.
     """
+    _require_positive(radius=radius, delta=delta, samples=samples)
     rng = np.random.default_rng(seed)
     accepted = 0
     drawn = 0
@@ -767,8 +773,7 @@ def boundary_openness_probe(
     half-width of the smallest sector containing all observed arguments is
     estimated from the raw values (largest circular gap).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive(epsilon=epsilon, samples=samples)
     p = np.asarray(p, dtype=np.complex128)
     rng = np.random.default_rng(seed)
     radii = epsilon * np.sqrt(rng.uniform(size=(samples, f.n)))

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import newton
-from .errors import NotEssentialFaceError, NotVanishingError
+from .errors import NonPositiveArgumentError, NotEssentialFaceError, NotVanishingError
 from .newton import FaceDescriptor, FaceKind
 from .poly import GR_NEG_HALF_I, GaussianRational, MixedPoly
 
@@ -48,7 +48,7 @@ class TameStatus(Enum):
 
 @dataclass(frozen=True)
 class ResidualStats:
-    samples: int
+    evaluations: int
     min_residual: float
     restarts: int
 
@@ -66,7 +66,7 @@ class NondegeneracyVerdict:
 class RhoProbeReport:
     """Search for critical values of rho(z) = |z_I|^2 on the face zero set."""
 
-    samples: int
+    evaluations: int
     min_objective: float
     witness: np.ndarray | None
 
@@ -300,7 +300,7 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
     a fixed seed.
     """
     if budget < 1:
-        raise ValueError("budget must be positive")
+        raise NonPositiveArgumentError("budget must be at least 1")
     faces = newton.all_faces(f)
     targets = []
     for fc in faces:
@@ -416,15 +416,13 @@ def _rho_probe(fpoly, I, shell, budget, rng):
     I = sorted(I)
     mask = np.zeros(n, dtype=bool)
     mask[[i - 1 for i in I]] = True
-    g, h = fpoly.real_imag_parts()
 
     def objective(x):
         p = _torus_point(x[:n], x[n:])
         norm = np.linalg.norm(p[mask])
         p[mask] *= shell / norm
         zi = np.where(mask, p, 0.0)
-        gg = g.gradients(p).d_zbar
-        hh = h.gradients(p).d_zbar
+        gg, hh = fpoly.gradients(p).real_imag_zbar()
         fv = fpoly.evaluate(p)
         span = real_span_residual(zi, gg, hh) / shell
         return abs(fv) ** 2 + span**2
@@ -485,7 +483,7 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
             direction /= np.linalg.norm(direction)
             frozen = {j: shell * direction[idx] for idx, j in enumerate(I)}
             value, point, stats = _critical_search(fd, free, frozen, restarts, rng)
-            total_stats[0] += stats.samples
+            total_stats[0] += stats.evaluations
             total_stats[1] = min(total_stats[1], stats.min_residual)
             total_stats[2] += stats.restarts
             if value < WITNESS_THRESHOLD:
@@ -537,6 +535,8 @@ def local_tameness_check(
     verdict NotTame, all faces certified makes it TameCertified, anything
     else is Inconclusive.
     """
+    if probe_radius <= 0:
+        raise NonPositiveArgumentError("probe radius must be positive")
     I = frozenset(I)
     if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")
@@ -607,7 +607,7 @@ def nondeg_verdict_to_json(v: NondegeneracyVerdict) -> dict:
         "face_function": v.face_function.to_text(),
         "status": v.status.value,
         "stats": {
-            "samples": v.residual_stats.samples,
+            "samples": v.residual_stats.evaluations,
             "min_residual": v.residual_stats.min_residual,
             "restarts": v.residual_stats.restarts,
         },

@@ -109,5 +109,9 @@ class BadParamsError(MixedMilnorError, ValueError):
     """Corpus parameters outside the documented range."""
 
 
+class NonPositiveArgumentError(MixedMilnorError, ValueError):
+    """A radius, tolerance, sample count or budget that must be positive is not."""
+
+
 class BadRequestError(MixedMilnorError, ValueError):
     """A command-line value or a batch line that cannot be read."""

@@ -305,35 +305,19 @@ def top_faces(f: MixedPoly, I) -> list:
     Returns (WeightVector, face function) pairs; the weights are primitive,
     strictly positive on I, zero elsewhere.  For |I| = 1 the single pair is
     the lowest-degree support point on that axis with unit weight.
+
+    Newton(f^I) is the face Newton(f) meet R^I: these are the compact faces of
+    f's boundary of that dimension inside R^I, witnesses restricted to I.
     """
     I = sorted(set(I))
     if vanishes_on(f, I):
         raise VanishingSubsetError(f"f vanishes on the subspace of {set(I)}")
-    fI = f.restrict(I)
-    proj = {}
-    for m in fI.terms:
-        xi = m.support_point()
-        proj.setdefault(tuple(xi[i - 1] for i in I), set()).add(xi)
-    pts = sorted(proj)
+    inside = f.restrict(I).support()
     out = []
-    if len(I) == 1:
-        low = min(pts)
-        weight = [0] * f.n
-        weight[I[0] - 1] = 1
-        return [(WeightVector(tuple(weight)), _terms_on(fI, proj[low]))]
-    k = len(I)
-    for face in lattice.newton_faces(pts, k):
-        if not face.is_compact():
-            continue
-        if lattice.affine_rank(sorted(face.generators)) != k - 1:
-            continue
-        weight = [0] * f.n
-        for idx, i in enumerate(I):
-            weight[i - 1] = face.witness[idx]
-        gens = set()
-        for q in face.generators:
-            gens.update(proj[q])
-        out.append((WeightVector(tuple(weight)), _terms_on(fI, gens)))
+    for fc in newton_boundary(f).faces:
+        if fc.is_compact() and fc.dim == len(I) - 1 and fc.generators <= inside:
+            weight = tuple(x if i + 1 in I else 0 for i, x in enumerate(fc.weight_witness.p))
+            out.append((WeightVector(weight), face_function(f, fc)))
     out.sort(key=lambda pair: pair[0].p)
     return out
 

@@ -9,7 +9,9 @@ variables (Wirtinger derivatives) are the basic calculus here.
 All combinatorial decisions downstream (vanishing of restrictions, face data,
 sign-definiteness of tameness witnesses) are exact, which is why coefficients
 are Gaussian rationals and never floats.  Floats enter only through
-:meth:`MixedPoly.evaluate` and :meth:`MixedPoly.gradients`.
+:meth:`MixedPoly.evaluate`, :meth:`MixedPoly.evaluate_many` and
+:meth:`MixedPoly.gradients`, which all read one cached term table (nu, mu,
+coefficients) and build no derivative or real/imaginary-part polynomial.
 
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -380,20 +382,11 @@ class MixedPoly:
 
     def evaluate(self, p) -> complex:
         """Value at a point p in C^n (floats)."""
-        if not self.terms:
-            return 0.0 + 0.0j
-        nu, mu, coeff = self._arrays()
-        p = np.asarray(p, dtype=np.complex128)
-        mono = np.prod(p[None, :] ** nu, axis=1) * np.prod(
-            np.conj(p)[None, :] ** mu, axis=1
-        )
-        return complex(np.sum(coeff * mono))
+        return complex(self.evaluate_many(np.asarray(p)[None])[0])
 
     def evaluate_many(self, pts) -> np.ndarray:
         """Values at an (N, n) array of points, vectorized over N."""
         pts = np.asarray(pts, dtype=np.complex128)
-        if not self.terms:
-            return np.zeros(pts.shape[0], dtype=np.complex128)
         nu, mu, coeff = self._arrays()
         out = np.zeros(pts.shape[0], dtype=np.complex128)
         conj = np.conj(pts)
@@ -408,16 +401,24 @@ class MixedPoly:
         return out
 
     def gradients(self, p) -> "GradientPair":
-        """Both Wirtinger gradients at p, as a GradientPair of complex vectors."""
-        d_z = np.array(
-            [self.wirtinger(j, "z").evaluate(p) for j in range(1, self.n + 1)],
-            dtype=np.complex128,
-        )
-        d_zbar = np.array(
-            [self.wirtinger(j, "zbar").evaluate(p) for j in range(1, self.n + 1)],
-            dtype=np.complex128,
-        )
-        return GradientPair(d_z, d_zbar)
+        """Both Wirtinger gradients at p, as a GradientPair of complex vectors.
+
+        Entry j of d_z (d_zbar) sums nu_j (mu_j) times each term with one
+        power of z_j (zbar_j) removed; lowering the power instead of dividing
+        by z_j keeps zero coordinates exact.
+        """
+        p = np.asarray(p, dtype=np.complex128)
+        nu, mu, coeff = self._arrays()
+        base = np.concatenate([p, np.conj(p)])
+        exps = np.concatenate([nu, mu], axis=1)
+        # layer k of the (2n, terms, 2n) table lowers column k only; z and zbar
+        # factors multiply apart and the weight comes last, rounding each term as
+        # the derivative polynomial's evaluation does (seeded searches rely on it)
+        lower = np.eye(2 * self.n, dtype=bool)[:, None, :]
+        table = np.where(lower, base ** np.maximum(exps - 1, 0), base**exps)
+        mono = table[..., : self.n].prod(axis=2) * table[..., self.n :].prod(axis=2)
+        d = (exps.T * coeff * mono).sum(axis=1)
+        return GradientPair(d[: self.n], d[self.n :])
 
     # -- printing ----------------------------------------------------------
 
@@ -484,6 +485,12 @@ class GradientPair:
 
     d_z: np.ndarray
     d_zbar: np.ndarray
+
+    def real_imag_zbar(self):
+        """dzbar g = (dzbar f + conj dz f)/2 and dzbar h = i(conj dz f - dzbar f)/2
+        for g = Re f, h = Im f: their gradients without building g and h."""
+        conj_d_z = np.conj(self.d_z)
+        return (self.d_zbar + conj_d_z) / 2, 1j * (conj_d_z - self.d_zbar) / 2
 
 
 # ---------------------------------------------------------------------------

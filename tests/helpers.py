@@ -9,6 +9,8 @@ from itertools import combinations
 
 import numpy as np
 
+from mixedmilnor import lattice
+from mixedmilnor.newton import WeightVector
 from mixedmilnor.poly import GaussianRational, MixedMonomial, MixedPoly
 
 
@@ -47,6 +49,40 @@ def random_point(rng, n, scale=1.0, min_mag=0.3):
     mags = rng.uniform(min_mag, scale, size=n)
     phases = rng.uniform(0, 2 * np.pi, size=n)
     return mags * np.exp(1j * phases)
+
+
+# ---------------------------------------------------------------------------
+# Top faces of a restriction, enumerated on the restriction alone
+# ---------------------------------------------------------------------------
+
+
+def top_faces_oracle(f, I):
+    """(WeightVector, face function) pairs of the top compact faces of f^I.
+
+    Projects the support of f^I to the coordinates in I and enumerates the
+    faces of that polyhedron on its own, independently of f's full boundary.
+    """
+    I = sorted(set(I))
+    fI = f.restrict(I)
+    proj = {tuple(m.support_point()[i - 1] for i in I): m.support_point() for m in fI.terms}
+    pts = sorted(proj)
+
+    def on(points):
+        return MixedPoly(f.n, {m: c for m, c in fI.terms.items() if m.support_point() in points})
+
+    def lift(witness):
+        weight = [0] * f.n
+        for idx, i in enumerate(I):
+            weight[i - 1] = witness[idx]
+        return WeightVector(tuple(weight))
+
+    if len(I) == 1:
+        return [(lift((1,)), on({proj[min(pts)]}))]
+    out = []
+    for face in lattice.newton_faces(pts, len(I)):
+        if face.is_compact() and lattice.affine_rank(sorted(face.generators)) == len(I) - 1:
+            out.append((lift(face.witness), on({proj[q] for q in face.generators})))
+    return sorted(out, key=lambda pair: pair[0].p)
 
 
 # ---------------------------------------------------------------------------

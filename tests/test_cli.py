@@ -197,6 +197,26 @@ class TestErrors:
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["openness", "--corpus", "tibar", "--point", "1, 0", "--epsilon", "0"],
+            ["openness", "--corpus", "tibar", "--point", "1, 0", "--samples", "0"],
+            ["nondeg", "--corpus", "tibar", "--budget", "0"],
+            ["transversality", "--corpus", "tibar", "--radius", "0"],
+            ["transversality", "--corpus", "tibar", "--samples", "0"],
+            ["transversality", "--corpus", "tibar", "--delta", "0"],
+            ["tame", "--corpus", "tibar", "--radius", "0"],
+            ["tame", "--corpus", "tibar", "--radius", "-1"],
+        ],
+    )
+    def test_non_positive_argument(self, capsys, argv):
+        code, out = run(capsys, *argv, "--json")
+        assert code == 1
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"]["type"] == "NonPositiveArgumentError"
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -263,3 +283,20 @@ class TestBatch:
         assert ["error" in r for r in reports] == [True, False, True, True, False]
         assert {r["error"]["type"] for r in reports if "error" in r} == {"BadRequestError"}
         assert reports[1]["result"]["vanishing"] == [[3]]
+
+    def test_bad_argument_does_not_stop_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": "openness", "corpus": "tibar", "point": "1, 0", "epsilon": 0,
+             "json": True},
+            {"command": "vanishing", "corpus": "fig1", "json": True},
+        ]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        first, idx = decoder.raw_decode(out.strip())
+        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
+        assert first["error"]["type"] == "NonPositiveArgumentError"
+        assert second["result"]["vanishing"] == [[3]]

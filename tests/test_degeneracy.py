@@ -252,3 +252,15 @@ class TestLocalTameness:
     def test_convenient_radii_infinite(self):
         radii = dg.tameness_radii({}, r0=math.inf)
         assert radii.r_nc == math.inf and radii.rho_0 == math.inf
+
+
+class TestStatsNames:
+    def test_evaluations_count_objective_calls(self):
+        verdicts = dg.falsify_nondegeneracy(corpus("tibar"), budget=2, seed=0)
+        v = next(v for v in verdicts if v.residual_stats.restarts)
+        assert v.residual_stats.evaluations > v.residual_stats.restarts
+        assert dg.nondeg_verdict_to_json(v)["stats"]["samples"] == v.residual_stats.evaluations
+        f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
+        verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
+        probes = [fr.rho_probe for fr in verdict.faces if fr.rho_probe is not None]
+        assert probes and all(r.evaluations > 0 for r in probes)

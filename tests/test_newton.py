@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import hull_2d_oracle, newton_vertices_oracle, random_mixed_poly
-from mixedmilnor import lattice, newton
+from helpers import hull_2d_oracle, newton_vertices_oracle, random_mixed_poly, top_faces_oracle
+from mixedmilnor import lattice, newton, zeta
 from mixedmilnor.cli import main
 from mixedmilnor.constructors import corpus
 from mixedmilnor.errors import VanishingSubsetError, ZeroPolynomialError
@@ -205,6 +205,11 @@ class TestBoundaryBuiltOnce:
         main(["tame", "--corpus", "parusinski", "--budget", "1"])
         assert len(face_calls) == 1
 
+    def test_zeta_reads_the_boundary_once(self, face_calls):
+        assert len(newton.vanishing_subsets(corpus("parusinski")).nonvanishing) > 1
+        zeta.zeta_function(corpus("parusinski"))
+        assert len(face_calls) == 1
+
     def test_vanishing_builds_no_faces(self, face_calls):
         for name, params in [("parusinski", ()), ("cyclic", (2, 2, 2)), ("d_n", (4,))]:
             newton.vanishing_subsets(corpus(name, params))
@@ -334,6 +339,20 @@ class TestTopFaces:
     def test_vanishing_subset_rejected(self):
         with pytest.raises(VanishingSubsetError):
             newton.top_faces(corpus("d_n", (4,)), {2})
+
+    def test_matches_enumeration_of_each_restriction(self):
+        rng = np.random.default_rng(61)
+        polys = [
+            corpus(name, params)
+            for name, params in [("parusinski", ()), ("fig1", ()), ("d_n", (5,)),
+                                 ("cyclic", (2, 2, 2)), ("brieskorn_curve", ())]
+        ]
+        polys += [random_mixed_poly(rng, n=int(rng.integers(2, 5)), max_terms=7) for _ in range(60)]
+        for f in polys:
+            for I in sorted(newton.vanishing_subsets(f).nonvanishing, key=sorted):
+                got = [(P.p, poly) for P, poly in newton.top_faces(f, I)]
+                want = [(P.p, poly) for P, poly in top_faces_oracle(f, I)]
+                assert got == want, (f, sorted(I))
 
 
 class TestDegrees:

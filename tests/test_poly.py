@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_mixed_poly, random_point, random_real_valued_poly
@@ -325,3 +325,48 @@ def test_parts_reconstruction_property(f):
     g, h = f.real_imag_parts()
     assert g.is_real_valued() and h.is_real_valued()
     assert g + h * MixedPoly.constant(f.n, I) == f
+
+
+def _exact_value(poly, point):
+    total = GaussianRational.of(0)
+    for m, c in poly.terms.items():
+        for x, a, b in zip(point, m.nu, m.mu):
+            for _ in range(a):
+                c = c * x
+            for _ in range(b):
+                c = c * x.conjugate()
+        total = total + c
+    return complex(total)
+
+
+@st.composite
+def polys_at_points(draw):
+    """A mixed polynomial and a point of small Gaussian-rational coordinates
+    (modulus at most sqrt 2, zero coordinates included)."""
+    f = draw(mixed_polys())
+    part = st.builds(Fraction, st.integers(-2, 2), st.integers(2, 4))
+    point = [GaussianRational(draw(part), draw(part)) for _ in range(f.n)]
+    return f, point
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_at_points())
+@example((MixedPoly.zero(2), [gr(1, -1), gr(0)]))
+@example((parse_poly("z1^2*zb1*z2 + 3*zb2^2*z1 - 2i*z2"), [gr(0), gr(Fraction(1, 2), 1)]))
+def test_float_layer_matches_exact_property(data):
+    f, point = data
+    p = np.array([complex(x) for x in point])
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    close(f.evaluate(p), _exact_value(f, point))
+    close(f.evaluate_many(np.stack([p, p]))[1], _exact_value(f, point))
+    grads = f.gradients(p)
+    g, h = f.real_imag_parts()
+    dg_zbar, dh_zbar = grads.real_imag_zbar()
+    for j in range(1, f.n + 1):
+        close(grads.d_z[j - 1], _exact_value(f.wirtinger(j, "z"), point))
+        close(grads.d_zbar[j - 1], _exact_value(f.wirtinger(j, "zbar"), point))
+        close(dg_zbar[j - 1], _exact_value(g.wirtinger(j, "zbar"), point))
+        close(dh_zbar[j - 1], _exact_value(h.wirtinger(j, "zbar"), point))

@@ -18,13 +18,12 @@ from the exact series algebra.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .degeneracy import criticality_residual, real_span_residual
+from .degeneracy import _aligned_residual_float, real_span_residual
 from .errors import (
     AllValuesZeroError,
     ArcInsideVarietyError,
@@ -36,7 +35,7 @@ from .errors import (
     TruncationExhaustedError,
     TruncationOverflowError,
 )
-from .poly import GR_ZERO, GaussianRational, MixedPoly
+from .poly import GR_ONE, GR_ZERO, GaussianRational, MixedPoly, _Cursor, join_signed
 
 __all__ = [
     "Arc",
@@ -119,7 +118,7 @@ def series_to_text(s) -> str:
         else:
             tk = "t" if k == 1 else f"t^{k}"
             parts.append(tk if c == "1" else f"{c}*{tk}")
-    return " + ".join(parts)
+    return join_signed(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -205,156 +204,43 @@ class Arc:
         return "; ".join(chunks)
 
 
-_ARC_TOKEN = re.compile(
-    r"\s*(?:(?P<var>z(?P<vidx>\d+))|(?P<t>t)|(?P<nat>\d+)|(?P<imag>i)"
-    r"|(?P<op>[=+\-*/^();]))"
-)
-
-
-def _tokenize_arc(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _ARC_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise PolySyntaxError(pos, "an arc token", text)
-        for kind in ("var", "t", "nat", "imag", "op"):
-            if m.group(kind):
-                if kind == "var":
-                    tokens.append(("var", int(m.group("vidx")), m.start(kind)))
-                elif kind == "op":
-                    tokens.append((m.group("op"), None, m.start(kind)))
-                else:
-                    val = int(m.group("nat")) if kind == "nat" else None
-                    tokens.append((kind, val, m.start(kind)))
-                break
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _ArcParser:
-    def __init__(self, tokens, text):
-        self.toks = tokens
-        self.i = 0
-        self.text = text
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise PolySyntaxError(tok[2], f"'{kind}'", self.text)
-        return tok
+class _ArcParser(_Cursor):
+    """arc  := (z '=' jet ';'?)*
+    jet  := [sign] term (sign term)*
+    term := literal '*'? ('t' ('^' exp)?)? | 't' ('^' exp)?
+    exp  := nat ('/' nat)? | '(' nat '/' nat ')'
+    """
 
     def parse(self):
         assignments = {}
         while self.peek()[0] != "end":
-            tok = self.expect("var")
-            var = tok[1]
+            var = self.expect("z")[1]
             self.expect("=")
-            assignments[var] = self.jet_expr()
-            if self.peek()[0] == ";":
-                self.take()
+            terms = {}
+            for sign, (exp, coeff) in self.signed(self.jet_term):
+                terms = _s_add(terms, {exp: coeff if sign > 0 else -coeff})
+            assignments[var] = terms
+            self.accept(";")
         return assignments
 
-    def jet_expr(self):
-        terms = {}
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        while True:
-            exp, coeff = self.jet_term()
-            if sign < 0:
-                coeff = -coeff
-            acc = terms.get(exp, GR_ZERO) + coeff
-            if acc:
-                terms[exp] = acc
-            elif exp in terms:
-                del terms[exp]
-            if self.peek()[0] in ("+", "-"):
-                sign = -1 if self.take()[0] == "-" else 1
-                continue
-            return terms
-
     def jet_term(self):
-        coeff = None
-        if self.peek()[0] in ("nat", "imag", "("):
-            coeff = self.coefficient()
-            if self.peek()[0] == "*":
-                self.take()
-        if self.peek()[0] == "t":
-            self.take()
-            exp = Fraction(1)
-            if self.peek()[0] == "^":
-                self.take()
-                exp = self.exponent()
-            return exp, coeff if coeff is not None else GaussianRational.of(1)
-        if coeff is None:
-            tok = self.peek()
-            raise PolySyntaxError(tok[2], "a coefficient or 't'", self.text)
-        return Fraction(0), coeff
-
-    def denominator(self):
-        _, den, pos = self.expect("nat")
-        if den == 0:
-            raise PolySyntaxError(pos, "a nonzero denominator", self.text)
-        return den
-
-    def exponent(self):
-        if self.peek()[0] == "(":
-            self.take()
-            num = self.expect("nat")[1]
-            self.expect("/")
-            den = self.denominator()
-            self.expect(")")
-            return Fraction(num, den)
-        num = self.expect("nat")[1]
-        if self.peek()[0] == "/":
-            self.take()
-            return Fraction(num, self.denominator())
-        return Fraction(num)
-
-    def coefficient(self):
-        tok = self.take()
-        kind, value, pos = tok
-        if kind == "nat":
-            num = Fraction(value)
-            if self.peek()[0] == "/":
-                self.take()
-                num /= self.denominator()
-            if self.peek()[0] == "imag":
-                self.take()
-                return GaussianRational(Fraction(0), num)
-            return GaussianRational(num, Fraction(0))
-        if kind == "imag":
-            return GaussianRational(Fraction(0), Fraction(1))
-        if kind == "(":
-            # signed complex literal, e.g. (1+2i) or (-1/2)
-            total = GaussianRational(Fraction(0), Fraction(0))
-            sign = 1
-            if self.peek()[0] in ("+", "-"):
-                sign = -1 if self.take()[0] == "-" else 1
-            while True:
-                part = self.coefficient()
-                if sign < 0:
-                    part = -part
-                total = total + part
-                if self.peek()[0] in ("+", "-"):
-                    sign = -1 if self.take()[0] == "-" else 1
-                    continue
-                break
-            self.expect(")")
-            return total
-        raise PolySyntaxError(pos, "a coefficient", self.text)
+        coeff = GR_ONE
+        if self.peek()[0] in ("nat", "dec", "imag", "("):
+            coeff = self.literal()
+            self.accept("*")
+        elif self.peek()[0] != "t":
+            self.error(self.peek(), "a coefficient or 't'")
+        if not self.accept("t"):
+            return Fraction(0), coeff
+        if not self.accept("^"):
+            return Fraction(1), coeff
+        if not self.accept("("):
+            return self.ratio(("nat",)), coeff
+        exp = Fraction(self.expect("nat")[1])
+        self.expect("/")
+        exp /= self.denominator(("nat",))
+        self.expect(")")
+        return exp, coeff
 
 
 def parse_arc(text: str, n: int | None = None, truncation_order=None) -> Arc:
@@ -364,7 +250,7 @@ def parse_arc(text: str, n: int | None = None, truncation_order=None) -> Arc:
     with exponent 0.  Exponents may be rationals (t^(3/2)); they are
     normalized by a common reparameterization.
     """
-    assignments = _ArcParser(_tokenize_arc(text), text).parse()
+    assignments = _ArcParser(text).parse()
     if not assignments and n is None:
         raise PolySyntaxError(0, "at least one assignment", text)
     size = max(max(assignments, default=0), n or 0)
@@ -676,9 +562,10 @@ def transversality_residual(f: MixedPoly, p) -> float:
     Raises SingularFiberError at points that are numerically mixed-critical.
     """
     p = np.asarray(p, dtype=np.complex128)
-    if criticality_residual(f, p) <= REGULARITY_THRESHOLD:
+    grads = f.gradients(p)
+    if _aligned_residual_float(np.conj(grads.d_z), grads.d_zbar) <= REGULARITY_THRESHOLD:
         raise SingularFiberError("point is numerically a mixed critical point")
-    bg, bh = f.gradients(p).real_imag_zbar()
+    bg, bh = grads.real_imag_zbar()
     norm = np.linalg.norm(p)
     if norm == 0:
         raise ValueError("transversality residual is undefined at the origin")
@@ -775,6 +662,8 @@ def boundary_openness_probe(
     """
     _require_positive(epsilon=epsilon, samples=samples)
     p = np.asarray(p, dtype=np.complex128)
+    if p.shape != (f.n,):
+        raise DimensionMismatchError(f"point has {p.size} coordinates, f has {f.n} variables")
     rng = np.random.default_rng(seed)
     radii = epsilon * np.sqrt(rng.uniform(size=(samples, f.n)))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(samples, f.n))

@@ -15,22 +15,19 @@ import json
 import sys
 
 from . import arcs, constructors, degeneracy, newton, zeta
-from .errors import BadRequestError, MixedMilnorError
-from .poly import MixedPoly, parse_poly
+from .errors import BadRequestError, MixedMilnorError, PolySyntaxError
+from .poly import MixedPoly, parse_coefficient, parse_poly
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace(" ", "").replace("i", "j") or "0")
-
-
 def _parse_point(text: str):
+    """Comma-separated coordinates, each a signed sum of coefficient literals."""
     try:
-        return [_parse_complex(part) for part in text.split(",")]
-    except ValueError:
+        return [complex(parse_coefficient(part)) for part in text.split(",")]
+    except (PolySyntaxError, OverflowError):
         raise BadRequestError(f"cannot read {text!r} as a complex point") from None
 
 
@@ -281,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params2", help="second corpus parameters (join)")
         p.add_argument("--arc", help="arc text, e.g. 'z1 = 1; z2 = t'")
         p.add_argument("--subset", help="variable subset, e.g. '1,3'")
-        p.add_argument("--point", help="complex point, e.g. '1, 0' or '(1+2i), 0'")
+        p.add_argument(
+            "--point",
+            help="complex point, one coefficient per variable, e.g. '1, 0' or '1/2 - i, 0.5'",
+        )
         p.add_argument("--cover-a", help="pullback exponents a, comma separated")
         p.add_argument("--cover-b", help="pullback exponents b, comma separated")
         p.add_argument("--seed", type=int, default=0)

@@ -6,7 +6,7 @@ class MixedMilnorError(Exception):
 
 
 class PolySyntaxError(MixedMilnorError, ValueError):
-    """Malformed polynomial or arc text.
+    """Malformed polynomial, arc or point-coordinate text.
 
     Carries the 0-based position of the offending token and a short
     description of what was expected there.

@@ -33,6 +33,7 @@ __all__ = [
     "MixedPoly",
     "GradientPair",
     "parse_poly",
+    "parse_coefficient",
 ]
 
 
@@ -113,6 +114,14 @@ def format_gaussian(c: GaussianRational) -> str:
     im = "i" if c.im == 1 else ("-i" if c.im == -1 else f"{c.im}i")
     sign = "+" if c.im > 0 else ""
     return f"({c.re}{sign}{im})"
+
+
+def join_signed(parts) -> str:
+    """Join term texts with ' + ', or ' - ' in place of a term's leading '-'."""
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
 
 
 @dataclass(frozen=True)
@@ -460,13 +469,7 @@ class MixedPoly:
             else:
                 text = f"{format_gaussian(coeff)}*{body}"
             parts.append(text)
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return join_signed(parts)
 
     def __str__(self):
         return self.to_text()
@@ -494,66 +497,56 @@ class GradientPair:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing: one lexer, one token cursor and one coefficient literal rule for
+# polynomial, arc and point text
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<abs>\|z(?P<absidx>\d+)\|)"
-    r"|(?P<zbar>zb(?P<zbaridx>\d+))"
-    r"|(?P<z>z(?P<zidx>\d+))"
-    r"|(?P<nat>\d+)"
-    r"|(?P<imag>i)"
-    r"|(?P<op>[+\-*/^()]))"
+    r"\s*(?:(?P<abs>\|z\d+\|)|(?P<zbar>zb\d+)|(?P<z>z\d+)"
+    r"|(?P<dec>\d+\.\d+)|(?P<nat>\d+)|(?P<imag>i)|(?P<t>t)|(?P<op>[-+*/^()=;]))"
 )
+
+_VARIABLES = ("abs", "zbar", "z")
+_NUMBER = ("nat", "dec")
+_SIGNS = ("+", "-")
 
 
 def _tokenize(text):
+    """(kind, value, position) triples closed by an 'end' token.
+
+    A token's position is its first character ('|' of |zK|, 'z' of zK).
+    Variables carry their index K, 'nat' an int, 'dec' the exact Fraction of
+    the decimal; an operator's kind is the operator itself.
+    """
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise PolySyntaxError(pos, "a coefficient, variable, or operator", text)
-        if m.lastgroup is None and m.group().strip() == "":
-            pos = m.end()
-            continue
-        for kind in ("abs", "zbar", "z", "nat", "imag", "op"):
-            if m.group(kind):
-                start = m.start(kind)
-                if kind == "abs":
-                    tokens.append(("abs", int(m.group("absidx")), start))
-                elif kind == "zbar":
-                    tokens.append(("zbar", int(m.group("zbaridx")), start))
-                elif kind == "z":
-                    tokens.append(("z", int(m.group("zidx")), start))
-                elif kind == "nat":
-                    tokens.append(("nat", int(m.group("nat")), start))
-                elif kind == "imag":
-                    tokens.append(("imag", None, start))
-                else:
-                    tokens.append((m.group("op"), None, start))
-                break
+            if text[pos:].strip():
+                raise PolySyntaxError(pos, "a coefficient, variable, or operator", text)
+            break
+        kind, word = m.lastgroup, m.group(m.lastgroup)
+        digits = word.strip("|zb")
+        value = Fraction(word) if kind == "dec" else int(digits) if digits.isdigit() else None
+        tokens.append((word if kind == "op" else kind, value, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the grammar:
+class _Cursor:
+    """Token cursor with the coefficient literal rule:
 
-    expr   := [sign] term (('+'|'-') term)*
-    term   := factor ('*'? factor)*
-    factor := primary ('^' nat)?
-    primary:= nat ('/' nat)? 'i'? | 'i' | z | zb | |z| | '(' expr ')'
+    literal := num ('/' num)? 'i'? | 'i' | '(' sum ')'
+    sum     := [sign] literal (sign literal)*
+    num     := nat | dec
     """
 
-    def __init__(self, tokens, n, text):
-        self.tokens = tokens
-        self.i = 0
-        self.n = n
+    def __init__(self, text):
         self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -563,102 +556,132 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind):
+    def accept(self, kind) -> bool:
+        """Take the next token if it is of this kind."""
+        if self.peek()[0] != kind:
+            return False
+        self.i += 1
+        return True
+
+    def expect(self, *kinds):
         tok = self.take()
-        if tok[0] != kind:
-            raise PolySyntaxError(tok[2], f"'{kind}'", self.text)
+        if tok[0] not in kinds:
+            self.error(tok, " or ".join(f"'{kind}'" for kind in kinds))
         return tok
+
+    def error(self, tok, expected):
+        raise PolySyntaxError(tok[2], expected, self.text)
+
+    def signed(self, item):
+        """Yield (sign, item()) over [sign] item (sign item)*, sign -1 or 1."""
+        while True:
+            sign = -1 if self.accept("-") else 1
+            if sign > 0:
+                self.accept("+")
+            yield sign, item()
+            if self.peek()[0] not in _SIGNS:
+                return
+
+    def denominator(self, kinds=_NUMBER):
+        tok = self.expect(*kinds)
+        if tok[1] == 0:
+            self.error(tok, "a nonzero denominator")
+        return tok[1]
+
+    def ratio(self, kinds=_NUMBER) -> Fraction:
+        """num ('/' num)? over number tokens of the given kinds."""
+        value = Fraction(self.expect(*kinds)[1])
+        if self.accept("/"):
+            value /= self.denominator(kinds)
+        return value
+
+    def literal(self) -> GaussianRational:
+        tok = self.peek()
+        if self.accept("("):
+            value = self.literal_sum()
+            self.expect(")")
+            return value
+        if self.accept("imag"):
+            return GR_I
+        if tok[0] not in _NUMBER:
+            self.error(tok, "a coefficient")
+        value = self.ratio()
+        if self.accept("imag"):
+            return GaussianRational(Fraction(0), value)
+        return GaussianRational(value, Fraction(0))
+
+    def literal_sum(self) -> GaussianRational:
+        return sum((c if s > 0 else -c for s, c in self.signed(self.literal)), GR_ZERO)
+
+
+class _Parser(_Cursor):
+    """Recursive descent over the grammar:
+
+    expr   := [sign] term (('+'|'-') term)*
+    term   := factor ('*'? factor)*
+    factor := primary ('^' nat)? | |z| ('^' even)?
+    primary:= literal | z | zb | '(' expr ')'
+    """
+
+    def __init__(self, text, n):
+        super().__init__(text)
+        self.n = n
 
     def parse(self):
         poly = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise PolySyntaxError(tok[2], "end of input or an operator", self.text)
+            self.error(tok, "end of input or an operator")
         return poly
 
     def expr(self):
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.take()[0] == "-" else 1
-        poly = self.term()
-        if sign < 0:
-            poly = -poly
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            poly = poly - rhs if op == "-" else poly + rhs
+        poly = None
+        for sign, term in self.signed(self.term):
+            term = term if sign > 0 else -term
+            poly = term if poly is None else poly + term
         return poly
 
-    _FACTOR_START = ("nat", "imag", "z", "zbar", "abs", "(")
+    _FACTOR_START = ("nat", "dec", "imag", "z", "zbar", "abs", "(")
 
     def term(self):
         poly = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.take()
-                poly = poly * self.factor()
-            elif kind in self._FACTOR_START:
-                poly = poly * self.factor()
-            else:
-                return poly
+        while self.accept("*") or self.peek()[0] in self._FACTOR_START:
+            poly = poly * self.factor()
+        return poly
 
     def factor(self):
-        base = self.primary()
-        exponent = None
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.expect("nat")
-            exponent = tok[1]
-        if isinstance(base, tuple):
-            # pending modulus factor |z_k|; needs an even exponent
-            kind, k, pos = base
-            e = 1 if exponent is None else exponent
-            if e % 2 != 0:
-                raise OddModulusExponentError(pos, e)
-            half = e // 2
-            return MixedPoly.monomial(self.n, {k: half}, {k: half})
-        return base if exponent is None else base**exponent
+        tok = self.peek()
+        if self.accept("abs"):
+            self._check_index(tok)
+            base = None
+        else:
+            base = self.primary()
+        e = self.expect("nat")[1] if self.accept("^") else 1
+        if base is not None:
+            return base if e == 1 else base**e
+        # |z_k|^e desugars to z_k^(e/2) zb_k^(e/2), for even e only
+        if e % 2 != 0:
+            raise OddModulusExponentError(tok[2], e)
+        return MixedPoly.monomial(self.n, {tok[1]: e // 2}, {tok[1]: e // 2})
 
     def primary(self):
-        tok = self.take()
-        kind, value, pos = tok
-        if kind == "nat":
-            num = Fraction(value)
-            if self.peek()[0] == "/":
-                self.take()
-                den = self.expect("nat")[1]
-                if den == 0:
-                    raise PolySyntaxError(pos, "a nonzero denominator", self.text)
-                num = num / den
-            if self.peek()[0] == "imag":
-                self.take()
-                return MixedPoly.constant(self.n, GaussianRational(Fraction(0), num))
-            return MixedPoly.constant(self.n, GaussianRational(num, Fraction(0)))
-        if kind == "imag":
-            return MixedPoly.constant(self.n, GR_I)
-        if kind == "z":
-            self._check_index(value, pos)
-            return MixedPoly.variable(self.n, value)
-        if kind == "zbar":
-            self._check_index(value, pos)
-            return MixedPoly.conj_variable(self.n, value)
-        if kind == "abs":
-            self._check_index(value, pos)
-            return ("abs", value, pos)
+        kind, value, _ = tok = self.peek()
+        if kind in ("nat", "dec", "imag"):
+            return MixedPoly.constant(self.n, self.literal())
+        self.take()
+        if kind in ("z", "zbar"):
+            self._check_index(tok)
+            make = MixedPoly.variable if kind == "z" else MixedPoly.conj_variable
+            return make(self.n, value)
         if kind == "(":
             poly = self.expr()
             self.expect(")")
             return poly
-        raise PolySyntaxError(pos, "a coefficient, variable, or '('", self.text)
+        self.error(tok, "a coefficient, variable, or '('")
 
-    def _check_index(self, k, pos):
-        if not 1 <= k <= self.n:
-            raise PolySyntaxError(pos, f"variable index in 1..{self.n}", self.text)
-
-
-def _max_index(tokens):
-    return max((t[1] for t in tokens if t[0] in ("z", "zbar", "abs")), default=0)
+    def _check_index(self, tok):
+        if not 1 <= tok[1] <= self.n:
+            self.error(tok, f"variable index in 1..{self.n}")
 
 
 def parse_poly(text: str, n: int | None = None) -> MixedPoly:
@@ -668,11 +691,28 @@ def parse_poly(text: str, n: int | None = None) -> MixedPoly:
     |z1|^2 the squared modulus (even exponents only).  Whitespace is
     insignificant and '*' may be omitted.  When n is not given it is
     inferred as the largest variable index (1 for constant input).
+    Coefficients follow the literal rule of :func:`parse_coefficient`.
     """
-    tokens = _tokenize(text)
-    seen = _max_index(tokens)
+    parser = _Parser(text, n)
+    # arc-only tokens are rejected before parsing, as an unknown character is
+    for tok in parser.tokens:
+        if tok[0] in ("t", "=", ";"):
+            parser.error(tok, "a coefficient, variable, or operator")
+    seen = max((t[1] for t in parser.tokens if t[0] in _VARIABLES), default=0)
     if n is None:
-        n = max(seen, 1)
+        parser.n = max(seen, 1)
     elif seen > n:
         raise PolySyntaxError(0, f"variable indices within 1..{n}", text)
-    return _Parser(tokens, n, text).parse()
+    return parser.parse()
+
+
+def parse_coefficient(text: str) -> GaussianRational:
+    """One signed sum of coefficient literals, e.g. "-1/2", "0.5 + 2i" or "(1-i)".
+
+    A literal is num ('/' num)? 'i'? or 'i' or a parenthesized sum, with num
+    a natural number or a decimal (read exactly: 0.5 is 1/2).
+    """
+    cursor = _Cursor(text)
+    value = cursor.literal_sum()
+    cursor.expect("end")
+    return value

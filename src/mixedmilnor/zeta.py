@@ -17,7 +17,6 @@ a reduced numerator/denominator pair is presentational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import newton
 from .errors import (
@@ -172,108 +171,60 @@ def zeta_function(f: MixedPoly) -> ZetaFunction:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            out[i + j] += x * y
-    return out
+def _mobius(n: int) -> int:
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
 
 
-def _poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
+def _psi_product(exponents) -> list:
+    """Integer coefficients of prod_k Psi_k^a_k, ascending, for a_k >= 0.
 
-
-def _poly_divmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = _poly_trim([Fraction(x) for x in b])
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(x != 0 for x in a):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        coeff = a[-1] / b[-1]
-        q[shift] += coeff
-        for i, y in enumerate(b):
-            a[shift + i] -= coeff * y
-        a = _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a, b):
-    a = _poly_trim([Fraction(x) for x in a])
-    b = _poly_trim([Fraction(x) for x in b])
-    while any(x != 0 for x in b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, _poly_trim(r)
-        if b == [Fraction(0)]:
-            break
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def _poly_to_int(a):
-    denom = 1
-    for x in a:
-        denom = denom * x.denominator // _gcd_int(denom, x.denominator)
-    ints = [int(x * denom) for x in a]
-    g = 0
-    for x in ints:
-        g = _gcd_int(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _one_minus_td(d):
-    out = [Fraction(0)] * (d + 1)
-    out[0] = Fraction(1)
-    out[d] = Fraction(-1)
+    Psi_1 = 1 - t and Psi_k = Phi_k (cyclotomic) for k > 1, so that
+    1 - t^d = prod_{k | d} Psi_k.  By Moebius inversion the product is
+    prod_d (1 - t^d)^A_d with A_d = sum_{d | k} mu(k/d) a_k; each factor is a
+    shift-and-subtract (A_d > 0) or a stride-d prefix sum (A_d < 0, the
+    series of 1/(1 - t^d)), exact when truncated at the known degree.
+    """
+    powers = {}
+    for k, a in exponents.items():
+        for d in range(1, k + 1):
+            if k % d == 0:
+                powers[d] = powers.get(d, 0) + _mobius(k // d) * a
+    degree = sum(d * e for d, e in powers.items())
+    out = [1] + [0] * degree
+    for d, e in powers.items():
+        for _ in range(e):
+            for i in range(degree, d - 1, -1):
+                out[i] -= out[i - d]
+        for _ in range(-e):
+            for i in range(d, degree + 1):
+                out[i] += out[i - d]
     return out
 
 
 def expand_zeta(z: ZetaFunction):
     """Expanded reduced numerator/denominator of the factor product.
 
-    Positive exponents multiply into the numerator, negative ones into the
-    denominator; the pair is returned gcd-reduced with integer coefficients
-    in ascending degree order.
+    Each 1 - t^d is prod_{k | d} Psi_k, so the reduced pair nets the
+    exponent of each Psi_k: positive net exponents go to the numerator,
+    negative ones to the denominator.  Both have constant term 1 and
+    integer coefficients in ascending degree order.
     """
-    num = [Fraction(1)]
-    den = [Fraction(1)]
+    net = {}
     for d, e in z.merged():
-        base = _one_minus_td(d)
-        for _ in range(abs(e)):
-            if e > 0:
-                num = _poly_mul(num, base)
-            else:
-                den = _poly_mul(den, base)
-    g = _poly_gcd(num, den)
-    if len(g) > 1:
-        num, _ = _poly_divmod(num, g)
-        den, _ = _poly_divmod(den, g)
-    num_i = _poly_to_int(num)
-    den_i = _poly_to_int(den)
-    # one joint sign normalization: lowest nonzero denominator coefficient
-    # positive, numerator compensated, so the ratio is unchanged
-    lead = next((x for x in den_i if x != 0), 1)
-    if lead < 0:
-        den_i = [-x for x in den_i]
-        num_i = [-x for x in num_i]
-    return num_i, den_i
+        for k in range(1, d + 1):
+            if d % k == 0:
+                net[k] = net.get(k, 0) + e
+    num = _psi_product({k: e for k, e in net.items() if e > 0})
+    den = _psi_product({k: -e for k, e in net.items() if e < 0})
+    return num, den
 
 
 def poly_text(coeffs) -> str:

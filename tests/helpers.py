@@ -4,6 +4,7 @@ The oracles here deliberately avoid the package's own geometry code so that
 agreement is evidence, not tautology.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -174,3 +175,103 @@ def hull_2d_oracle(points):
             hi.pop()
         hi.append(p)
     return lo[:-1] + hi[:-1]
+
+
+# ---------------------------------------------------------------------------
+# Rational-function zeta expansion oracle: Fraction polynomial product,
+# Euclidean gcd and division, independent of the cyclotomic netting
+# ---------------------------------------------------------------------------
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y == 0:
+                continue
+            out[i + j] += x * y
+    return out
+
+
+def _poly_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _poly_divmod(a, b):
+    a = [Fraction(x) for x in a]
+    b = _poly_trim([Fraction(x) for x in b])
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(x != 0 for x in a):
+        a = _poly_trim(a)
+        if len(a) < len(b):
+            break
+        shift = len(a) - len(b)
+        coeff = a[-1] / b[-1]
+        q[shift] += coeff
+        for i, y in enumerate(b):
+            a[shift + i] -= coeff * y
+        a = _poly_trim(a)
+    return _poly_trim(q), _poly_trim(a)
+
+
+def _poly_gcd(a, b):
+    a = _poly_trim([Fraction(x) for x in a])
+    b = _poly_trim([Fraction(x) for x in b])
+    while any(x != 0 for x in b):
+        _, r = _poly_divmod(a, b)
+        a, b = b, _poly_trim(r)
+        if b == [Fraction(0)]:
+            break
+    lead = a[-1]
+    return [x / lead for x in a]
+
+
+def _poly_to_int(a):
+    denom = 1
+    for x in a:
+        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in a]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints
+
+
+def _one_minus_td(d):
+    out = [Fraction(0)] * (d + 1)
+    out[0] = Fraction(1)
+    out[d] = Fraction(-1)
+    return out
+
+
+def expand_zeta_oracle(z):
+    """Reduced integer numerator/denominator of the factor product by
+    multiplying out each side and dividing both by their gcd."""
+    num = [Fraction(1)]
+    den = [Fraction(1)]
+    for d, e in z.merged():
+        base = _one_minus_td(d)
+        for _ in range(abs(e)):
+            if e > 0:
+                num = _poly_mul(num, base)
+            else:
+                den = _poly_mul(den, base)
+    g = _poly_gcd(num, den)
+    if len(g) > 1:
+        num, _ = _poly_divmod(num, g)
+        den, _ = _poly_divmod(den, g)
+    num_i = _poly_to_int(num)
+    den_i = _poly_to_int(den)
+    # one joint sign normalization: lowest nonzero denominator coefficient
+    # positive, numerator compensated, so the ratio is unchanged
+    lead = next((x for x in den_i if x != 0), 1)
+    if lead < 0:
+        den_i = [-x for x in den_i]
+        num_i = [-x for x in num_i]
+    return num_i, den_i

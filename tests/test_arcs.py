@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_gaussian, random_mixed_poly, random_point
 from mixedmilnor import arcs as ar
@@ -70,6 +72,27 @@ class TestArcParsing:
         p = arc.evaluate(0.5)
         assert p[0] == pytest.approx(1.5)
         assert p[1] == pytest.approx(0.5j)
+
+
+@st.composite
+def arcs(draw):
+    """Exact arcs with rational exponents and signed real, imaginary and
+    complex coefficients."""
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeff = st.one_of(
+        st.sampled_from([GaussianRational.of(-1), GaussianRational.of(0, -1), GaussianRational.of(-2)]),
+        st.builds(GaussianRational, part, part).filter(bool),
+    )
+    exps = st.lists(st.fractions(min_value=0, max_value=5, max_denominator=3), unique=True, max_size=4)
+    jets = [tuple((e, draw(coeff)) for e in sorted(draw(exps))) for _ in range(draw(st.integers(1, 3)))]
+    return Arc(tuple(jets))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arcs())
+@example(parse_arc("z1 = 1 - 2*t; z2 = -i*t^(3/2)"))
+def test_arc_text_round_trip_property(arc):
+    assert parse_arc(arc.to_text()) == arc
 
 
 class TestExpandArc:
@@ -322,6 +345,18 @@ class TestTransversality:
         k = parse_poly("|z1|^2 - |z2|^2")
         with pytest.raises(SingularFiberError):
             ar.transversality_residual(k, [1.0, 1.0])
+
+    def test_one_gradient_evaluation_per_residual(self, monkeypatch):
+        calls = []
+        gradients = MixedPoly.gradients
+
+        def counted(poly, p):
+            calls.append(p)
+            return gradients(poly, p)
+
+        monkeypatch.setattr(MixedPoly, "gradients", counted)
+        report = ar.transversality_scan(corpus("tibar"), samples=20, delta=1e-2, seed=3)
+        assert len(calls) == report.accepted + report.skipped_singular == 20
 
     def test_scan_runs_deterministically(self):
         f = corpus("tibar")

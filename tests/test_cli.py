@@ -188,6 +188,12 @@ class TestErrors:
             (["arc-limit", "--corpus", "tibar", "--arc", "z1 = 1/0; z2 = t"], "PolySyntaxError"),
             (["arc-limit", "--corpus", "tibar", "--arc", "z1 = 1; z2 = t^(1/0)"],
              "PolySyntaxError"),
+            (["openness", "--corpus", "tibar", "--point", "1"], "DimensionMismatchError"),
+            (["openness", "--corpus", "tibar", "--point", "1, 0, 0"], "DimensionMismatchError"),
+            (["openness", "--corpus", "tibar", "--point", "nan, 0"], "BadRequestError"),
+            (["openness", "--corpus", "tibar", "--point", "1e400, 0"], "BadRequestError"),
+            (["openness", "--corpus", "tibar", "--point", "1" + "0" * 400 + ", 0"],
+             "BadRequestError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):
@@ -196,6 +202,14 @@ class TestErrors:
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == error
+
+    def test_point_coordinates_are_coefficient_literals(self, capsys):
+        results = [
+            run_json(capsys, "openness", "--corpus", "tibar", "--point", point,
+                     "--samples", "500")[1]["result"]
+            for point in ("0.5, 0", "1/2, 0", "(1/2 + 0i), -0")
+        ]
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_mixed_poly, random_point, random_real_valued_poly
+from mixedmilnor.arcs import parse_arc
 from mixedmilnor.errors import OddModulusExponentError, PolySyntaxError
 from mixedmilnor.poly import (
     GaussianRational,
     MixedMonomial,
     MixedPoly,
+    parse_coefficient,
     parse_poly,
 )
 
@@ -65,6 +67,24 @@ class TestParsing:
         with pytest.raises(PolySyntaxError) as err:
             parse_poly("z1 + + ^2")
         assert err.value.position >= 5
+
+    @pytest.mark.parametrize("text, position", [("3/0*z1", 2), ("z1 + z0^2", 5)])
+    def test_error_position_is_the_token(self, text, position):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly(text)
+        assert err.value.position == position
+
+    def test_decimal_coefficients_are_exact(self):
+        assert parse_poly("0.5*z1") == parse_poly("1/2*z1")
+        assert parse_poly("(0.25-1.5i)*zb1") == parse_poly("(1/4-3/2i)*zb1")
+        with pytest.raises(PolySyntaxError):
+            parse_poly("z1^1.5")
+
+    @pytest.mark.parametrize("text", ["3/4", "-2i", "0.25", "(1/2-0.5i)", "7/2i", "i", "1 - i"])
+    def test_one_literal_rule(self, text):
+        c = parse_coefficient(text)
+        assert parse_poly(text) == MixedPoly.constant(1, c)
+        assert parse_arc(f"z1 = {text}").jets == (((0, c),),)
 
     def test_variable_bound(self):
         with pytest.raises(PolySyntaxError):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import expand_zeta_oracle
 from mixedmilnor import newton, zeta
 from mixedmilnor.constructors import PullbackSpec, corpus, pullback_cyclic
 from mixedmilnor.errors import (
@@ -253,6 +254,19 @@ class TestExpandZeta:
         )
         assert expand_zeta(z) == ([1, 0, 1], [1])
 
+    def test_matches_rational_oracle(self):
+        # the integer cyclotomic netting against Fraction products reduced
+        # by a Euclidean gcd, on random factor sets with cancellation
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            k = int(rng.integers(1, 5))
+            factors = tuple(
+                ZetaFactor(d, e, frozenset({1}), (1,), -d * e)
+                for d, e in zip(rng.integers(1, 13, size=k).tolist(), rng.integers(-3, 4, size=k).tolist())
+            )
+            z = ZetaFunction(factors)
+            assert expand_zeta(z) == expand_zeta_oracle(z), z.merged()
+
     def test_one_variable_monodromy_oracle(self):
         # fiber-point count plus tracked cyclic monodromy: the denominator
         # of the expansion must equal prod over cycles of (1 - t^len)
@@ -262,7 +276,7 @@ class TestExpandZeta:
                 continue
             cycles = tracked_monodromy_cycles(a, b)
             den_oracle = [Fraction(1)]
-            from mixedmilnor.zeta import _one_minus_td, _poly_mul
+            from helpers import _one_minus_td, _poly_mul
 
             for length in cycles:
                 den_oracle = _poly_mul(den_oracle, _one_minus_td(length))

@@ -29,6 +29,7 @@ from .errors import (
     ArcInsideVarietyError,
     BadArcError,
     DimensionMismatchError,
+    NonFiniteValuesError,
     NonPositiveArgumentError,
     PolySyntaxError,
     SingularFiberError,
@@ -668,12 +669,16 @@ def boundary_openness_probe(
     radii = epsilon * np.sqrt(rng.uniform(size=(samples, f.n)))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(samples, f.n))
     pts = p[None, :] + radii * np.exp(1j * phases)
-    vals = f.evaluate_many(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.evaluate_many(pts)
     mags = np.abs(vals)
-    scale = float(np.max(mags))
+    finite = np.isfinite(mags)
+    scale = float(np.max(mags, where=finite, initial=0.0))
     if scale == 0.0:
-        raise AllValuesZeroError("f vanished on every sample of the polydisc")
-    nonzero = vals[mags > 1e-14 * scale]
+        if finite.all():
+            raise AllValuesZeroError("f vanished on every sample of the polydisc")
+        raise NonFiniteValuesError("f has no finite nonzero value on the polydisc samples")
+    nonzero = vals[finite & (mags > 1e-14 * scale)]
     args = np.mod(np.angle(nonzero), 2.0 * np.pi)
     hist = np.bincount((args / (2.0 * np.pi / bins)).astype(int) % bins, minlength=bins)
     coverage = float(np.count_nonzero(hist)) / bins

@@ -29,7 +29,7 @@ from scipy.optimize import minimize
 from . import newton
 from .errors import NonPositiveArgumentError, NotEssentialFaceError, NotVanishingError
 from .newton import FaceDescriptor, FaceKind
-from .poly import GR_NEG_HALF_I, GaussianRational, MixedPoly
+from .poly import GaussianRational, MixedPoly
 
 WITNESS_THRESHOLD = 1e-10
 
@@ -78,7 +78,7 @@ class FaceTameness:
     certified_radius: float
     witness: tuple | None  # (frozen z_I values, full critical point)
     criterion_polynomials: dict  # j -> T_j as exact MixedPoly
-    certified_by: str | None  # "sign-definite-T", "holomorphic-gradient", None
+    certified_by: str | None  # "sign-definite-T[j]" or None
     stats: ResidualStats | None
     rho_probe: RhoProbeReport | None
 
@@ -360,17 +360,16 @@ def tameness_witness_polys(f: MixedPoly, face: FaceDescriptor) -> dict:
 
 
 def _witness_polys(fd: MixedPoly, face: FaceDescriptor) -> dict:
-    """tameness_witness_polys for the already built face function fd."""
+    """tameness_witness_polys for the already built face function fd, as
+    T_j = (|dzbar_j f|^2 - |dz_j f|^2) / 4, without building g and h."""
     if face.kind is not FaceKind.NONCOMPACT_ESSENTIAL:
         raise NotEssentialFaceError("tameness witnesses need an essential face")
-    g, h = fd.real_imag_parts()
-    I = face.noncompact_directions
     out = {}
     for j in range(1, fd.n + 1):
-        if j in I:
+        if j in face.noncompact_directions:
             continue
-        q = g.wirtinger(j, "zbar") * h.wirtinger(j, "zbar").conjugate()
-        out[j] = (q - q.conjugate()) * GR_NEG_HALF_I
+        dzbar, dz = fd.wirtinger(j, "zbar"), fd.wirtinger(j, "z")
+        out[j] = (dzbar * dzbar.conjugate() - dz * dz.conjugate()) * Fraction(1, 4)
     return out
 
 
@@ -392,17 +391,11 @@ def _sign_definite_diagonal(T: MixedPoly):
     return 1 if signs.pop() else -1
 
 
-def _certify_symbolically(fd, face, T_polys):
-    """Infinite-radius certificates covering the symbolic patterns in use."""
+def _certify_symbolically(T_polys):
+    """Infinite-radius certificate: the first sign-definite T_j, if any."""
     for j in sorted(T_polys):
         if _sign_definite_diagonal(T_polys[j]) is not None:
             return f"sign-definite-T[{j}]"
-    if fd.is_holomorphic():
-        for j in range(1, fd.n + 1):
-            if j in face.noncompact_directions:
-                continue
-            if len(fd.wirtinger(j, "z").terms) == 1:
-                return f"holomorphic-gradient[{j}]"
     return None
 
 
@@ -457,7 +450,7 @@ def _rho_probe(fpoly, I, shell, budget, rng):
 def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
     fd = newton.face_function(f, face)
     T_polys = _witness_polys(fd, face)
-    certified = _certify_symbolically(fd, face, T_polys)
+    certified = _certify_symbolically(T_polys)
     if certified is not None:
         return FaceTameness(
             face=face,

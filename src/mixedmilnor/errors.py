@@ -80,6 +80,10 @@ class AllValuesZeroError(MixedMilnorError, ValueError):
     """f vanished on every sample of the probe neighborhood."""
 
 
+class NonFiniteValuesError(MixedMilnorError, ArithmeticError):
+    """f's values at the probe samples overflow or are not numbers."""
+
+
 class NotStronglyPolarError(MixedMilnorError, ValueError):
     """Face function is not strongly polar weighted homogeneous with pdeg > 0."""
 

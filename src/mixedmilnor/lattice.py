@@ -1,9 +1,10 @@
 """Exact rational linear algebra and polyhedral primitives.
 
 Everything operates on small integer/rational data (supports are capped at
-64 points), so the algorithms favor exactness over asymptotics: faces come
-from brute-force normal enumeration over support subsets, volumes from
-recursive facet triangulation with rational determinants.
+64 points), so the algorithms favor exactness over asymptotics.  The one
+Gaussian elimination is `nullspace`; on it sits one brute-force hyperplane
+search over point subsets (`_hyperplanes`), which gives both the facet
+normals of a Newton polyhedron and the facets of a volume's pyramid sum.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ def primitive(vec):
     return tuple(int(v) // g for v in vec)
 
 
-def _fractionize(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rank(rows) -> int:
     """Rank of a rational matrix given as a list of row vectors."""
     if not rows:
@@ -40,18 +37,23 @@ def rank(rows) -> int:
     return ncols - len(nullspace(rows, ncols))
 
 
+def directions(points, rays, n):
+    """Rows p - points[0] for the other points, then e_i (0-based i in rays) in R^n."""
+    base = points[0]
+    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    rows += [[int(j == i) for j in range(n)] for i in rays]
+    return rows
+
+
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a point set."""
     pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    return rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])
+    return rank(directions(pts, (), len(pts[0]))) if pts else 0
 
 
 def nullspace(rows, ncols):
     """Basis of the right nullspace of a rational matrix, as Fraction tuples."""
-    m = _fractionize(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
     for col in range(ncols):
@@ -118,34 +120,28 @@ def _argmin_face(support, weight):
     return LatticeFace(gens, rays, tuple(weight), d)
 
 
+def _hyperplanes(points, n, rays=()):
+    """(subset, normal) for each subset of n - len(rays) points, in combinations
+    order, whose direction rows span a hyperplane; normal has any scale and sign."""
+    for subset in combinations(points, n - len(rays)):
+        basis = nullspace(directions(subset, rays, n), n)
+        if len(basis) == 1:
+            yield subset, basis[0]
+
+
 def _candidate_normals(support, n):
     """Primitive nonnegative normals of all facets of conv(S) + R_{>=0}^n.
 
     Every facet hyperplane is spanned by affinely independent support points
-    plus coordinate ray directions, so enumerating (point subset, ray subset)
-    pairs whose combined direction space has rank n-1 finds every facet
-    normal (plus harmless normals of lower faces).
+    plus coordinate ray directions, so the hyperplanes of (point subset, ray
+    subset) pairs find every facet normal (plus harmless normals of lower
+    faces).
     """
     seen = set()
-    pts = list(support)
     for nrays in range(0, n):
-        npts = n - nrays  # |T| - 1 + nrays == n - 1
-        if npts < 1 or npts > len(pts):
-            continue
         for rayset in combinations(range(n), nrays):
-            eis = []
-            for i in rayset:
-                e = [0] * n
-                e[i] = 1
-                eis.append(e)
-            for subset in combinations(pts, npts):
-                base = subset[0]
-                rows = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
-                rows += eis
-                basis = nullspace(rows, n)
-                if len(basis) != 1:
-                    continue
-                w = integerize(basis[0])
+            for _, normal in _hyperplanes(support, n, rayset):
+                w = integerize(normal)
                 if all(x <= 0 for x in w):
                     w = tuple(-x for x in w)
                 if any(x < 0 for x in w) or all(x == 0 for x in w):
@@ -216,86 +212,33 @@ def newton_faces(support, n):
 # ---------------------------------------------------------------------------
 
 
-def _det(rows):
-    m = _fractionize(rows)
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, size):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
+def _pyramid_sum(pts, m):
+    """Normalized volume of sorted distinct points, full-dimensional in R^m.
 
-
-def hull_2d(points):
-    """Vertices of the 2-D convex hull, counterclockwise (monotone chain)."""
-    pts = sorted(set(tuple(p) for p in points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _triangulate_full(points, m):
-    """Simplices covering conv(points), assumed full-dimensional in R^m."""
-    pts = sorted(set(tuple(p) for p in points))
+    conv(P) is the union of the pyramids conv(a, F) over the facets F that
+    miss its lex-min vertex a.  Each weighs a's lattice height over F's
+    hyperplane w.x = c times F's volume in that hyperplane's lattice, which
+    is NV(pi_k F) / |w_k| for primitive w when pi_k drops a coordinate with
+    w_k != 0; |w.a - c| / |w_k| does not depend on how w is scaled.
+    """
     if m == 1:
-        return [(pts[0], pts[-1])]
-    if m == 2:
-        hull = hull_2d(pts)
-        apex = hull[0]
-        return [(apex, hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
-    apex = pts[0]  # lex-min point is a vertex of the hull
-    simplices = []
-    seen_facets = set()
-    for subset in combinations(pts, m):
-        base = subset[0]
-        rows = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
-        basis = nullspace(rows, m)
-        if len(basis) != 1:
-            continue
-        w = basis[0]
-        c = sum(wi * xi for wi, xi in zip(w, base))
+        return pts[-1][0] - pts[0][0]
+    total = Fraction(0)
+    seen = set()
+    for subset, w in _hyperplanes(pts[1:], m):
+        c = sum(wi * xi for wi, xi in zip(w, subset[0]))
         sides = [sum(wi * xi for wi, xi in zip(w, p)) - c for p in pts]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            w = tuple(-x for x in w)
-            c = -c
-            sides = [-s for s in sides]
-        else:
+        height = sides[0]
+        if height == 0 or any(s * height < 0 for s in sides):
             continue
         facet = tuple(p for p, s in zip(pts, sides) if s == 0)
-        if facet in seen_facets or apex in facet:
+        if facet in seen:
             continue
-        seen_facets.add(facet)
-        drop = next(i for i, wi in enumerate(w) if wi != 0)
-        proj = {tuple(x for i, x in enumerate(p) if i != drop): p for p in facet}
-        for sub in _triangulate_full(list(proj.keys()), m - 1):
-            simplices.append((apex,) + tuple(proj[q] for q in sub))
-    return simplices
+        seen.add(facet)
+        k = next(i for i, wi in enumerate(w) if wi != 0)
+        proj = sorted({p[:k] + p[k + 1:] for p in facet})
+        total += abs(height) / abs(w[k]) * _pyramid_sum(proj, m - 1)
+    return total
 
 
 def normalized_volume(points) -> Fraction:
@@ -310,9 +253,4 @@ def normalized_volume(points) -> Fraction:
     m = len(pts[0])
     if affine_rank(pts) < m:
         return Fraction(0)
-    total = Fraction(0)
-    for simplex in _triangulate_full(pts, m):
-        base = simplex[0]
-        rows = [[a - b for a, b in zip(p, base)] for p in simplex[1:]]
-        total += abs(_det(rows))
-    return total
+    return _pyramid_sum(pts, m)

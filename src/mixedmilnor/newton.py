@@ -155,16 +155,8 @@ def newton_boundary(f: MixedPoly) -> NewtonBoundary:
 
 def _face_dim(face: lattice.LatticeFace, compact_pts) -> int:
     gens = sorted(face.generators & compact_pts) or sorted(face.generators)
-    rows = []
-    base = gens[0]
-    for p in gens[1:]:
-        rows.append([a - b for a, b in zip(p, base)])
-    n = len(base)
-    for i in sorted(face.rays):
-        e = [0] * n
-        e[i - 1] = 1
-        rows.append(e)
-    return lattice.rank(rows)
+    rays = [i - 1 for i in sorted(face.rays)]
+    return lattice.rank(lattice.directions(gens, rays, len(gens[0])))
 
 
 def _descriptor(f, face, compact_pts):

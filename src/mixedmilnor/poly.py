@@ -523,8 +523,9 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise PolySyntaxError(pos, "a coefficient, variable, or operator", text)
+            where = len(text) - len(text[pos:].lstrip())
+            if where < len(text):
+                raise PolySyntaxError(where, "a coefficient, variable, or operator", text)
             break
         kind, word = m.lastgroup, m.group(m.lastgroup)
         digits = word.strip("|zb")

@@ -178,6 +178,86 @@ def hull_2d_oracle(points):
 
 
 # ---------------------------------------------------------------------------
+# Normalized-volume oracle: facet triangulation from the lex-min apex, 2-D
+# hulls by monotone chain, simplex volumes as rational determinants
+# ---------------------------------------------------------------------------
+
+
+def _det(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    size = len(m)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if m[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, size):
+            if m[i][col] != 0:
+                f = m[i][col] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def _triangulate_full(points, m):
+    """Simplices covering conv(points), assumed full-dimensional in R^m."""
+    pts = sorted(set(tuple(p) for p in points))
+    if m == 1:
+        return [(pts[0], pts[-1])]
+    if m == 2:
+        hull = hull_2d_oracle(pts)
+        apex = hull[0]
+        return [(apex, hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
+    apex = pts[0]  # lex-min point is a vertex of the hull
+    simplices = []
+    seen_facets = set()
+    for subset in combinations(pts, m):
+        base = subset[0]
+        rows = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
+        basis = lattice.nullspace(rows, m)
+        if len(basis) != 1:
+            continue
+        w = basis[0]
+        c = sum(wi * xi for wi, xi in zip(w, base))
+        sides = [sum(wi * xi for wi, xi in zip(w, p)) - c for p in pts]
+        if all(s >= 0 for s in sides):
+            pass
+        elif all(s <= 0 for s in sides):
+            w = tuple(-x for x in w)
+            sides = [-s for s in sides]
+        else:
+            continue
+        facet = tuple(p for p, s in zip(pts, sides) if s == 0)
+        if facet in seen_facets or apex in facet:
+            continue
+        seen_facets.add(facet)
+        drop = next(i for i, wi in enumerate(w) if wi != 0)
+        proj = {tuple(x for i, x in enumerate(p) if i != drop): p for p in facet}
+        for sub in _triangulate_full(list(proj.keys()), m - 1):
+            simplices.append((apex,) + tuple(proj[q] for q in sub))
+    return simplices
+
+
+def normalized_volume_oracle(points):
+    """k! Vol_k(conv(points)) as a sum of |det| over a facet triangulation."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    if not pts:
+        return Fraction(0)
+    m = len(pts[0])
+    if lattice.affine_rank(pts) < m:
+        return Fraction(0)
+    total = Fraction(0)
+    for simplex in _triangulate_full(pts, m):
+        base = simplex[0]
+        total += abs(_det([[a - b for a, b in zip(p, base)] for p in simplex[1:]]))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Rational-function zeta expansion oracle: Fraction polynomial product,
 # Euclidean gcd and division, independent of the cyclotomic netting
 # ---------------------------------------------------------------------------

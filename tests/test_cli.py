@@ -194,6 +194,8 @@ class TestErrors:
             (["openness", "--corpus", "tibar", "--point", "1e400, 0"], "BadRequestError"),
             (["openness", "--corpus", "tibar", "--point", "1" + "0" * 400 + ", 0"],
              "BadRequestError"),
+            (["openness", "--poly", "z1^2 + z2", "--point", "1" + "0" * 200 + ", 0"],
+             "NonFiniteValuesError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):

@@ -12,7 +12,7 @@ from mixedmilnor import newton
 from mixedmilnor.constructors import corpus, join
 from mixedmilnor.degeneracy import NondegStatus, TameStatus
 from mixedmilnor.errors import NotEssentialFaceError, NotVanishingError
-from mixedmilnor.poly import MixedPoly, parse_poly
+from mixedmilnor.poly import GaussianRational, MixedPoly, parse_poly
 
 
 class TestCriticalityResidual:
@@ -148,6 +148,32 @@ class TestWitnessPolys:
                 for face in newton.faces_with_directions(f, I):
                     for T in dg.tameness_witness_polys(f, face).values():
                         assert T.is_real_valued()
+
+    def test_matches_real_imag_part_definition(self):
+        # T_j from f's own derivatives equals Im(dzbar_j g * conj dzbar_j h)
+        # built from g = Re f and h = Im f
+        polys = [
+            corpus(name, params)
+            for name, params in [
+                ("tibar", ()), ("tibar_a", (3,)), ("parusinski", ()), ("cone", (1, 2, 1, 1)),
+                ("cyclic", (2, 2, 2)), ("brieskorn_curve", ()), ("d_n", (4,)), ("fig1", ()),
+            ]
+        ]
+        rng = np.random.default_rng(2024)
+        polys += [random_mixed_poly(rng, n=int(rng.integers(2, 5))) for _ in range(200)]
+        checked = 0
+        for f in polys:
+            for face in newton.essential_noncompact_faces(f):
+                fd = newton.face_function(f, face)
+                g, h = fd.real_imag_parts()
+                T = dg.tameness_witness_polys(f, face)
+                for j in range(1, f.n + 1):
+                    if j in face.noncompact_directions:
+                        continue
+                    q = g.wirtinger(j, "zbar") * h.wirtinger(j, "zbar").conjugate()
+                    assert T[j] == (q - q.conjugate()) * GaussianRational.of(0, Fraction(-1, 2))
+                    checked += 1
+        assert checked > 500
 
     def test_rejects_compact_face(self):
         f = corpus("fig1")

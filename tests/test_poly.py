@@ -68,7 +68,7 @@ class TestParsing:
             parse_poly("z1 + + ^2")
         assert err.value.position >= 5
 
-    @pytest.mark.parametrize("text, position", [("3/0*z1", 2), ("z1 + z0^2", 5)])
+    @pytest.mark.parametrize("text, position", [("3/0*z1", 2), ("z1 + z0^2", 5), ("z1^2 $ z2", 5)])
     def test_error_position_is_the_token(self, text, position):
         with pytest.raises(PolySyntaxError) as err:
             parse_poly(text)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import expand_zeta_oracle
+from helpers import expand_zeta_oracle, normalized_volume_oracle
 from mixedmilnor import newton, zeta
 from mixedmilnor.constructors import PullbackSpec, corpus, pullback_cyclic
 from mixedmilnor.errors import (
@@ -13,6 +13,7 @@ from mixedmilnor.errors import (
     NotStronglyPolarError,
     ZetaIntegralityError,
 )
+from mixedmilnor.lattice import normalized_volume
 from mixedmilnor.poly import MixedPoly, parse_poly
 from mixedmilnor.zeta import ZetaFactor, ZetaFunction, chi_torus, expand_zeta, polar_reduction
 
@@ -145,6 +146,40 @@ class TestChiTorus:
                 perm = rng.permutation(k)
                 shuffled = {tuple(p[i] for i in perm) for p in pts}
                 assert chi_torus(shuffled, k) == base
+
+
+class TestNormalizedVolume:
+    def test_unit_simplices_and_cube(self):
+        assert normalized_volume([(0, 0), (1, 0), (0, 1)]) == 1
+        assert normalized_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+        cube = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        assert normalized_volume(cube) == 6
+        assert normalized_volume([(-2,), (3,), (1,), (3,)]) == 5
+
+    def test_lower_dimensional_is_zero(self):
+        assert normalized_volume([(0, 0), (1, 1), (2, 2)]) == 0
+        assert normalized_volume([(1, 2, 3)]) == 0
+        assert normalized_volume([]) == 0
+
+    def test_matches_triangulation_oracle(self):
+        # duplicates, negative coordinates, lower-dimensional sets, simplices
+        # and non-simplices in dimensions 1..4
+        rng = np.random.default_rng(517)
+        kinds = set()
+        for _ in range(600):
+            m = int(rng.integers(1, 5))
+            pts = [tuple(int(x) for x in rng.integers(-3, 4, size=m))
+                   for _ in range(int(rng.integers(1, m + 5)))]
+            if rng.random() < 0.25:
+                pts += pts[: int(rng.integers(1, len(pts) + 1))]
+            if rng.random() < 0.15:
+                # squash onto a hyperplane through the first point
+                pts = [p[:-1] + (pts[0][-1],) for p in pts]
+            vol = normalized_volume(pts)
+            assert vol == normalized_volume_oracle(pts), pts
+            kinds.add((m, vol == 0, len(set(pts)) > m + 1))
+        assert {(m, False, big) for m in range(1, 5) for big in (False, True)} <= kinds
+        assert any(flat for _, flat, _ in kinds)
 
 
 class TestZetaFunction:

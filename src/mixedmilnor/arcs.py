@@ -51,6 +51,13 @@ __all__ = [
     "boundary_openness_probe",
 ]
 
+# limit_tangent reports a reduction longer than this as non-terminating
+MAX_REDUCTION_STEPS = 10_000
+# transversality_scan stops drawing sphere points after this many
+MAX_DRAWS = 40_000_000
+# boundary_openness_probe sorts arg f into this many equal sectors
+OPENNESS_BINS = 256
+
 
 # ---------------------------------------------------------------------------
 # Exact power series in t (dict exponent -> GaussianRational)
@@ -413,7 +420,7 @@ def _normalize_covector(V):
     return v
 
 
-def limit_tangent(f: MixedPoly, arc: Arc, max_steps: int = 10_000) -> LimitTangentResult:
+def limit_tangent(f: MixedPoly, arc: Arc) -> LimitTangentResult:
     """Limit of the fiber tangent planes of f along the arc as t -> 0.
 
     Expands both gradient covector series exactly, orients them so the
@@ -495,7 +502,7 @@ def limit_tangent(f: MixedPoly, arc: Arc, max_steps: int = 10_000) -> LimitTange
         coeff = GaussianRational(lam, Fraction(0))
         steps.append((lam, shift))
         vh = [_s_add(vh[i], _s_scale(vg[i], -coeff, shift)) for i in range(f.n)]
-        if len(steps) > max_steps:
+        if len(steps) > MAX_REDUCTION_STEPS:
             raise TruncationExhaustedError("reduction did not terminate")
 
     r, s = _vector_order_index(vg)
@@ -588,7 +595,6 @@ def transversality_scan(
     delta: float = 1e-3,
     samples: int = 10_000,
     seed: int = 0,
-    max_draws: int = 40_000_000,
 ) -> TransversalityReport:
     """Minimum fiber/sphere transversality residual over near-zero fibers.
 
@@ -604,7 +610,7 @@ def transversality_scan(
     min_res = math.inf
     total = 0.0
     chunk = 200_000
-    while accepted < samples and drawn < max_draws:
+    while accepted < samples and drawn < MAX_DRAWS:
         block = rng.normal(size=(chunk, 2 * f.n))
         drawn += chunk
         pts = block[:, : f.n] + 1j * block[:, f.n :]
@@ -651,12 +657,11 @@ def boundary_openness_probe(
     epsilon: float,
     samples: int = 20_000,
     seed: int = 0,
-    bins: int = 256,
 ) -> OpennessReport:
     """Fraction of the argument circle covered by f over an epsilon-polydisc.
 
     Samples the polydisc around p (a point of the zero set), collects
-    arg f over the nonzero values into bins of width 2 pi / bins, and
+    arg f over the nonzero values into OPENNESS_BINS bins of equal width, and
     reports the covered fraction.  When the coverage is not full, the
     half-width of the smallest sector containing all observed arguments is
     estimated from the raw values (largest circular gap).
@@ -680,6 +685,7 @@ def boundary_openness_probe(
         raise NonFiniteValuesError("f has no finite nonzero value on the polydisc samples")
     nonzero = vals[finite & (mags > 1e-14 * scale)]
     args = np.mod(np.angle(nonzero), 2.0 * np.pi)
+    bins = OPENNESS_BINS
     hist = np.bincount((args / (2.0 * np.pi / bins)).astype(int) % bins, minlength=bins)
     coverage = float(np.count_nonzero(hist)) / bins
     halfwidth = None

@@ -7,12 +7,13 @@ phase-invariant measure of that alignment; the falsifier drives it to zero
 by multistart local minimization over the torus in log coordinates.
 
 Local tameness along a vanishing coordinate subspace C^I is decided in
-stages: an exact symbolic criterion (sign-definite diagonal witness
-polynomials, or a monomial component of the truncated holomorphic gradient),
-then a sampling falsifier that freezes small nonzero values on the I
-coordinates and searches the remaining torus for critical points, together
-with a separate probe for critical values of the squared I-norm on the zero
-set of the face function.  Certification by sampling alone is never claimed:
+stages: an exact symbolic criterion (a sign-definite diagonal witness
+polynomial T_j), then a sampling falsifier that freezes small nonzero values
+on the I coordinates and searches the remaining torus for critical points,
+then a probe for critical values of the squared I-norm on the zero set of
+the face function.  Every float search, the falsifier's included, is the
+same bounded multistart minimization: log-magnitudes start in [-2, 2] and
+stay in [-2.5, 2.5].  Certification by sampling alone is never claimed:
 without a symbolic witness the best possible verdict is Inconclusive.
 """
 
@@ -32,6 +33,8 @@ from .newton import FaceDescriptor, FaceKind
 from .poly import GaussianRational, MixedPoly
 
 WITNESS_THRESHOLD = 1e-10
+# float searches start at log-magnitudes in [-LOG_RANGE, LOG_RANGE]
+LOG_RANGE = 2.0
 
 
 class NondegStatus(Enum):
@@ -209,12 +212,13 @@ def _torus_point(u, theta):
     return np.exp(u) * np.exp(1j * theta)
 
 
-def _critical_search(fpoly, free, frozen, budget, rng, log_range=2.0):
-    """Multistart minimization of the restricted criticality residual.
+def _multistart(objective, k, budget, rng):
+    """Multistart Nelder-Mead over k log-magnitudes and k phases.
 
-    free is a sorted list of 1-based variable indices parameterized on the
-    torus; frozen maps the remaining indices to fixed complex values.
-    Returns (best residual after polish, best point, stats).
+    Starts draw log-magnitudes from [-LOG_RANGE, LOG_RANGE] and phases from
+    [0, 2 pi); the search stops early once a start gets far below the
+    witness threshold, and the best start is polished.  Returns (best value,
+    its x, evaluations); x is None only when no start gave a finite value.
 
     Log magnitudes are kept inside a box slightly wider than the sampling
     range.  Residuals of quasi-homogeneous face functions can tend to zero
@@ -223,55 +227,54 @@ def _critical_search(fpoly, free, frozen, budget, rng, log_range=2.0):
     above the witness threshold, while genuine critical points have
     representatives in the box up to the weighted scaling action.
     """
+    box = LOG_RANGE + 0.5
+    bounds = [(-box, box)] * k + [(-8 * np.pi, 8 * np.pi)] * k
+    start = {"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * k}
+    polish = {"fatol": 1e-18, "xatol": 1e-13, "maxiter": 2000}
+    best, best_x = np.inf, None
+    evals = 0
+    for _ in range(budget):
+        x0 = np.concatenate(
+            [rng.uniform(-LOG_RANGE, LOG_RANGE, size=k), rng.uniform(0, 2 * np.pi, size=k)]
+        )
+        res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds, options=start)
+        evals += res.nfev
+        if res.fun < best:
+            best, best_x = res.fun, res.x
+        if best < WITNESS_THRESHOLD * 1e-2:
+            break
+    if best_x is not None:
+        res = minimize(objective, best_x, method="Nelder-Mead", bounds=bounds, options=polish)
+        evals += res.nfev
+        if res.fun < best:
+            best, best_x = res.fun, res.x
+    return best, best_x, evals
+
+
+def _critical_search(fpoly, free, frozen, budget, rng):
+    """Multistart minimization of the restricted criticality residual.
+
+    free is a sorted list of 1-based variable indices parameterized on the
+    torus; frozen maps the remaining indices to fixed complex values.
+    Returns (best residual after polish, best point, stats).
+    """
     free = sorted(free)
     k = len(free)
     template = np.zeros(fpoly.n, dtype=np.complex128)
     for j, val in frozen.items():
         template[j - 1] = val
-    box = log_range + 0.5
-    bounds = [(-box, box)] * k + [(-8 * np.pi, 8 * np.pi)] * k
 
-    def objective(x):
+    def point(x):
         p = template.copy()
         p[[j - 1 for j in free]] = _torus_point(x[:k], x[k:])
-        return criticality_residual(fpoly, p, free=free)
+        return p
 
-    best = (np.inf, None)
-    evals = 0
-    for _ in range(budget):
-        x0 = np.concatenate(
-            [
-                rng.uniform(-log_range, log_range, size=k),
-                rng.uniform(0.0, 2.0 * np.pi, size=k),
-            ]
-        )
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * k},
-        )
-        evals += res.nfev
-        if res.fun < best[0]:
-            best = (res.fun, res.x)
-        if best[0] < WITNESS_THRESHOLD * 1e-2:
-            break
-    if best[1] is None:
-        return np.inf, None, ResidualStats(evals, np.inf, budget)
-    # polish the best candidate before deciding
-    res = minimize(
-        objective,
-        best[1],
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"fatol": 1e-18, "xatol": 1e-13, "maxiter": 2000},
-    )
-    evals += res.nfev
-    value, x = (res.fun, res.x) if res.fun < best[0] else best
-    point = template.copy()
-    point[[j - 1 for j in free]] = _torus_point(x[:k], x[k:])
-    return value, point, ResidualStats(evals, float(value), budget)
+    def objective(x):
+        return criticality_residual(fpoly, point(x), free=free)
+
+    value, x, evals = _multistart(objective, k, budget, rng)
+    witness = None if x is None else point(x)
+    return value, witness, ResidualStats(evals, float(value), budget)
 
 
 def _unit_phase_real(f: MixedPoly) -> bool:
@@ -403,113 +406,76 @@ def _rho_probe(fpoly, I, shell, budget, rng):
     """Look for z on the face zero set with z_I in span_R of the gradients.
 
     Minimizes |f(z)|^2 plus the normalized span residual of the masked
-    vector z_I; a joint near-zero is a candidate critical value of rho.
+    vector z_I, rescaled to the shell; a joint near-zero is a candidate
+    critical value of rho.
     """
     n = fpoly.n
-    I = sorted(I)
     mask = np.zeros(n, dtype=bool)
     mask[[i - 1 for i in I]] = True
 
-    def objective(x):
+    def point(x):
         p = _torus_point(x[:n], x[n:])
-        norm = np.linalg.norm(p[mask])
-        p[mask] *= shell / norm
+        p[mask] *= shell / np.linalg.norm(p[mask])
+        return p
+
+    def objective(x):
+        p = point(x)
         zi = np.where(mask, p, 0.0)
         gg, hh = fpoly.gradients(p).real_imag_zbar()
         fv = fpoly.evaluate(p)
         span = real_span_residual(zi, gg, hh) / shell
         return abs(fv) ** 2 + span**2
 
-    best = (np.inf, None)
-    evals = 0
-    for _ in range(budget):
-        x0 = np.concatenate(
-            [rng.uniform(-2, 2, size=n), rng.uniform(0, 2 * np.pi, size=n)]
-        )
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * n},
-        )
-        evals += res.nfev
-        if res.fun < best[0]:
-            best = (res.fun, res.x)
-    if best[1] is None:
-        return RhoProbeReport(evals, np.inf, None)
-    witness = None
-    if best[0] < WITNESS_THRESHOLD:
-        p = _torus_point(best[1][:n], best[1][n:])
-        zi = np.where(mask, p, 0)
-        norm = np.linalg.norm(zi[mask])
-        p[mask] *= shell / norm
-        witness = p
-    return RhoProbeReport(evals, float(best[0]), witness)
+    value, x, evals = _multistart(objective, n, budget, rng)
+    witness = point(x) if value < WITNESS_THRESHOLD else None
+    return RhoProbeReport(evals, float(value), witness)
 
 
 def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
     fd = newton.face_function(f, face)
     T_polys = _witness_polys(fd, face)
     certified = _certify_symbolically(T_polys)
-    if certified is not None:
-        return FaceTameness(
-            face=face,
-            status=TameStatus.TAME_CERTIFIED,
-            certified_radius=math.inf,
-            witness=None,
-            criterion_polynomials=T_polys,
-            certified_by=certified,
-            stats=None,
-            rho_probe=None,
-        )
-    I = sorted(face.noncompact_directions)
-    free = [j for j in range(1, f.n + 1) if j not in face.noncompact_directions]
-    rng = np.random.default_rng([seed, face_index])
-    shells = [probe_radius, probe_radius / 2, probe_radius / 4]
-    frozen_per_shell = 4
-    restarts = max(1, budget // (len(shells) * frozen_per_shell))
-    total_stats = [0, np.inf, 0]
-    clean_radius = 0.0
-    for shell in shells:
-        for _ in range(frozen_per_shell):
+    status, radius, witness, stats, rho = TameStatus.TAME_CERTIFIED, math.inf, None, None, None
+    if certified is None:
+        # freeze z_I at four random directions on each of three shells of
+        # decreasing radius and search the rest of the torus; when every
+        # shell comes back clean, probe rho on the outer one
+        I = sorted(face.noncompact_directions)
+        free = [j for j in range(1, f.n + 1) if j not in I]
+        rng = np.random.default_rng([seed, face_index])
+        shells = [probe_radius] * 4 + [probe_radius / 2] * 4 + [probe_radius / 4] * 4
+        restarts = max(1, budget // len(shells))
+        runs = []
+        status = TameStatus.INCONCLUSIVE
+        for shell in shells:
             direction = rng.normal(size=len(I)) + 1j * rng.normal(size=len(I))
             direction /= np.linalg.norm(direction)
-            frozen = {j: shell * direction[idx] for idx, j in enumerate(I)}
-            value, point, stats = _critical_search(fd, free, frozen, restarts, rng)
-            total_stats[0] += stats.evaluations
-            total_stats[1] = min(total_stats[1], stats.min_residual)
-            total_stats[2] += stats.restarts
+            zi = shell * direction
+            value, point, run = _critical_search(fd, free, dict(zip(I, zi)), restarts, rng)
+            runs.append(run)
             if value < WITNESS_THRESHOLD:
-                zi = np.array([frozen[j] for j in I])
-                return FaceTameness(
-                    face=face,
-                    status=TameStatus.NOT_TAME,
-                    certified_radius=float(np.linalg.norm(zi)),
-                    witness=(zi, point),
-                    criterion_polynomials=T_polys,
-                    certified_by=None,
-                    stats=ResidualStats(total_stats[0], total_stats[1], total_stats[2]),
-                    rho_probe=None,
-                )
-        # the whole shell came back clean; it is the best certified radius
-        # seen so far (shells are sampled in decreasing order)
-        clean_radius = max(clean_radius, shell)
-    rho = _rho_probe(fd, I, probe_radius, max(1, budget // 8), rng)
-    status = TameStatus.INCONCLUSIVE
-    witness = None
-    if rho.witness is not None:
-        status = TameStatus.NOT_TAME
-        zi = np.array([rho.witness[j - 1] for j in I])
-        witness = (zi, rho.witness)
-        clean_radius = float(np.linalg.norm(zi))
+                status, witness = TameStatus.NOT_TAME, (zi, point)
+                break
+        else:
+            rho = _rho_probe(fd, I, probe_radius, max(1, budget // 8), rng)
+            if rho.witness is not None:
+                status = TameStatus.NOT_TAME
+                witness = (rho.witness[[j - 1 for j in I]], rho.witness)
+        # without a witness the outer shell is the clean radius
+        radius = probe_radius if witness is None else float(np.linalg.norm(witness[0]))
+        stats = ResidualStats(
+            sum(r.evaluations for r in runs),
+            min(r.min_residual for r in runs),
+            len(runs) * restarts,
+        )
     return FaceTameness(
         face=face,
         status=status,
-        certified_radius=clean_radius,
+        certified_radius=radius,
         witness=witness,
         criterion_polynomials=T_polys,
-        certified_by=None,
-        stats=ResidualStats(total_stats[0], total_stats[1], total_stats[2]),
+        certified_by=certified,
+        stats=stats,
         rho_probe=rho,
     )
 

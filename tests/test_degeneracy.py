@@ -1,6 +1,7 @@
 """Criticality residual, the non-degeneracy falsifier, and tameness checks."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,36 @@ class TestLocalTameness:
     def test_convenient_radii_infinite(self):
         radii = dg.tameness_radii({}, r0=math.inf)
         assert radii.r_nc == math.inf and radii.rho_0 == math.inf
+
+
+class TestBoundedSearch:
+    # both faces leave the frozen-z_I search clean, so the rho probe runs;
+    # minimizing without bounds it overflowed exp and sent z_2 to 0 in the
+    # first case, and reached |z_1| ~ 1e6, |z_2| ~ 6e-11 in the second, and
+    # each came back NotTame on that escaped point
+    @pytest.mark.parametrize(
+        "text, I, seed",
+        [
+            (
+                "(-1-i)*z1^2*zb1*z2*|z3|^4 + (1/3+2i)*|z1|^4*z2^2*zb3^2"
+                " + (-2+3/2i)*|z1|^4*|z2|^2*|z3|^4",
+                {2},
+                71,
+            ),
+            (
+                "(-1+2i)*z1^2*zb1*z2*zb2 + (-1+3i)*|z1|^2*|z2|^2*zb3^2 + (-2+3i)*z1^2*z2*zb2",
+                {3},
+                88,
+            ),
+        ],
+    )
+    def test_rho_probe_stays_in_the_log_box(self, text, I, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = dg.local_tameness_check(parse_poly(text), I, budget=8, seed=seed)
+        assert verdict.status is not TameStatus.NOT_TAME
+        probes = [fr.rho_probe for fr in verdict.faces if fr.rho_probe is not None]
+        assert probes and all(math.isfinite(r.min_objective) for r in probes)
 
 
 class TestStatsNames:

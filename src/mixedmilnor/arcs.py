@@ -36,6 +36,7 @@ from .errors import (
     TruncationExhaustedError,
     TruncationOverflowError,
 )
+from .newton import coordinate_subset
 from .poly import GR_ONE, GR_ZERO, GaussianRational, MixedPoly, _Cursor, join_signed
 
 __all__ = [
@@ -530,7 +531,7 @@ def af_test_arc(f: MixedPoly, arc: Arc, I) -> AfArcVerdict:
     exactly: C^I lies in the limit plane iff both exact leading covectors
     vanish on every I coordinate.
     """
-    I = frozenset(I)
+    I = coordinate_subset(I, f.n)
     exps = arc.leading_exponents()
     for i in range(1, arc.n + 1):
         jet = arc.jets[i - 1]

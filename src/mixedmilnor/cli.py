@@ -1,10 +1,13 @@
 """Command-line front end.
 
 One polynomial per invocation (from --poly text or a named corpus entry),
-one analysis subcommand, deterministic output for a fixed seed.  --json
-emits a machine-readable report with the request echoed back; --strict
-turns analysis-negative verdicts (NotTame, a critical-point witness, a
-failed containment test) into exit code 2.  Errors exit with code 1.
+one analysis subcommand, deterministic output for a fixed seed.  One parser
+serves all subcommands: each takes the same options, and an option value
+may start with '-'.  --json emits a machine-readable report with the
+request echoed back; --strict turns analysis-negative verdicts (NotTame, a
+critical-point witness, a failed containment test) into exit code 2.
+Errors exit with code 1, each as a typed error (a --subset index outside
+1..n is a DimensionMismatchError).
 """
 
 from __future__ import annotations
@@ -39,31 +42,33 @@ def _parse_ints(text: str):
 
 
 def _load_poly(args, suffix="") -> MixedPoly:
-    poly_text = getattr(args, "poly" + suffix, None)
-    corpus_name = getattr(args, "corpus" + suffix, None)
+    poly_text = getattr(args, "poly" + suffix)
+    corpus_name = getattr(args, "corpus" + suffix)
     if poly_text and corpus_name:
         raise MixedMilnorError(f"give either --poly{suffix} or --corpus{suffix}, not both")
     if poly_text:
         return parse_poly(poly_text)
     if corpus_name:
-        params = getattr(args, "params" + suffix, None)
+        params = getattr(args, "params" + suffix)
         return constructors.corpus(corpus_name, _parse_ints(params) if params else ())
     raise MixedMilnorError(f"missing input: --poly{suffix} or --corpus{suffix}")
 
 
-def _subset(args):
-    if not args.subset:
-        return None
-    return frozenset(_parse_ints(args.subset))
+def _required(args, name):
+    """The value of an option the command cannot run without."""
+    value = getattr(args, name)
+    if not value:
+        raise MixedMilnorError(f"{args.command} needs --{name.replace('_', '-')}")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (result dict, negative flag, text)
+# Command implementations: each takes the input polynomial and the parsed
+# arguments and returns (result dict, negative flag, text)
 # ---------------------------------------------------------------------------
 
 
-def cmd_newton(args):
-    f = _load_poly(args)
+def cmd_newton(f, args):
     result = newton.newton_report(f)
     lines = [
         f"polynomial: {f.to_text()}",
@@ -80,8 +85,7 @@ def cmd_newton(args):
     return result, False, "\n".join(lines)
 
 
-def cmd_vanishing(args):
-    f = _load_poly(args)
+def cmd_vanishing(f, args):
     report = newton.vanishing_subsets(f)
     result = {
         "vanishing": sorted(sorted(I) for I in report.vanishing),
@@ -91,8 +95,7 @@ def cmd_vanishing(args):
     return result, False, text
 
 
-def cmd_faces(args):
-    f = _load_poly(args)
+def cmd_faces(f, args):
     faces = newton.all_faces(f)
     result = {"faces": [newton.face_to_json(fc) for fc in faces]}
     lines = [
@@ -102,8 +105,7 @@ def cmd_faces(args):
     return result, False, "\n".join(lines)
 
 
-def cmd_nondeg(args):
-    f = _load_poly(args)
+def cmd_nondeg(f, args):
     verdicts = degeneracy.falsify_nondegeneracy(f, budget=args.budget, seed=args.seed)
     result = {"verdicts": [degeneracy.nondeg_verdict_to_json(v) for v in verdicts]}
     negative = any(
@@ -117,10 +119,9 @@ def cmd_nondeg(args):
     return result, negative, "\n".join(lines)
 
 
-def cmd_tame(args):
-    f = _load_poly(args)
+def cmd_tame(f, args):
     report = newton.vanishing_subsets(f)
-    subset = _subset(args)
+    subset = frozenset(_parse_ints(args.subset or ""))
     subsets = [subset] if subset else sorted(report.vanishing, key=sorted)
     entries = []
     negative = False
@@ -138,17 +139,15 @@ def cmd_tame(args):
     return result, negative, "\n".join(lines)
 
 
-def cmd_zeta(args):
-    f = _load_poly(args)
+def cmd_zeta(f, args):
     z = zeta.zeta_function(f)
     result = zeta.zeta_to_json(z)
     text = f"zeta(t) = {result['product']}"
     return result, False, text
 
 
-def cmd_arc_limit(args):
-    f = _load_poly(args)
-    arc = arcs.parse_arc(args.arc, n=f.n)
+def cmd_arc_limit(f, args):
+    arc = arcs.parse_arc(_required(args, "arc"), n=f.n)
     limit = arcs.limit_tangent(f, arc)
     result = arcs.limit_to_json(limit)
     text = (
@@ -158,12 +157,9 @@ def cmd_arc_limit(args):
     return result, False, text
 
 
-def cmd_af_test(args):
-    f = _load_poly(args)
-    if not args.subset:
-        raise MixedMilnorError("af-test needs --subset")
-    I = frozenset(_parse_ints(args.subset))
-    arc = arcs.parse_arc(args.arc, n=f.n)
+def cmd_af_test(f, args):
+    I = frozenset(_parse_ints(_required(args, "subset")))
+    arc = arcs.parse_arc(_required(args, "arc"), n=f.n)
     verdict = arcs.af_test_arc(f, arc, I)
     result = arcs.af_verdict_to_json(verdict)
     negative = verdict.contains_CI is False
@@ -171,8 +167,7 @@ def cmd_af_test(args):
     return result, negative, text
 
 
-def cmd_transversality(args):
-    f = _load_poly(args)
+def cmd_transversality(f, args):
     report = arcs.transversality_scan(
         f,
         radius=args.radius,
@@ -187,11 +182,8 @@ def cmd_transversality(args):
     return result, False, text
 
 
-def cmd_openness(args):
-    f = _load_poly(args)
-    if not args.point:
-        raise MixedMilnorError("openness needs --point")
-    p = _parse_point(args.point)
+def cmd_openness(f, args):
+    p = _parse_point(_required(args, "point"))
     report = arcs.boundary_openness_probe(
         f, p, epsilon=args.epsilon, samples=args.samples, seed=args.seed
     )
@@ -204,11 +196,8 @@ def cmd_openness(args):
     return result, False, text
 
 
-def cmd_pullback(args):
-    f = _load_poly(args)
-    if not args.cover_a:
-        raise MixedMilnorError("pullback needs --cover-a (and optionally --cover-b)")
-    a = tuple(_parse_ints(args.cover_a))
+def cmd_pullback(f, args):
+    a = tuple(_parse_ints(_required(args, "cover_a")))
     b = tuple(_parse_ints(args.cover_b)) if args.cover_b else (0,) * len(a)
     spec = constructors.PullbackSpec(a, b)
     out = constructors.pullback_cyclic(f, spec)
@@ -216,8 +205,7 @@ def cmd_pullback(args):
     return result, False, out.to_text()
 
 
-def cmd_join(args):
-    f = _load_poly(args)
+def cmd_join(f, args):
     g = _load_poly(args, suffix="2")
     joined, index_map = constructors.join(f, g)
     result = {
@@ -228,19 +216,18 @@ def cmd_join(args):
     return result, False, joined.to_text()
 
 
-def cmd_corpus(args):
-    if args.corpus:
-        f = _load_poly(args)
-        result = {
-            "name": args.corpus,
-            "polynomial": f.to_text(),
-            "formula": constructors.corpus_formula(args.corpus),
-            "n": f.n,
-        }
-        return result, False, f.to_text()
-    names = constructors.corpus_names()
-    result = {"names": names}
-    return result, False, "\n".join(names)
+def cmd_corpus(f, args):
+    """The named entry with --corpus (f is then that entry), else the listing."""
+    if f is None:
+        names = constructors.corpus_names()
+        return {"names": names}, False, "\n".join(names)
+    result = {
+        "name": args.corpus,
+        "polynomial": f.to_text(),
+        "formula": constructors.corpus_formula(args.corpus),
+        "n": f.n,
+    }
+    return result, False, f.to_text()
 
 
 _COMMANDS = {
@@ -260,40 +247,57 @@ _COMMANDS = {
 }
 
 
+_OPTIONS = (
+    ("--poly", {"help": "polynomial text, e.g. 'z1^3 + z2*zb2'"}),
+    ("--corpus", {"help": "named corpus polynomial"}),
+    ("--params", {"help": "corpus parameters, comma separated"}),
+    ("--poly2", {"help": "second polynomial (join)"}),
+    ("--corpus2", {"help": "second corpus name (join)"}),
+    ("--params2", {"help": "second corpus parameters (join)"}),
+    ("--arc", {"help": "arc text, e.g. 'z1 = 1; z2 = t'"}),
+    ("--subset", {"help": "variable subset, e.g. '1,3'"}),
+    ("--point", {"help": "complex point, one coefficient each, e.g. '1, 0' or '1/2 - i, 0.5'"}),
+    ("--cover-a", {"help": "pullback exponents a, comma separated"}),
+    ("--cover-b", {"help": "pullback exponents b, comma separated"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--budget", {"type": int, "default": 64}),
+    ("--radius", {"type": float}),
+    ("--epsilon", {"type": float, "default": 0.1}),
+    ("--delta", {"type": float, "default": 1e-3}),
+    ("--samples", {"type": int}),
+    ("--json", {"action": "store_true", "dest": "as_json"}),
+    ("--strict", {"action": "store_true"}),
+    ("--batch", {"help": "JSON-lines request file"}),
+)
+_VALUE_OPTIONS = frozenset(flag for flag, spec in _OPTIONS if "action" not in spec)
+# parsed names that describe how a request runs rather than what it asks
+_NOT_ECHOED = ("command", "poly_positional", "seed", "as_json", "batch")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixed-milnor",
         description="Newton boundary, tameness, limit tangent, and zeta analysis "
         "of mixed polynomials",
     )
-    sub = parser.add_subparsers(dest="command", required=False)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("poly_positional", nargs="?", help="polynomial text")
-        p.add_argument("--poly", help="polynomial text, e.g. 'z1^3 + z2*zb2'")
-        p.add_argument("--corpus", help="named corpus polynomial")
-        p.add_argument("--params", help="corpus parameters, comma separated")
-        p.add_argument("--poly2", help="second polynomial (join)")
-        p.add_argument("--corpus2", help="second corpus name (join)")
-        p.add_argument("--params2", help="second corpus parameters (join)")
-        p.add_argument("--arc", help="arc text, e.g. 'z1 = 1; z2 = t'")
-        p.add_argument("--subset", help="variable subset, e.g. '1,3'")
-        p.add_argument(
-            "--point",
-            help="complex point, one coefficient per variable, e.g. '1, 0' or '1/2 - i, 0.5'",
-        )
-        p.add_argument("--cover-a", help="pullback exponents a, comma separated")
-        p.add_argument("--cover-b", help="pullback exponents b, comma separated")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=64)
-        p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=0.1)
-        p.add_argument("--delta", type=float, default=1e-3)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--batch", help="JSON-lines request file")
+    parser.add_argument("command", nargs="?", choices=_COMMANDS)
+    parser.add_argument("poly_positional", nargs="?", help="polynomial text")
+    for flag, spec in _OPTIONS:
+        parser.add_argument(flag, **spec)
     return parser
+
+
+def _parse(parser, argv):
+    """Parse argv with each value-taking option joined to its next token as
+    --flag=value unless that token starts with '--', so a value may start
+    with '-' ('-2i*z1', '-1,0').  Positionals may come before or after options."""
+    glued = []
+    for token in argv:
+        if glued and glued[-1] in _VALUE_OPTIONS and not token.startswith("--"):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    return parser.parse_intermixed_args(glued)
 
 
 _RADIUS_DEFAULT = {"tame": 0.1, "transversality": 1.0}
@@ -310,33 +314,15 @@ def _apply_defaults(args):
 
 
 def _request_echo(args) -> dict:
-    fields = (
-        "poly",
-        "corpus",
-        "params",
-        "poly2",
-        "corpus2",
-        "params2",
-        "arc",
-        "subset",
-        "point",
-        "cover_a",
-        "cover_b",
-        "budget",
-        "radius",
-        "epsilon",
-        "delta",
-        "samples",
-        "strict",
-    )
-    return {k: getattr(args, k) for k in fields if getattr(args, k, None) not in (None, False)}
+    """The parsed options in declaration order, unset ones left out."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED and v not in (None, False)}
 
 
-def _report_error(command, seed, exc, as_json) -> int:
-    if as_json:
+def _report_error(args, exc) -> int:
+    if args.as_json:
         payload = {
-            "command": command,
-            "seed": seed,
+            "command": args.command,
+            "seed": args.seed,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         print(json.dumps(payload, indent=2))
@@ -349,9 +335,10 @@ def _run_one(args) -> int:
     _apply_defaults(args)
     handler = _COMMANDS[args.command]
     try:
-        result, negative, text = handler(args)
+        f = None if handler is cmd_corpus and not args.corpus else _load_poly(args)
+        result, negative, text = handler(f, args)
     except MixedMilnorError as exc:
-        return _report_error(args.command, args.seed, exc, args.as_json)
+        return _report_error(args, exc)
     if args.as_json:
         report = {
             "command": args.command,
@@ -380,43 +367,44 @@ def _batch_args(parser, line, lineno):
     argv = [request.pop("command")]
     for key, value in request.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
+        if value is not False:
+            argv += [flag] if value is True else [flag, str(value)]
     try:
-        return parser.parse_args(argv)
+        return _parse(parser, argv)
     except SystemExit:
         # argparse has printed the usage error; report the line and go on
         raise BadRequestError(f"batch line {lineno} has invalid arguments") from None
 
 
 def _run_batch(args, parser) -> int:
+    try:
+        with open(args.batch, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        return _report_error(args, BadRequestError(f"cannot read the batch file: {exc}"))
     worst = EXIT_OK
-    with open(args.batch, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sub_args = _batch_args(parser, line, lineno)
-            except BadRequestError as exc:
-                code = _report_error(args.command, args.seed, exc, args.as_json)
-            else:
-                code = _run_one(sub_args)
-            worst = max(worst, code)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sub_args = _batch_args(parser, line, lineno)
+        except BadRequestError as exc:
+            code = _report_error(args, exc)
+        else:
+            code = _run_one(sub_args)
+        worst = max(worst, code)
     return worst
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, sys.argv[1:] if argv is None else argv)
     if not args.command:
         parser.print_help()
         return EXIT_ERROR
     try:
-        if getattr(args, "batch", None):
+        if args.batch:
             return _run_batch(args, parser)
         return _run_one(args)
     except (ValueError, OSError) as exc:

@@ -496,7 +496,7 @@ def local_tameness_check(
     """
     if probe_radius <= 0:
         raise NonPositiveArgumentError("probe radius must be positive")
-    I = frozenset(I)
+    I = newton.coordinate_subset(I, f.n)
     if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")
     faces = newton.faces_with_directions(f, I)

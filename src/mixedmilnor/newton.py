@@ -18,6 +18,7 @@ from itertools import combinations
 
 from . import lattice
 from .errors import (
+    DimensionMismatchError,
     TooManyVariablesError,
     VanishingSubsetError,
     ZeroPolynomialError,
@@ -109,6 +110,15 @@ def _support(f: MixedPoly):
     if f.is_zero():
         raise ZeroPolynomialError("operation needs a nonzero polynomial")
     return sorted(f.support())
+
+
+def coordinate_subset(I, n: int) -> frozenset:
+    """I as a frozenset of coordinate indices, each of which must lie in 1..n."""
+    I = frozenset(I)
+    outside = sorted(i for i in I if not 1 <= i <= n)
+    if outside:
+        raise DimensionMismatchError(f"subset indices {outside} are outside 1..{n}")
+    return I
 
 
 def vanishes_on(f: MixedPoly, I) -> bool:

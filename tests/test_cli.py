@@ -196,6 +196,14 @@ class TestErrors:
              "BadRequestError"),
             (["openness", "--poly", "z1^2 + z2", "--point", "1" + "0" * 200 + ", 0"],
              "NonFiniteValuesError"),
+            (["tame", "--corpus", "tibar", "--subset", "5"], "DimensionMismatchError"),
+            (["tame", "--corpus", "tibar", "--subset", "0"], "DimensionMismatchError"),
+            (["af-test", "--corpus", "tibar", "--arc", "z1 = t; z2 = t", "--subset", "5"],
+             "DimensionMismatchError"),
+            (["af-test", "--corpus", "tibar", "--arc", "z1 = t; z2 = t", "--subset", "0"],
+             "DimensionMismatchError"),
+            (["arc-limit", "--corpus", "tibar"], "MixedMilnorError"),
+            (["af-test", "--corpus", "tibar", "--subset", "1"], "MixedMilnorError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):
@@ -232,6 +240,67 @@ class TestErrors:
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == "NonPositiveArgumentError"
+
+
+class TestArgv:
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["newton"], "--poly", "-2i*zb2^2*z3^2"),
+            (["openness", "--corpus", "tibar", "--samples", "500"], "--point", "-1,0"),
+        ],
+    )
+    def test_value_may_start_with_a_dash(self, capsys, tmp_path, argv, flag, value):
+        glued = run(capsys, *argv, f"{flag}={value}", "--json")
+        assert glued[0] == 0
+        assert run(capsys, *argv, flag, value, "--json") == glued
+        request = {"command": argv[0], "json": True}
+        for key, val in zip(argv[1::2], argv[2::2]):
+            request[key[2:]] = val
+        request[flag[2:]] = value
+        batch = tmp_path / "requests.jsonl"
+        batch.write_text(json.dumps(request))
+        assert run(capsys, argv[0], "--batch", str(batch)) == glued
+
+    def test_option_as_value_is_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["newton", "--poly", "--json"])
+        assert exc.value.code == 2
+
+    def test_positional_after_options(self, capsys):
+        after = run(capsys, "newton", "--json", "z1^3 + z2^2")
+        assert after[0] == 0
+        assert run(capsys, "newton", "z1^3 + z2^2", "--json") == after
+
+    @pytest.mark.parametrize("dropped", ["poly", "corpus"])
+    def test_request_echo_order(self, capsys, dropped):
+        values = {
+            "poly": "z1^2",
+            "corpus": "tibar_a",
+            "params": "2",
+            "poly2": "z1",
+            "corpus2": "fig1",
+            "params2": "1",
+            "arc": "z1 = t",
+            "subset": "1",
+            "point": "1, 0",
+            "cover_a": "2",
+            "cover_b": "1",
+            "budget": 3,
+            "radius": 0.5,
+            "epsilon": 0.2,
+            "delta": 0.01,
+            "samples": 7,
+            "strict": True,
+        }
+        del values[dropped]
+        argv = ["corpus", "--seed", "5"]
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            argv.extend([flag] if value is True else [flag, str(value)])
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert list(report["request"].items()) == list(values.items())
 
 
 class TestDeterminism:
@@ -299,6 +368,13 @@ class TestBatch:
         assert ["error" in r for r in reports] == [True, False, True, True, False]
         assert {r["error"]["type"] for r in reports if "error" in r} == {"BadRequestError"}
         assert reports[1]["result"]["vanishing"] == [[3]]
+
+    def test_unreadable_batch_file(self, capsys, tmp_path):
+        code, out = run(capsys, "zeta", "--json", "--batch", str(tmp_path / "missing.jsonl"))
+        assert code == 1
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"]["type"] == "BadRequestError"
 
     def test_bad_argument_does_not_stop_the_batch(self, capsys, tmp_path):
         batch = tmp_path / "requests.jsonl"

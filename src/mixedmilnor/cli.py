@@ -7,7 +7,7 @@ may start with '-'.  --json emits a machine-readable report with the
 request echoed back; --strict turns analysis-negative verdicts (NotTame, a
 critical-point witness, a failed containment test) into exit code 2.
 Errors exit with code 1, each as a typed error (a --subset index outside
-1..n is a DimensionMismatchError).
+1..n is a DimensionMismatchError, a negative --seed a BadRequestError).
 """
 
 from __future__ import annotations
@@ -290,14 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(parser, argv):
     """Parse argv with each value-taking option joined to its next token as
     --flag=value unless that token starts with '--', so a value may start
-    with '-' ('-2i*z1', '-1,0').  Positionals may come before or after options."""
-    glued = []
+    with '-' ('-2i*z1', '-1,0').  Any other token with one leading '-' but
+    '-h' is the positional polynomial.  Positionals may come before or after
+    options."""
+    glued, dashed = [], []
     for token in argv:
         if glued and glued[-1] in _VALUE_OPTIONS and not token.startswith("--"):
             glued[-1] += "=" + token
+        elif token.startswith("-") and not token.startswith("--") and token != "-h":
+            dashed.append(token)
         else:
             glued.append(token)
-    return parser.parse_intermixed_args(glued)
+    args = parser.parse_intermixed_args(glued)
+    if dashed:
+        if args.poly_positional is not None or len(dashed) > 1:
+            parser.error(f"unrecognized arguments: {' '.join(dashed)}")
+        args.poly_positional = dashed[0]
+    return args
 
 
 _RADIUS_DEFAULT = {"tame": 0.1, "transversality": 1.0}
@@ -305,6 +314,8 @@ _SAMPLES_DEFAULT = {"transversality": 10_000, "openness": 20_000}
 
 
 def _apply_defaults(args):
+    if args.seed < 0:
+        raise BadRequestError(f"seed must be a non-negative integer, got {args.seed}")
     if args.radius is None:
         args.radius = _RADIUS_DEFAULT.get(args.command, 0.1)
     if args.samples is None:
@@ -332,9 +343,9 @@ def _report_error(args, exc) -> int:
 
 
 def _run_one(args) -> int:
-    _apply_defaults(args)
     handler = _COMMANDS[args.command]
     try:
+        _apply_defaults(args)
         f = None if handler is cmd_corpus and not args.corpus else _load_poly(args)
         result, negative, text = handler(f, args)
     except MixedMilnorError as exc:

@@ -6,15 +6,24 @@ complex factor.  The residual implemented here is a scale- and
 phase-invariant measure of that alignment; the falsifier drives it to zero
 by multistart local minimization over the torus in log coordinates.
 
+Before any search, a face is tried against the exact support certificate
+(`support_certificate`): with u_k = c_k z^nu_k zbar^mu_k, a torus critical
+point on the free variables J gives a unit phase w = e^{i phi} u = x + i y
+with (nu - mu)_J^T x = 0 and (nu + mu)_J^T y = 0; when both left
+nullspaces vanish at some term k, u_k = 0 is forced and the face has no
+critical point.  A face it settles is never searched, and its verdict
+names the forced term as "support[k]".
+
 Local tameness along a vanishing coordinate subspace C^I is decided in
 stages: an exact symbolic criterion (a sign-definite diagonal witness
-polynomial T_j), then a sampling falsifier that freezes small nonzero values
-on the I coordinates and searches the remaining torus for critical points,
-then a probe for critical values of the squared I-norm on the zero set of
-the face function.  Every float search, the falsifier's included, is the
-same bounded multistart minimization: log-magnitudes start in [-2, 2] and
-stay in [-2.5, 2.5].  Certification by sampling alone is never claimed:
-without a symbolic witness the best possible verdict is Inconclusive.
+polynomial T_j, then the support certificate on the complement of I), then
+a sampling falsifier that freezes small nonzero values on the I
+coordinates and searches the remaining torus for critical points, then a
+probe for critical values of the squared I-norm on the zero set of the
+face function.  Every float search, the falsifier's included, is the same
+bounded multistart minimization: log-magnitudes start in [-2, 2] and stay
+in [-2.5, 2.5].  Certification by sampling alone is never claimed: without
+an exact certificate the best possible verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from . import newton
+from . import lattice, newton
 from .errors import NonPositiveArgumentError, NotEssentialFaceError, NotVanishingError
 from .newton import FaceDescriptor, FaceKind
 from .poly import GaussianRational, MixedPoly
@@ -63,6 +72,7 @@ class NondegeneracyVerdict:
     residual_stats: ResidualStats
     face: FaceDescriptor
     face_function: MixedPoly
+    certified_by: str | None = None  # "support[k]" or None
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ class FaceTameness:
     certified_radius: float
     witness: tuple | None  # (frozen z_I values, full critical point)
     criterion_polynomials: dict  # j -> T_j as exact MixedPoly
-    certified_by: str | None  # "sign-definite-T[j]" or None
+    certified_by: str | None  # "sign-definite-T[j]", "support[k]" or None
     stats: ResidualStats | None
     rho_probe: RhoProbeReport | None
 
@@ -294,13 +304,61 @@ def _unit_phase_real(f: MixedPoly) -> bool:
     return fbar == f * alpha
 
 
+def support_certificate(fpoly: MixedPoly, free) -> int | None:
+    """A term that no torus critical point on the free variables allows.
+
+    With A = nu + mu and B = nu - mu the exponent matrices of the terms
+    (one row per term, the columns of the 1-based indices in free), a
+    critical point gives x, y with B^T x = 0, A^T y = 0 and x_k + i y_k
+    nonzero for every term k.  Returns the 1-based position k, in printed
+    term order, of the first term at which every vector of both left
+    nullspaces vanishes, which proves fpoly has no critical point on the
+    torus of the free variables for any nonzero values of the others;
+    None when there is no such term.  Exact, from the exponents alone.
+    """
+    monos = [m for m, _ in fpoly._sorted_terms()]
+    cols = [j - 1 for j in sorted(free)]
+    a_t = [[m.nu[j] + m.mu[j] for m in monos] for j in cols]
+    b_t = [[m.nu[j] - m.mu[j] for m in monos] for j in cols]
+    kernel = lattice.nullspace(a_t, len(monos)) + lattice.nullspace(b_t, len(monos))
+    for k in range(len(monos)):
+        if all(v[k] == 0 for v in kernel):
+            return k + 1
+    return None
+
+
+def _settle_face(fpoly, budget, seed, index):
+    """(status, witness, stats, certified_by) of one face function: a unit
+    phase times a real polynomial is Degenerate, a support certificate
+    proves it has no critical point, anything else is searched."""
+    all_vars = list(range(1, fpoly.n + 1))
+    rng = np.random.default_rng([seed, index])
+    k = None
+    if not _unit_phase_real(fpoly):
+        k = support_certificate(fpoly, all_vars)
+        if k is None:
+            value, point, stats = _critical_search(fpoly, all_vars, {}, budget, rng)
+            if value < WITNESS_THRESHOLD:
+                return NondegStatus.CRITICAL_POINT_WITNESS, point, stats, None
+            return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, None
+    # settled without a search: the residual at one torus point fills the
+    # stats, and that point witnesses a Degenerate face
+    point = _torus_point(
+        rng.uniform(-1, 1, size=fpoly.n), rng.uniform(0, 2 * np.pi, size=fpoly.n)
+    )
+    stats = ResidualStats(1, criticality_residual(fpoly, point), 0)
+    if k is None:
+        return NondegStatus.DEGENERATE, point, stats, None
+    return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, f"support[{k}]"
+
+
 def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list:
     """Search every required face function for torus critical points.
 
     Covers all compact faces of the Newton boundary and the compact part of
     every essential non-compact face.  A verdict of NoCriticalPointFound is
-    a statistics-backed failure to falsify, not a proof.  Deterministic for
-    a fixed seed.
+    a proof when it carries a support certificate, and otherwise a
+    statistics-backed failure to falsify.  Deterministic for a fixed seed.
     """
     if budget < 1:
         raise NonPositiveArgumentError("budget must be at least 1")
@@ -313,27 +371,11 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
             targets.append((fc, newton.compact_part_function(f, fc)))
     verdicts = []
     cache = {}
-    all_vars = list(range(1, f.n + 1))
     for index, (fc, fpoly) in enumerate(targets):
         key = frozenset((m.nu, m.mu) for m in fpoly.terms)
-        if key in cache:
-            status, witness, stats = cache[key]
-        elif _unit_phase_real(fpoly):
-            rng = np.random.default_rng([seed, index])
-            witness = _torus_point(
-                rng.uniform(-1, 1, size=f.n), rng.uniform(0, 2 * np.pi, size=f.n)
-            )
-            status = NondegStatus.DEGENERATE
-            stats = ResidualStats(1, criticality_residual(fpoly, witness), 0)
-            cache[key] = (status, witness, stats)
-        else:
-            rng = np.random.default_rng([seed, index])
-            value, point, stats = _critical_search(fpoly, all_vars, {}, budget, rng)
-            if value < WITNESS_THRESHOLD:
-                status, witness = NondegStatus.CRITICAL_POINT_WITNESS, point
-            else:
-                status, witness = NondegStatus.NO_CRITICAL_POINT_FOUND, None
-            cache[key] = (status, witness, stats)
+        if key not in cache:
+            cache[key] = _settle_face(fpoly, budget, seed, index)
+        status, witness, stats, certified = cache[key]
         verdicts.append(
             NondegeneracyVerdict(
                 status=status,
@@ -341,6 +383,7 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
                 residual_stats=stats,
                 face=fc,
                 face_function=fpoly,
+                certified_by=certified,
             )
         )
     return verdicts
@@ -434,14 +477,17 @@ def _rho_probe(fpoly, I, shell, budget, rng):
 def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
     fd = newton.face_function(f, face)
     T_polys = _witness_polys(fd, face)
+    I = sorted(face.noncompact_directions)
+    free = [j for j in range(1, f.n + 1) if j not in I]
     certified = _certify_symbolically(T_polys)
+    if certified is None:
+        k = support_certificate(fd, free)
+        certified = None if k is None else f"support[{k}]"
     status, radius, witness, stats, rho = TameStatus.TAME_CERTIFIED, math.inf, None, None, None
     if certified is None:
         # freeze z_I at four random directions on each of three shells of
         # decreasing radius and search the rest of the torus; when every
         # shell comes back clean, probe rho on the outer one
-        I = sorted(face.noncompact_directions)
-        free = [j for j in range(1, f.n + 1) if j not in I]
         rng = np.random.default_rng([seed, face_index])
         shells = [probe_radius] * 4 + [probe_radius / 2] * 4 + [probe_radius / 4] * 4
         restarts = max(1, budget // len(shells))
@@ -573,6 +619,8 @@ def nondeg_verdict_to_json(v: NondegeneracyVerdict) -> dict:
     }
     if v.witness is not None:
         out["witness"] = [[float(x.real), float(x.imag)] for x in v.witness]
+    if v.certified_by:
+        out["certified_by"] = v.certified_by
     return out
 
 

@@ -56,6 +56,18 @@ class TestReports:
         statuses = {v["status"] for v in report["result"]["verdicts"]}
         assert statuses == {"NoCriticalPointFound"}
 
+    def test_nondeg_names_the_support_certificate(self, capsys):
+        code, report = run_json(capsys, "nondeg", "--corpus", "cone", "--params", "1,2,1,1",
+                                "--budget", "2")
+        assert code == 0
+        labels = [v.get("certified_by") for v in report["result"]["verdicts"]]
+        # every face but the planted witness face -z1*|z2|^2 + z1^2*zb1
+        assert labels.count(None) == 1 and set(labels) == {None, "support[1]"}
+        bad = dict(report, result={"verdicts": [dict(report["result"]["verdicts"][0],
+                                                     certified_by="support")]})
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, SCHEMA)
+
     def test_tame_strict_exit(self, capsys):
         code, report = run_json(
             capsys,
@@ -204,6 +216,10 @@ class TestErrors:
              "DimensionMismatchError"),
             (["arc-limit", "--corpus", "tibar"], "MixedMilnorError"),
             (["af-test", "--corpus", "tibar", "--subset", "1"], "MixedMilnorError"),
+            (["nondeg", "--corpus", "tibar", "--seed", "-1", "--budget", "1"],
+             "BadRequestError"),
+            (["transversality", "--corpus", "tibar", "--seed", "-1", "--samples", "10"],
+             "BadRequestError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):
@@ -261,6 +277,24 @@ class TestArgv:
         batch = tmp_path / "requests.jsonl"
         batch.write_text(json.dumps(request))
         assert run(capsys, argv[0], "--batch", str(batch)) == glued
+
+    def test_positional_poly_may_start_with_a_dash(self, capsys, tmp_path):
+        glued = run(capsys, "newton", "--poly=-2i*z1", "--json")
+        assert glued[0] == 0
+        assert run(capsys, "newton", "-2i*z1", "--json") == glued
+        assert run(capsys, "newton", "--json", "-2i*z1") == glued
+        batch = tmp_path / "requests.jsonl"
+        batch.write_text(json.dumps({"command": "newton", "poly": "-2i*z1", "json": True}))
+        assert run(capsys, "newton", "--batch", str(batch)) == glued
+
+    def test_help_and_extra_positionals_still_parse_as_before(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["newton", "-h"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["newton", "z1", "-z2"])
+        assert exc.value.code == 2
 
     def test_option_as_value_is_still_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -391,4 +425,21 @@ class TestBatch:
         first, idx = decoder.raw_decode(out.strip())
         second, _ = decoder.raw_decode(out.strip()[idx:].strip())
         assert first["error"]["type"] == "NonPositiveArgumentError"
+        assert second["result"]["vanishing"] == [[3]]
+
+    def test_negative_seed_does_not_stop_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": "nondeg", "corpus": "tibar", "seed": -1, "budget": 1, "json": True},
+            {"command": "vanishing", "corpus": "fig1", "json": True},
+        ]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        first, idx = decoder.raw_decode(out.strip())
+        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
+        jsonschema.validate(first, SCHEMA)
+        assert first["error"]["type"] == "BadRequestError"
         assert second["result"]["vanishing"] == [[3]]

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_mixed_poly, random_point
+from helpers import random_mixed_poly, random_point, random_real_valued_poly
 from mixedmilnor import degeneracy as dg
-from mixedmilnor import newton
+from mixedmilnor import lattice, newton
 from mixedmilnor.constructors import corpus, join
 from mixedmilnor.degeneracy import NondegStatus, TameStatus
 from mixedmilnor.errors import NotEssentialFaceError, NotVanishingError
@@ -95,6 +95,134 @@ class TestFalsifier:
             assert all(
                 v.status is NondegStatus.NO_CRITICAL_POINT_FOUND for v in verdicts
             ), name
+
+
+def _planted_critical_face(rng, n, T, free):
+    """A polynomial with T terms in n variables and a critical point on the
+    free variables at z = (1, ..., 1), or None when the draw gives none.
+
+    With A = nu + mu and B = nu - mu restricted to the free columns, one
+    random combination x of a basis of ker B^T and one y of ker A^T give
+    coefficients c = x + i y; at z = 1 the terms are u = c, so the
+    criticality equations B^T x = 0, A^T y = 0 hold, and c is a polynomial
+    of T terms when no c_k is zero.
+    """
+    monos = set()
+    while len(monos) < T:
+        nu = tuple(int(e) for e in rng.integers(0, 3, size=n))
+        mu = tuple(int(e) for e in rng.integers(0, 3, size=n))
+        monos.add((nu, mu))
+    monos = sorted(monos)
+    cols = [j - 1 for j in free]
+
+    def combination(sign):
+        rows = [[nu[j] + sign * mu[j] for nu, mu in monos] for j in cols]
+        basis = lattice.nullspace(rows, T)
+        weights = [int(w) for w in rng.integers(-4, 5, size=len(basis))]
+        return [sum((w * b[k] for w, b in zip(weights, basis)), Fraction(0)) for k in range(T)]
+
+    c = [GaussianRational(a, b) for a, b in zip(combination(-1), combination(1))]
+    if not all(c):
+        return None
+    return MixedPoly(n, dict(zip(monos, c)))
+
+
+class TestSupportCertificate:
+    def test_never_fires_on_a_planted_critical_point(self):
+        rng = np.random.default_rng(811)
+        planted = {"all": 0, "proper": 0}
+        for _ in range(1200):
+            n = int(rng.integers(1, 4))
+            T = int(rng.integers(2, 6))
+            if n > 1 and rng.random() < 0.6:
+                size = int(rng.integers(1, n))
+                free = sorted(int(j) for j in rng.choice(np.arange(1, n + 1), size, replace=False))
+                kind = "proper"
+            else:
+                free, kind = list(range(1, n + 1)), "all"
+            f = _planted_critical_face(rng, n, T, free)
+            if f is None:
+                continue
+            planted[kind] += 1
+            assert dg.criticality_residual_exact(f, [1.0] * n, free=free) == 0, f
+            assert dg.support_certificate(f, free) is None, (f, free)
+        assert planted["all"] >= 150 and planted["proper"] >= 150, planted
+
+    def test_never_fires_on_a_unit_phase_real_polynomial(self):
+        rng = np.random.default_rng(812)
+        phase = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+        for _ in range(100):
+            f = random_real_valued_poly(rng) * phase
+            if f.is_zero():
+                continue
+            for size in range(1, f.n + 1):
+                free = sorted(int(j) for j in rng.choice(np.arange(1, f.n + 1), size, replace=False))
+                assert dg.support_certificate(f, free) is None, (f, free)
+
+    @pytest.mark.parametrize(
+        "params", [(1, 2, a1, a2) for a1 in (1, 2, 3) for a2 in (1, 2, 3)] + [(1, 3, 1, 1, 1)]
+    )
+    def test_never_fires_on_the_cone_witness_face(self, params):
+        # cone = z1 * (a real factor taking both signs): the whole support is
+        # the compact face that carries the planted critical points
+        f = corpus("cone", params)
+        (face,) = [fc for fc in newton.all_faces(f) if fc.generators == f.support()]
+        assert dg.support_certificate(newton.face_function(f, face), range(1, f.n + 1)) is None
+
+    def test_fires_on_every_single_monomial_face_of_the_corpus(self):
+        checked = 0
+        for name, params in [
+            ("tibar", ()), ("tibar_a", (5,)), ("parusinski", ()), ("cone", (1, 2, 1, 1)),
+            ("cyclic", (2, 3)), ("brieskorn_curve", ()), ("d_n", (4,)), ("fig1", ()),
+        ]:
+            for v in dg.falsify_nondegeneracy(corpus(name, params), budget=1, seed=0):
+                if len(v.face_function.terms) != 1:
+                    continue
+                (mono,) = v.face_function.terms
+                if mono.nu == mono.mu:
+                    assert v.status is NondegStatus.DEGENERATE
+                else:
+                    assert v.certified_by == "support[1]", (name, v.face_function)
+                    assert v.status is NondegStatus.NO_CRITICAL_POINT_FOUND
+                    assert v.residual_stats.restarts == 0
+                    assert v.residual_stats.min_residual > 0
+                checked += 1
+        assert checked > 20
+
+    def test_label_counts_terms_in_printed_order(self):
+        # |z3|^2 leaves x free, so only the other term is forced; it is
+        # written first but printed second
+        f = parse_poly("(-2+1/2i)*z1^2*zb1*z2^2*zb2*zb3 + (1-1/3i)*|z3|^2")
+        assert f.to_text().startswith("(1-1/3i)*|z3|^2 + ")
+        assert dg.support_certificate(f, [1, 2, 3]) == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_corner_witness_on_a_certified_face(self, seed):
+        # the search used to reach a residual of 2.7e-11 on the corner of
+        # the log box, where the second term is 5e-8 of the first
+        f = parse_poly("(1-1/3i)*|z3|^2 + (-2+1/2i)*z1^2*zb1*z2^2*zb2*zb3")
+        verdicts = dg.falsify_nondegeneracy(f, budget=2, seed=seed)
+        assert all(v.status is not NondegStatus.CRITICAL_POINT_WITNESS for v in verdicts)
+        two_term = [v for v in verdicts if len(v.face_function.terms) == 2]
+        assert two_term and all(v.certified_by == "support[2]" for v in two_term)
+        for v in two_term:
+            assert dg.nondeg_verdict_to_json(v)["certified_by"] == "support[2]"
+
+    def test_tameness_certificate_replaces_a_corner_witness(self):
+        f = parse_poly(
+            "(-1-2i)*|z1|^2*z2*zb2^2*zb3^2 + (-2+3/2i)*|z1|^4*|z2|^2*zb3"
+            " + (2-2/3i)*|z1|^4*z2*zb2^2*z3*zb3^2"
+        )
+        verdict = dg.local_tameness_check(f, {3}, budget=8, seed=5)
+        by_face = {fr.face.generators: fr for fr in verdict.faces}
+        edge = by_face[frozenset({(2, 3, 2), (4, 2, 1)})]
+        assert edge.status is TameStatus.TAME_CERTIFIED
+        assert edge.certified_by == "support[1]"
+        assert edge.certified_radius == math.inf
+        assert edge.stats is None and edge.rho_probe is None
+        # f on {(4,2,1)} is a unit phase times a real polynomial in z1, z2
+        assert by_face[frozenset({(4, 2, 1)})].status is TameStatus.NOT_TAME
+        assert verdict.status is TameStatus.NOT_TAME
 
 
 class TestWitnessPolys:
@@ -282,19 +410,14 @@ class TestLocalTameness:
 
 
 class TestBoundedSearch:
-    # both faces leave the frozen-z_I search clean, so the rho probe runs;
-    # minimizing without bounds it overflowed exp and sent z_2 to 0 in the
-    # first case, and reached |z_1| ~ 1e6, |z_2| ~ 6e-11 in the second, and
-    # each came back NotTame on that escaped point
+    # minimizing without bounds, the rho probe overflowed exp and sent z_2
+    # to 0 on the face of test_rho_probe_on_a_certified_face_stays_in_the_log_box,
+    # and reached |z_1| ~ 1e6, |z_2| ~ 6e-11 on the face below, where the
+    # frozen-z_I search is clean so the probe runs; each came back NotTame
+    # on that escaped point
     @pytest.mark.parametrize(
         "text, I, seed",
         [
-            (
-                "(-1-i)*z1^2*zb1*z2*|z3|^4 + (1/3+2i)*|z1|^4*z2^2*zb3^2"
-                " + (-2+3/2i)*|z1|^4*|z2|^2*|z3|^4",
-                {2},
-                71,
-            ),
             (
                 "(-1+2i)*z1^2*zb1*z2*zb2 + (-1+3i)*|z1|^2*|z2|^2*zb3^2 + (-2+3i)*z1^2*z2*zb2",
                 {3},
@@ -310,10 +433,30 @@ class TestBoundedSearch:
         probes = [fr.rho_probe for fr in verdict.faces if fr.rho_probe is not None]
         assert probes and all(math.isfinite(r.min_objective) for r in probes)
 
+    def test_rho_probe_on_a_certified_face_stays_in_the_log_box(self):
+        # the support certificate settles this face along I = [2], so
+        # local_tameness_check never probes it; the probe runs directly, with
+        # the budget a check at budget 8 would give it (8 // 8)
+        f = parse_poly(
+            "(-1-i)*z1^2*zb1*z2*|z3|^4 + (1/3+2i)*|z1|^4*z2^2*zb3^2"
+            " + (-2+3/2i)*|z1|^4*|z2|^2*|z3|^4"
+        )
+        face = next(
+            fc for fc in newton.faces_with_directions(f, {2})
+            if fc.generators == {(3, 1, 4), (4, 2, 2)}
+        )
+        fd = newton.face_function(f, face)
+        assert dg.support_certificate(fd, [1, 3]) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = dg._rho_probe(fd, [2], 0.1, 1, np.random.default_rng(71))
+        assert math.isfinite(probe.min_objective)
+        assert probe.witness is None
+
 
 class TestStatsNames:
     def test_evaluations_count_objective_calls(self):
-        verdicts = dg.falsify_nondegeneracy(corpus("tibar"), budget=2, seed=0)
+        verdicts = dg.falsify_nondegeneracy(corpus("cone", (1, 2, 1, 1)), budget=2, seed=0)
         v = next(v for v in verdicts if v.residual_stats.restarts)
         assert v.residual_stats.evaluations > v.residual_stats.restarts
         assert dg.nondeg_verdict_to_json(v)["stats"]["samples"] == v.residual_stats.evaluations

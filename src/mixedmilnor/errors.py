@@ -40,7 +40,8 @@ class TooManyVariablesError(MixedMilnorError, ValueError):
 
 
 class TooManySupportPointsError(MixedMilnorError, ValueError):
-    """Exact face enumeration is guarded at 64 support points."""
+    """Exact face enumeration is guarded at 64 support points and at 150,000
+    candidate (ray set, point subset) pairs."""
 
 
 class VanishingSubsetError(MixedMilnorError, ValueError):

@@ -87,6 +87,113 @@ def top_faces_oracle(f, I):
 
 
 # ---------------------------------------------------------------------------
+# Rational Gauss-Jordan nullspace, and the face enumeration on it with an
+# unpruned intersection closure
+# ---------------------------------------------------------------------------
+
+
+def nullspace_oracle(rows, ncols):
+    """Reduced-row-echelon basis of the right nullspace, as Fraction tuples
+    with 1 at their free column, by Gauss-Jordan elimination in Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -m[row_idx][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def integerize(vec):
+    """The primitive integer vector that is a positive multiple of a rational one."""
+    denom = 1
+    for v in vec:
+        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in vec]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, abs(x))
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _argmin_face_oracle(pts, weight):
+    vals = [sum(w * x for w, x in zip(weight, pt)) for pt in pts]
+    d = min(vals)
+    gens = frozenset(pt for pt, v in zip(pts, vals) if v == d)
+    rays = frozenset(i + 1 for i, w in enumerate(weight) if w == 0)
+    return lattice.LatticeFace(gens, rays, tuple(weight), d)
+
+
+def newton_faces_oracle(support, n):
+    """Faces of conv(S) + R_{>=0}^n from every hyperplane through n - r support
+    points and r coordinate rays, closed under pairwise intersection with an
+    argmin at every pair; same faces, witnesses and order as the library."""
+    pts = sorted(set(tuple(int(x) for x in p) for p in support))
+    if not pts:
+        return []
+    normals = set()
+    for nrays in range(n):
+        for rayset in combinations(range(n), nrays):
+            for subset in combinations(pts, n - nrays):
+                rows = [[a - b for a, b in zip(p, subset[0])] for p in subset[1:]]
+                rows += [[int(j == i) for j in range(n)] for i in rayset]
+                basis = nullspace_oracle(rows, n)
+                if len(basis) != 1:
+                    continue
+                w = integerize(basis[0])
+                if all(x <= 0 for x in w):
+                    w = tuple(-x for x in w)
+                if not any(x < 0 for x in w):
+                    normals.add(w)
+    faces = {}
+    # set order, as in the library: it decides which faces the closure meets first
+    for w in normals:
+        face = _argmin_face_oracle(pts, w)
+        key = (face.generators, face.rays)
+        if key not in faces or face.witness < faces[key].witness:
+            faces[key] = face
+    frontier = list(faces.values())
+    while frontier:
+        new = []
+        items = list(faces.values())
+        for fa in frontier:
+            for fb in items:
+                gens = fa.generators & fb.generators
+                if not gens:
+                    continue
+                w = integerize([Fraction(a + b) for a, b in zip(fa.witness, fb.witness)])
+                cand = _argmin_face_oracle(pts, w)
+                if cand.generators != gens:
+                    continue
+                key = (cand.generators, cand.rays)
+                old = faces.get(key)
+                if old is None:
+                    faces[key] = cand
+                    new.append(cand)
+                elif cand.witness < old.witness:
+                    faces[key] = cand
+        frontier = new
+    return sorted(faces.values(), key=lambda f: (sorted(f.rays), sorted(f.generators)))
+
+
+# ---------------------------------------------------------------------------
 # Independent Newton-vertex oracle
 # ---------------------------------------------------------------------------
 
@@ -218,7 +325,7 @@ def _triangulate_full(points, m):
     for subset in combinations(pts, m):
         base = subset[0]
         rows = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
-        basis = lattice.nullspace(rows, m)
+        basis = nullspace_oracle(rows, m)
         if len(basis) != 1:
             continue
         w = basis[0]

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, JSON schema conformance, determinism, exits."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +11,14 @@ from mixedmilnor.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
+
+
+def monomial_sum(n, size):
+    """Polynomial text with `size` distinct monomials z^a, a in {0,1,2}^n."""
+    exponents = sorted(product(range(3), repeat=n))[1:size + 1]
+    return " + ".join(
+        "*".join(f"z{i + 1}^{e}" for i, e in enumerate(a) if e) for a in exponents
+    )
 
 
 def run(capsys, *argv):
@@ -220,6 +229,8 @@ class TestErrors:
              "BadRequestError"),
             (["transversality", "--corpus", "tibar", "--seed", "-1", "--samples", "10"],
              "BadRequestError"),
+            (["newton", "--poly", monomial_sum(5, 40)], "TooManySupportPointsError"),
+            (["newton", "--poly", monomial_sum(7, 24)], "TooManySupportPointsError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):

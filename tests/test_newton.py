@@ -1,9 +1,19 @@
 """Newton polyhedron combinatorics against brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from helpers import hull_2d_oracle, newton_vertices_oracle, random_mixed_poly, top_faces_oracle
+from helpers import (
+    hull_2d_oracle,
+    integerize,
+    newton_faces_oracle,
+    newton_vertices_oracle,
+    nullspace_oracle,
+    random_mixed_poly,
+    top_faces_oracle,
+)
 from mixedmilnor import lattice, newton, zeta
 from mixedmilnor.cli import main
 from mixedmilnor.constructors import corpus
@@ -299,6 +309,43 @@ class TestFaceEnumerationCompleteness:
                 gens = frozenset(p for p, v in zip(pts, vals) if v == d)
                 rays = frozenset(i + 1 for i, x in enumerate(w) if x == 0)
                 assert (gens, rays) in faces, (pts, w)
+
+
+class TestFractionFreeEnumeration:
+    def test_nullspace_is_the_primitive_rref_basis(self):
+        rng = np.random.default_rng(419)
+        cases = [([], 3), ([[0, 0, 0]], 3), ([[0, 0], [0, 0], [0, 0]], 2)]
+        for _ in range(2400):
+            nrows, ncols = int(rng.integers(0, 7)), int(rng.integers(1, 7))
+            rows = []
+            for _ in range(nrows):
+                if rng.random() < 0.15:
+                    rows.append([0] * ncols)
+                    continue
+                row = [int(x) if rng.random() < 0.7 else 0 for x in rng.integers(-5, 6, size=ncols)]
+                if rng.random() < 0.4:
+                    row = [Fraction(x, int(rng.integers(1, 7))) for x in row]
+                rows.append(row)
+            cases.append((rows, ncols))
+        for rows, ncols in cases:
+            expected = [integerize(v) for v in nullspace_oracle(rows, ncols)]
+            assert lattice.nullspace(rows, ncols) == expected, rows
+
+    def test_faces_match_the_unpruned_enumeration(self):
+        # cells (n, points, max exponent) of the benchmark's support grid,
+        # cut to size, plus n = 1 and n = 5; points with degree >= 2 as there
+        rng = np.random.default_rng(523)
+        cells = [((1, 4, 8), 30), ((2, 8, 8), 70), ((2, 12, 9), 60), ((2, 16, 10), 30),
+                 ((3, 8, 5), 60), ((3, 12, 5), 30), ((4, 7, 4), 15), ((5, 5, 3), 6)]
+        for (n, size, max_exp), draws in cells:
+            for _ in range(draws):
+                pts = set()
+                while len(pts) < size:
+                    pt = tuple(int(x) for x in rng.integers(0, max_exp + 1, size=n))
+                    if sum(pt) >= 2:
+                        pts.add(pt)
+                pts = sorted(pts)
+                assert lattice.newton_faces(pts, n) == newton_faces_oracle(pts, n), pts
 
 
 class TestFacesWithDirections:

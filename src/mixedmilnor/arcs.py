@@ -30,14 +30,23 @@ from .errors import (
     BadArcError,
     DimensionMismatchError,
     NonFiniteValuesError,
-    NonPositiveArgumentError,
     PolySyntaxError,
     SingularFiberError,
     TruncationExhaustedError,
     TruncationOverflowError,
+    require_positive,
 )
 from .newton import coordinate_subset
-from .poly import GR_ONE, GR_ZERO, GaussianRational, MixedPoly, _Cursor, join_signed
+from .poly import (
+    GR_HALF,
+    GR_NEG_HALF_I,
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    MixedPoly,
+    _Cursor,
+    join_signed,
+)
 
 __all__ = [
     "Arc",
@@ -110,10 +119,6 @@ def _s_pow(a, e, trunc=None):
 
 def _s_conj(a):
     return {k: c.conjugate() for k, c in a.items()}
-
-
-def _s_order(a):
-    return min(a) if a else None
 
 
 def series_to_text(s) -> str:
@@ -362,14 +367,7 @@ class AfArcVerdict:
 
 def _vector_order_index(vec):
     """(order, leading 1-based index) of a vector of series; None if zero."""
-    best = None
-    for idx, s in enumerate(vec):
-        o = _s_order(s)
-        if o is None:
-            continue
-        if best is None or o < best[0]:
-            best = (o, idx + 1)
-    return best
+    return min(((min(s), idx + 1) for idx, s in enumerate(vec) if s), default=None)
 
 
 def _leading_vector(vec, order):
@@ -421,6 +419,33 @@ def _normalize_covector(V):
     return v
 
 
+def _limit_result(Vg, Vh, orders, steps=(), swapped=False):
+    """The result for the exact leading vectors Vg, Vh of the final pair."""
+    return LimitTangentResult(
+        covector_g=_normalize_covector(Vg),
+        covector_h=_normalize_covector(Vh),
+        leading_g=Vg,
+        leading_h=Vh,
+        orders=orders,
+        reduction_steps=tuple(steps),
+        swapped=swapped,
+        independent=not _real_dependent(Vg, Vh),
+    )
+
+
+def _gradient_series(f: MixedPoly, arc: Arc, trunc):
+    """Series of dzbar_j g and dzbar_j h along the arc, for g = Re f and
+    h = Im f, from f's own derivatives: (S(dzbar f) + conj S(dz f))/2 and
+    (S(dzbar f) - conj S(dz f)) * (-i/2), S the substitution."""
+    vg, vh = [], []
+    for j in range(1, f.n + 1):
+        dzbar = _substitute(f.wirtinger(j, "zbar"), arc, trunc)
+        conj_dz = _s_conj(_substitute(f.wirtinger(j, "z"), arc, trunc))
+        vg.append(_s_scale(_s_add(dzbar, conj_dz), GR_HALF))
+        vh.append(_s_scale(_s_add(dzbar, _s_scale(conj_dz, -GR_ONE)), GR_NEG_HALF_I))
+    return vg, vh
+
+
 def limit_tangent(f: MixedPoly, arc: Arc) -> LimitTangentResult:
     """Limit of the fiber tangent planes of f along the arc as t -> 0.
 
@@ -434,36 +459,23 @@ def limit_tangent(f: MixedPoly, arc: Arc) -> LimitTangentResult:
         raise BadArcError("arc is identically zero")
     if arc.n != f.n:
         raise DimensionMismatchError("arc and polynomial variable counts differ")
-    fseries = _substitute(f, arc, arc.truncation_order)
+    trunc = arc.truncation_order
+    fseries = _substitute(f, arc, trunc)
     if not fseries:
         raise ArcInsideVarietyError("f vanishes identically along the arc")
-    g, h = f.real_imag_parts()
-    trunc = arc.truncation_order
-    vg = [_substitute(g.wirtinger(j, "zbar"), arc, trunc) for j in range(1, f.n + 1)]
-    vh = [_substitute(h.wirtinger(j, "zbar"), arc, trunc) for j in range(1, f.n + 1)]
+    vg, vh = _gradient_series(f, arc, trunc)
 
     swapped = False
     lead_g = _vector_order_index(vg)
     lead_h = _vector_order_index(vh)
     if lead_g is None or lead_h is None:
-        # one series vanishes identically; the pair collapses
-        order_g = lead_g[0] if lead_g else 0
-        order_h = lead_h[0] if lead_h else 0
-        Vg = _leading_vector(vg, order_g) if lead_g else (GR_ZERO,) * f.n
-        Vh = _leading_vector(vh, order_h) if lead_h else (GR_ZERO,) * f.n
-        return LimitTangentResult(
-            covector_g=_normalize_covector(Vg),
-            covector_h=_normalize_covector(Vh),
-            leading_g=Vg,
-            leading_h=Vh,
-            orders=(order_g, order_h),
-            reduction_steps=(),
-            swapped=False,
-            independent=False,
-        )
+        # one series vanishes identically (its leading vector is zero at
+        # order 0); the pair collapses
+        r, rp = (lead_g[0] if lead_g else 0), (lead_h[0] if lead_h else 0)
+        return _limit_result(_leading_vector(vg, r), _leading_vector(vh, rp), (r, rp))
     if (lead_h[1], lead_h[0]) < (lead_g[1], lead_g[0]):
         # interchange, as if analyzing i*f: (g, h) -> (-h, g)
-        vg, vh = [_s_scale(s, -GaussianRational.of(1)) for s in vh], vg
+        vg, vh = [_s_scale(s, -GR_ONE) for s in vh], vg
         swapped = True
 
     steps = []
@@ -476,18 +488,8 @@ def limit_tangent(f: MixedPoly, arc: Arc) -> LimitTangentResult:
                     "second covector vanished to truncation order"
                 )
             # exact collapse: spans are real-dependent along the whole arc
-            r, s = lead_g
-            Vg = _leading_vector(vg, r)
-            return LimitTangentResult(
-                covector_g=_normalize_covector(Vg),
-                covector_h=_normalize_covector((GR_ZERO,) * f.n),
-                leading_g=Vg,
-                leading_h=(GR_ZERO,) * f.n,
-                orders=(r, r),
-                reduction_steps=tuple(steps),
-                swapped=swapped,
-                independent=False,
-            )
+            r = lead_g[0]
+            return _limit_result(_leading_vector(vg, r), (GR_ZERO,) * f.n, (r, r), steps, swapped)
         r, s = lead_g
         rp, sp = lead_h
         if trunc is not None and rp > trunc:
@@ -505,22 +507,7 @@ def limit_tangent(f: MixedPoly, arc: Arc) -> LimitTangentResult:
         vh = [_s_add(vh[i], _s_scale(vg[i], -coeff, shift)) for i in range(f.n)]
         if len(steps) > MAX_REDUCTION_STEPS:
             raise TruncationExhaustedError("reduction did not terminate")
-
-    r, s = _vector_order_index(vg)
-    rp, sp = _vector_order_index(vh)
-    Vg = _leading_vector(vg, r)
-    Vh = _leading_vector(vh, rp)
-    independent = not _real_dependent(Vg, Vh)
-    return LimitTangentResult(
-        covector_g=_normalize_covector(Vg),
-        covector_h=_normalize_covector(Vh),
-        leading_g=Vg,
-        leading_h=Vh,
-        orders=(r, rp),
-        reduction_steps=tuple(steps),
-        swapped=swapped,
-        independent=independent,
-    )
+    return _limit_result(_leading_vector(vg, r), _leading_vector(vh, rp), (r, rp), steps, swapped)
 
 
 def af_test_arc(f: MixedPoly, arc: Arc, I) -> AfArcVerdict:
@@ -555,12 +542,6 @@ def af_test_arc(f: MixedPoly, arc: Arc, I) -> AfArcVerdict:
 # ---------------------------------------------------------------------------
 
 REGULARITY_THRESHOLD = 1e-12
-
-
-def _require_positive(**values):
-    for name, value in values.items():
-        if not value > 0:
-            raise NonPositiveArgumentError(f"{name} must be positive, got {value}")
 
 
 def transversality_residual(f: MixedPoly, p) -> float:
@@ -603,7 +584,7 @@ def transversality_scan(
     (rejection sampling), and reports residual statistics over the accepted
     points, skipping numerically singular ones.
     """
-    _require_positive(radius=radius, delta=delta, samples=samples)
+    require_positive(radius=radius, delta=delta, samples=samples)
     rng = np.random.default_rng(seed)
     accepted = 0
     drawn = 0
@@ -667,7 +648,7 @@ def boundary_openness_probe(
     half-width of the smallest sector containing all observed arguments is
     estimated from the raw values (largest circular gap).
     """
-    _require_positive(epsilon=epsilon, samples=samples)
+    require_positive(epsilon=epsilon, samples=samples)
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (f.n,):
         raise DimensionMismatchError(f"point has {p.size} coordinates, f has {f.n} variables")

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import lattice, newton
-from .errors import NonPositiveArgumentError, NotEssentialFaceError, NotVanishingError
+from .errors import NotEssentialFaceError, NotVanishingError, require_positive
 from .newton import FaceDescriptor, FaceKind
 from .poly import GaussianRational, MixedPoly
 
@@ -225,9 +225,9 @@ def _torus_point(u, theta):
 def _multistart(objective, k, budget, rng):
     """Multistart Nelder-Mead over k log-magnitudes and k phases.
 
-    Starts draw log-magnitudes from [-LOG_RANGE, LOG_RANGE] and phases from
-    [0, 2 pi); the search stops early once a start gets far below the
-    witness threshold, and the best start is polished.  Returns (best value,
+    Each start is one bounded Nelder-Mead pass from log-magnitudes drawn in
+    [-LOG_RANGE, LOG_RANGE] and phases in [0, 2 pi); the search stops early
+    once a start gets far below the witness threshold.  Returns (best value,
     its x, evaluations); x is None only when no start gave a finite value.
 
     Log magnitudes are kept inside a box slightly wider than the sampling
@@ -239,25 +239,30 @@ def _multistart(objective, k, budget, rng):
     """
     box = LOG_RANGE + 0.5
     bounds = [(-box, box)] * k + [(-8 * np.pi, 8 * np.pi)] * k
-    start = {"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * k}
-    polish = {"fatol": 1e-18, "xatol": 1e-13, "maxiter": 2000}
+    options = {"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * k}
     best, best_x = np.inf, None
     evals = 0
+
+    def scored(x):
+        try:
+            value = objective(x)
+        except OverflowError:
+            return math.inf
+        return value if math.isfinite(value) else math.inf
+
     for _ in range(budget):
         x0 = np.concatenate(
             [rng.uniform(-LOG_RANGE, LOG_RANGE, size=k), rng.uniform(0, 2 * np.pi, size=k)]
         )
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds, options=start)
+        # a point where the objective overflows scores inf, without a warning
+        # from it or from the simplex arithmetic on inf
+        with np.errstate(all="ignore"):
+            res = minimize(scored, x0, method="Nelder-Mead", bounds=bounds, options=options)
         evals += res.nfev
         if res.fun < best:
             best, best_x = res.fun, res.x
         if best < WITNESS_THRESHOLD * 1e-2:
             break
-    if best_x is not None:
-        res = minimize(objective, best_x, method="Nelder-Mead", bounds=bounds, options=polish)
-        evals += res.nfev
-        if res.fun < best:
-            best, best_x = res.fun, res.x
     return best, best_x, evals
 
 
@@ -266,7 +271,7 @@ def _critical_search(fpoly, free, frozen, budget, rng):
 
     free is a sorted list of 1-based variable indices parameterized on the
     torus; frozen maps the remaining indices to fixed complex values.
-    Returns (best residual after polish, best point, stats).
+    Returns (best residual over the starts, best point, stats).
     """
     free = sorted(free)
     k = len(free)
@@ -360,8 +365,7 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
     a proof when it carries a support certificate, and otherwise a
     statistics-backed failure to falsify.  Deterministic for a fixed seed.
     """
-    if budget < 1:
-        raise NonPositiveArgumentError("budget must be at least 1")
+    require_positive(budget=budget)
     faces = newton.all_faces(f)
     targets = []
     for fc in faces:
@@ -465,6 +469,9 @@ def _rho_probe(fpoly, I, shell, budget, rng):
         p = point(x)
         zi = np.where(mask, p, 0.0)
         gg, hh = fpoly.gradients(p).real_imag_zbar()
+        if not (np.isfinite(gg).all() and np.isfinite(hh).all()):
+            # overflowed gradients: LAPACK would fail on them, loudly
+            return math.inf
         fv = fpoly.evaluate(p)
         span = real_span_residual(zi, gg, hh) / shell
         return abs(fv) ** 2 + span**2
@@ -540,8 +547,7 @@ def local_tameness_check(
     verdict NotTame, all faces certified makes it TameCertified, anything
     else is Inconclusive.
     """
-    if probe_radius <= 0:
-        raise NonPositiveArgumentError("probe radius must be positive")
+    require_positive(probe_radius=probe_radius)
     I = newton.coordinate_subset(I, f.n)
     if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all analysis modules."""
 
+import math
+
 
 class MixedMilnorError(Exception):
     """Base class for every error raised by this package."""
@@ -116,6 +118,13 @@ class BadParamsError(MixedMilnorError, ValueError):
 
 class NonPositiveArgumentError(MixedMilnorError, ValueError):
     """A radius, tolerance, sample count or budget that must be positive is not."""
+
+
+def require_positive(**values):
+    """Raise NonPositiveArgumentError unless every value is positive and finite."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise NonPositiveArgumentError(f"{name} must be positive and finite, got {value}")
 
 
 class BadRequestError(MixedMilnorError, ValueError):

@@ -253,6 +253,28 @@ class TestLimitTangent:
             # decreasing once above float-noise level
             assert errors[2] <= errors[0] + 1e-6, arctext
 
+    def test_gradient_series_match_real_imag_parts(self):
+        # the covector series come from f's own derivatives; the reference
+        # substitutes the derivatives of g = Re f and h = Im f
+        rng = np.random.default_rng(2024)
+        nonzero = 0
+        for case in range(240):
+            f = random_mixed_poly(rng, max_terms=4)
+            jets = []
+            for _ in range(f.n):
+                exps = sorted({int(e) for e in rng.integers(0, 4, size=int(rng.integers(0, 3)))})
+                jets.append(tuple((e, random_gaussian(rng)) for e in exps))
+            trunc = None if case % 2 else int(rng.integers(0, 6))
+            arc = Arc(tuple(jets), truncation_order=trunc)
+            g, h = f.real_imag_parts()
+            reference = tuple(
+                [ar._substitute(part.wirtinger(j, "zbar"), arc, trunc) for j in range(1, f.n + 1)]
+                for part in (g, h)
+            )
+            assert ar._gradient_series(f, arc, trunc) == reference
+            nonzero += all(any(s) for s in reference)
+        assert nonzero >= 50
+
     def test_truncation_exhausted(self):
         from mixedmilnor.errors import TruncationExhaustedError
 

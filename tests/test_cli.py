@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, JSON schema conformance, determinism, exits."""
 
 import json
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -231,6 +232,12 @@ class TestErrors:
              "BadRequestError"),
             (["newton", "--poly", monomial_sum(5, 40)], "TooManySupportPointsError"),
             (["newton", "--poly", monomial_sum(7, 24)], "TooManySupportPointsError"),
+            (["tame", "--corpus", "tibar", "--radius", "inf", "--budget", "1"],
+             "NonPositiveArgumentError"),
+            (["tame", "--corpus", "tibar", "--radius", "nan", "--budget", "1"],
+             "NonPositiveArgumentError"),
+            (["transversality", "--corpus", "tibar", "--radius", "inf", "--samples", "5"],
+             "NonPositiveArgumentError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):
@@ -267,6 +274,18 @@ class TestErrors:
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == "NonPositiveArgumentError"
+
+    def test_huge_tame_radius_is_a_verdict(self, capfd):
+        # at |z_I| = 1e200 the search objectives overflow; those points
+        # score inf, silently, instead of ending the request
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["tame", "--corpus", "tibar", "--radius", "1e200", "--budget", "1", "--json"])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["result"]["subspaces"][0]["status"] == "Inconclusive"
 
 
 class TestArgv:

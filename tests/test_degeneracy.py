@@ -453,6 +453,36 @@ class TestBoundedSearch:
         assert math.isfinite(probe.min_objective)
         assert probe.witness is None
 
+    def test_one_nelder_mead_pass_per_start(self, monkeypatch):
+        calls = []
+        real_minimize = dg.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(dg, "minimize", counted)
+        # a positive minimum: every start runs, and nothing runs after them
+        dg._multistart(lambda x: 1.0 + float(np.sum(x**2)), 2, 5, np.random.default_rng(3))
+        assert len(calls) == 5
+        # a zero minimum: the first start converges below the early stop
+        calls.clear()
+        value, _, _ = dg._multistart(lambda x: float(np.sum(x**2)), 2, 5, np.random.default_rng(3))
+        assert value < dg.WITNESS_THRESHOLD * 1e-2
+        assert len(calls) == 1
+
+    def test_positive_minimum_search_stays_cheap(self):
+        # the minimum is positive, so no start reaches the early stop and
+        # every search must end at its passes' own tolerances
+        f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
+        verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
+        assert verdict.status is TameStatus.INCONCLUSIVE
+        searched = [fr for fr in verdict.faces if fr.stats is not None]
+        assert searched
+        for fr in searched:
+            assert fr.stats.evaluations < 6000
+            assert fr.rho_probe.evaluations < 2000
+
 
 class TestStatsNames:
     def test_evaluations_count_objective_calls(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .poly import (
     GaussianRational,
     MixedPoly,
     _Cursor,
+    _merge_terms,
     join_signed,
 )
 
@@ -74,19 +76,8 @@ OPENNESS_BINS = 256
 # ---------------------------------------------------------------------------
 
 
-def _s_trim(s):
-    return {k: c for k, c in s.items() if c}
-
-
 def _s_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        acc = out.get(k, GR_ZERO) + c
-        if acc:
-            out[k] = acc
-        elif k in out:
-            del out[k]
-    return out
+    return _merge_terms(chain(a.items(), b.items()))
 
 
 def _s_scale(a, c, shift=0):
@@ -96,18 +87,12 @@ def _s_scale(a, c, shift=0):
 
 
 def _s_mul(a, b, trunc=None):
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            if trunc is not None and k > trunc:
-                continue
-            acc = out.get(k, GR_ZERO) + c1 * c2
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-    return out
+    return _merge_terms(
+        (k1 + k2, c1 * c2)
+        for k1, c1 in a.items()
+        for k2, c2 in b.items()
+        if trunc is None or k1 + k2 <= trunc
+    )
 
 
 def _s_pow(a, e, trunc=None):
@@ -230,10 +215,10 @@ class _ArcParser(_Cursor):
         while self.peek()[0] != "end":
             var = self.expect("z")[1]
             self.expect("=")
-            terms = {}
-            for sign, (exp, coeff) in self.signed(self.jet_term):
-                terms = _s_add(terms, {exp: coeff if sign > 0 else -coeff})
-            assignments[var] = terms
+            assignments[var] = _merge_terms(
+                (exp, coeff if sign > 0 else -coeff)
+                for sign, (exp, coeff) in self.signed(self.jet_term)
+            )
             self.accept(";")
         return assignments
 
@@ -284,25 +269,20 @@ def _substitute(poly: MixedPoly, arc: Arc, trunc=None):
     """Exact series of poly(z(t), conj z(t)); t is real so conjugating a jet
     conjugates its coefficients only."""
     jets = [arc.coordinate_series(j) for j in range(1, arc.n + 1)]
-    out = {}
+    pairs = []
     for mono, coeff in poly.terms.items():
         term = {0: coeff}
         for j in range(poly.n):
             a, b = mono.nu[j], mono.mu[j]
+            # a zero coordinate's empty jet makes the term empty
             if a:
-                if not jets[j]:
-                    term = {}
-                    break
                 term = _s_mul(term, _s_pow(jets[j], a, trunc), trunc)
             if b:
-                if not jets[j]:
-                    term = {}
-                    break
                 term = _s_mul(term, _s_pow(_s_conj(jets[j]), b, trunc), trunc)
             if not term:
                 break
-        out = _s_add(out, term)
-    return _s_trim(out)
+        pairs.extend(term.items())
+    return _merge_terms(pairs)
 
 
 def expand_arc(f: MixedPoly, arc: Arc, order: int | None = None):
@@ -544,6 +524,22 @@ def af_test_arc(f: MixedPoly, arc: Arc, I) -> AfArcVerdict:
 REGULARITY_THRESHOLD = 1e-12
 
 
+def _screened_values(f: MixedPoly, pts, region):
+    """Values of f at the (N, n) points, their moduli and the largest finite
+    modulus.  A block with no finite nonzero value shows only that floats
+    underflowed (AllValuesZeroError: every value is exactly zero) or
+    overflowed (NonFiniteValuesError), so it is an error in both probes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.evaluate_many(pts)
+    mags = np.abs(vals)
+    scale = float(np.max(mags, where=np.isfinite(mags), initial=0.0))
+    if scale == 0.0:
+        if np.isfinite(mags).all():
+            raise AllValuesZeroError(f"f vanished on every sample of the {region}")
+        raise NonFiniteValuesError(f"f has no finite nonzero value on the {region} samples")
+    return vals, mags, scale
+
+
 def transversality_residual(f: MixedPoly, p) -> float:
     """Normalized distance of p from the tangent span of its fiber.
 
@@ -567,8 +563,8 @@ class TransversalityReport:
     samples_drawn: int
     accepted: int
     skipped_singular: int
-    min_residual: float
-    mean_residual: float
+    min_residual: float | None  # None when no point was accepted
+    mean_residual: float | None
 
 
 def transversality_scan(
@@ -582,7 +578,8 @@ def transversality_scan(
 
     Draws uniform points on the radius sphere, keeps those with |f| <= delta
     (rejection sampling), and reports residual statistics over the accepted
-    points, skipping numerically singular ones.
+    points, skipping numerically singular ones.  A block of draws on which f
+    has no finite nonzero value is an error (see _screened_values).
     """
     require_positive(radius=radius, delta=delta, samples=samples)
     rng = np.random.default_rng(seed)
@@ -598,8 +595,8 @@ def transversality_scan(
         pts = block[:, : f.n] + 1j * block[:, f.n :]
         norms = np.linalg.norm(pts, axis=1)
         pts = pts * (radius / norms)[:, None]
-        vals = np.abs(f.evaluate_many(pts))
-        keep = pts[vals <= delta]
+        _, mags, _ = _screened_values(f, pts, "sphere")
+        keep = pts[mags <= delta]
         for p in keep:
             if accepted >= samples:
                 break
@@ -616,8 +613,8 @@ def transversality_scan(
         samples_drawn=drawn,
         accepted=accepted,
         skipped_singular=skipped,
-        min_residual=float(min_res),
-        mean_residual=float(total / accepted) if accepted else math.nan,
+        min_residual=float(min_res) if accepted else None,
+        mean_residual=float(total / accepted) if accepted else None,
     )
 
 
@@ -656,16 +653,9 @@ def boundary_openness_probe(
     radii = epsilon * np.sqrt(rng.uniform(size=(samples, f.n)))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(samples, f.n))
     pts = p[None, :] + radii * np.exp(1j * phases)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = f.evaluate_many(pts)
-    mags = np.abs(vals)
-    finite = np.isfinite(mags)
-    scale = float(np.max(mags, where=finite, initial=0.0))
-    if scale == 0.0:
-        if finite.all():
-            raise AllValuesZeroError("f vanished on every sample of the polydisc")
-        raise NonFiniteValuesError("f has no finite nonzero value on the polydisc samples")
-    nonzero = vals[finite & (mags > 1e-14 * scale)]
+    vals, mags, scale = _screened_values(f, pts, "polydisc")
+    # scale is the largest finite modulus, so mags <= scale drops inf and nan
+    nonzero = vals[(mags > 1e-14 * scale) & (mags <= scale)]
     args = np.mod(np.angle(nonzero), 2.0 * np.pi)
     bins = OPENNESS_BINS
     hist = np.bincount((args / (2.0 * np.pi / bins)).astype(int) % bins, minlength=bins)

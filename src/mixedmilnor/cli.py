@@ -176,9 +176,9 @@ def cmd_transversality(f, args):
         seed=args.seed,
     )
     result = dataclasses.asdict(report)
-    text = (
-        f"accepted {report.accepted} samples; min residual {report.min_residual:.6g}"
-    )
+    text = f"accepted {report.accepted} samples"
+    if report.accepted:
+        text += f"; min residual {report.min_residual:.6g}"
     return result, False, text
 
 

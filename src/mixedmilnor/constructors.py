@@ -12,6 +12,7 @@ parsed from strings, so they survive any change to the text grammar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BadParamsError,
@@ -56,16 +57,14 @@ def pullback_cyclic(f: MixedPoly, spec: PullbackSpec) -> MixedPoly:
         raise DimensionMismatchError(
             f"pullback spec has {spec.n} variables, polynomial has {f.n}"
         )
-    out = {}
-    for m, c in f.terms.items():
-        nu = tuple(
-            aj * vj + bj * wj for aj, bj, vj, wj in zip(spec.a, spec.b, m.nu, m.mu)
-        )
-        mu = tuple(
-            bj * vj + aj * wj for aj, bj, vj, wj in zip(spec.a, spec.b, m.nu, m.mu)
-        )
-        out[MixedMonomial(nu, mu)] = c
-    return MixedPoly(f.n, out)
+    ab = list(zip(spec.a, spec.b))
+
+    def image(m):
+        nu = tuple(a * v + b * w for (a, b), v, w in zip(ab, m.nu, m.mu))
+        mu = tuple(b * v + a * w for (a, b), v, w in zip(ab, m.nu, m.mu))
+        return MixedMonomial(nu, mu)
+
+    return MixedPoly(f.n, ((image(m), c) for m, c in f.terms.items()))
 
 
 def compose_pullbacks(s1: PullbackSpec, s2: PullbackSpec) -> PullbackSpec:
@@ -92,16 +91,11 @@ def join(f1: MixedPoly, f2: MixedPoly):
     if f1.is_zero() or f2.is_zero():
         raise ZeroPolynomialError("join needs two nonzero polynomials")
     n, m = f1.n, f2.n
-    terms = {}
-    for mono, c in f1.terms.items():
-        terms[MixedMonomial(mono.nu + (0,) * m, mono.mu + (0,) * m)] = c
-    for mono, c in f2.terms.items():
-        key = MixedMonomial((0,) * n + mono.nu, (0,) * n + mono.mu)
-        acc = terms.get(key)
-        terms[key] = c if acc is None else acc + c
+    first = ((MixedMonomial(a.nu + (0,) * m, a.mu + (0,) * m), c) for a, c in f1.terms.items())
+    second = ((MixedMonomial((0,) * n + a.nu, (0,) * n + a.mu), c) for a, c in f2.terms.items())
     index_map = {(1, j): j for j in range(1, n + 1)}
     index_map.update({(2, j): n + j for j in range(1, m + 1)})
-    return MixedPoly(n + m, terms), index_map
+    return MixedPoly(n + m, chain(first, second)), index_map
 
 
 def has_linear_term(f: MixedPoly) -> bool:

@@ -120,9 +120,21 @@ class TamenessRadii:
 # ---------------------------------------------------------------------------
 
 
+def _unit_scale(top) -> float:
+    """The power of two taking top > 0 into [1/2, 1), or as near as a float allows."""
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+
+
 def _aligned_residual_float(v, w) -> float:
     nv = float(np.sum(v.real * v.real + v.imag * v.imag))
     nw = float(np.sum(w.real * w.real + w.imag * w.imag))
+    if not 1e-100 < nv + nw < 1e100:
+        # the squares under- or overflow: the residual is homogeneous of degree
+        # 0, so take v and w to unit scale first (a nan entry leaves it nan)
+        top = np.max(np.abs(np.concatenate([v, w])), initial=0.0)
+        if 0.0 < top < math.inf:
+            scale = _unit_scale(top)
+            return _aligned_residual_float(v * scale, w * scale)
     denom = (nv + nw) ** 2
     if denom == 0.0:
         return 0.0
@@ -222,6 +234,10 @@ def _torus_point(u, theta):
     return np.exp(u) * np.exp(1j * theta)
 
 
+class _InfiniteSimplex(Exception):
+    """Every point of a start's initial simplex scored inf."""
+
+
 def _multistart(objective, k, budget, rng):
     """Multistart Nelder-Mead over k log-magnitudes and k phases.
 
@@ -242,22 +258,34 @@ def _multistart(objective, k, budget, rng):
     options = {"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * k}
     best, best_x = np.inf, None
     evals = 0
+    simplex = []  # scores of the current start's initial simplex, 2k + 1 points
 
     def scored(x):
         try:
             value = objective(x)
         except OverflowError:
-            return math.inf
-        return value if math.isfinite(value) else math.inf
+            value = math.inf
+        value = value if math.isfinite(value) else math.inf
+        if len(simplex) <= 2 * k:
+            simplex.append(value)
+            if len(simplex) > 2 * k and min(simplex) == math.inf:
+                raise _InfiniteSimplex
+        return value
 
     for _ in range(budget):
         x0 = np.concatenate(
             [rng.uniform(-LOG_RANGE, LOG_RANGE, size=k), rng.uniform(0, 2 * np.pi, size=k)]
         )
+        simplex.clear()
         # a point where the objective overflows scores inf, without a warning
-        # from it or from the simplex arithmetic on inf
-        with np.errstate(all="ignore"):
-            res = minimize(scored, x0, method="Nelder-Mead", bounds=bounds, options=options)
+        # from it or from the simplex arithmetic on inf; a start whose initial
+        # simplex all scores inf ends, as Nelder-Mead would compare nan only
+        try:
+            with np.errstate(all="ignore"):
+                res = minimize(scored, x0, method="Nelder-Mead", bounds=bounds, options=options)
+        except _InfiniteSimplex:
+            evals += len(simplex)
+            continue
         evals += res.nfev
         if res.fun < best:
             best, best_x = res.fun, res.x
@@ -452,13 +480,16 @@ def _certify_symbolically(T_polys):
 def _rho_probe(fpoly, I, shell, budget, rng):
     """Look for z on the face zero set with z_I in span_R of the gradients.
 
-    Minimizes |f(z)|^2 plus the normalized span residual of the masked
-    vector z_I, rescaled to the shell; a joint near-zero is a candidate
-    critical value of rho.
+    Minimizes the squares of two scale-free residuals: |f(z)| over the sum
+    of the term moduli |u_k(z)|, small only where terms cancel (|f| alone is
+    small on any small shell), and the span residual of the masked vector
+    z_I over the shell; a joint near-zero is a candidate critical value.
     """
     n = fpoly.n
     mask = np.zeros(n, dtype=bool)
     mask[[i - 1 for i in I]] = True
+    nu, mu, coeff = fpoly._arrays()
+    moduli, exps = np.abs(coeff), nu + mu
 
     def point(x):
         p = _torus_point(x[:n], x[n:])
@@ -472,9 +503,10 @@ def _rho_probe(fpoly, I, shell, budget, rng):
         if not (np.isfinite(gg).all() and np.isfinite(hh).all()):
             # overflowed gradients: LAPACK would fail on them, loudly
             return math.inf
-        fv = fpoly.evaluate(p)
+        size = np.sum(moduli * np.prod(np.abs(p) ** exps, axis=1))
+        value = abs(fpoly.evaluate(p)) / size
         span = real_span_residual(zi, gg, hh) / shell
-        return abs(fv) ** 2 + span**2
+        return value**2 + span**2
 
     value, x, evals = _multistart(objective, n, budget, rng)
     witness = point(x) if value < WITNESS_THRESHOLD else None
@@ -514,8 +546,12 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
             if rho.witness is not None:
                 status = TameStatus.NOT_TAME
                 witness = (rho.witness[[j - 1 for j in I]], rho.witness)
-        # without a witness the outer shell is the clean radius
-        radius = probe_radius if witness is None else float(np.linalg.norm(witness[0]))
+        # without a witness the outer shell is the clean radius; |z_I| is
+        # taken at unit scale, so it neither underflows nor overflows
+        radius = probe_radius
+        if witness is not None:
+            scale = _unit_scale(np.max(np.abs(witness[0])))
+            radius = float(np.linalg.norm(witness[0] * scale)) / scale
         stats = ResidualStats(
             sum(r.evaluations for r in runs),
             min(r.min_residual for r in runs),

@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -153,30 +155,46 @@ class MixedMonomial:
         return sum(self.nu) + sum(self.mu)
 
 
+def _merge_terms(pairs) -> dict:
+    """The one term merge of polynomials, series and zeta exponents: sums the
+    coefficients of equal keys over (key, coefficient) pairs and drops zero
+    sums.  Keys keep first-seen order, a key that cancels and comes back
+    counting as new: the order repeated + gives, which _arrays reads."""
+    out = {}
+    for key, coeff in pairs:
+        acc = out[key] + coeff if key in out else coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _checked_monomial(n, mono) -> MixedMonomial:
+    if not isinstance(mono, MixedMonomial):
+        mono = MixedMonomial(tuple(mono[0]), tuple(mono[1]))
+    if mono.n != n:
+        raise ValueError("monomial arity does not match n")
+    return mono
+
+
 class MixedPoly:
     """Immutable mixed polynomial with exact coefficients.
 
-    The term map never stores a zero coefficient and duplicate (nu, mu)
-    keys are merged on construction, so two polynomials are equal exactly
-    when their term maps are equal.
+    Built from a dict or an iterable of (monomial, coefficient) pairs, a
+    monomial being a MixedMonomial or a (nu, mu) pair of n-tuples.  The term
+    map never stores a zero coefficient and duplicate keys are summed on
+    construction, so two polynomials are equal exactly when their term maps
+    are equal.
     """
 
     __slots__ = ("n", "terms", "_eval_cache", "_wirt_cache", "_boundary")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, terms=()):
         if n < 1:
             raise ValueError("need at least one variable")
-        merged = {}
-        for mono, coeff in (terms or {}).items():
-            if not isinstance(mono, MixedMonomial):
-                mono = MixedMonomial(tuple(mono[0]), tuple(mono[1]))
-            if mono.n != n:
-                raise ValueError("monomial arity does not match n")
-            acc = merged.get(mono, GR_ZERO) + coeff
-            if acc:
-                merged[mono] = acc
-            elif mono in merged:
-                del merged[mono]
+        pairs = terms.items() if isinstance(terms, dict) else terms
+        merged = _merge_terms((_checked_monomial(n, m), c) for m, c in pairs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", merged)
         object.__setattr__(self, "_eval_cache", None)
@@ -223,17 +241,11 @@ class MixedPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, GR_ZERO) + coeff
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        return MixedPoly(self.n, out)
+        return MixedPoly(self.n, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        negated = ((m, -c) for m, c in self._coerce(other).terms.items())
+        return MixedPoly(self.n, chain(self.terms.items(), negated))
 
     def __neg__(self):
         return MixedPoly(self.n, {m: -c for m, c in self.terms.items()})
@@ -245,19 +257,11 @@ class MixedPoly:
                 return MixedPoly.zero(self.n)
             return MixedPoly(self.n, {m: k * c for m, k in self.terms.items()})
         other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = MixedMonomial(
-                    tuple(a + b for a, b in zip(m1.nu, m2.nu)),
-                    tuple(a + b for a, b in zip(m1.mu, m2.mu)),
-                )
-                acc = out.get(mono, GR_ZERO) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                elif mono in out:
-                    del out[mono]
-        return MixedPoly(self.n, out)
+        return MixedPoly(self.n, (
+            (MixedMonomial(tuple(map(add, m1.nu, m2.nu)), tuple(map(add, m1.mu, m2.mu))), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -321,25 +325,15 @@ class MixedPoly:
         cached = self._wirt_cache.get(key)
         if cached is not None:
             return cached
-        out = {}
-        idx = j - 1
+        idx, by_z = j - 1, kind == "z"
+        pairs = []
         for m, c in self.terms.items():
-            exps = m.nu if kind == "z" else m.mu
-            e = exps[idx]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[idx] = e - 1
-            if kind == "z":
-                mono = MixedMonomial(tuple(new), m.mu)
-            else:
-                mono = MixedMonomial(m.nu, tuple(new))
-            acc = out.get(mono, GR_ZERO) + c * GaussianRational.of(e)
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        result = MixedPoly(self.n, out)
+            exps = m.nu if by_z else m.mu
+            if exps[idx]:
+                low = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
+                mono = MixedMonomial(low, m.mu) if by_z else MixedMonomial(m.nu, low)
+                pairs.append((mono, c * GaussianRational.of(exps[idx])))
+        result = MixedPoly(self.n, pairs)
         self._wirt_cache[key] = result
         return result
 
@@ -362,15 +356,10 @@ class MixedPoly:
         restrictions stay comparable.
         """
         keep = set(I)
-        out = {}
-        for m, c in self.terms.items():
-            if all(
-                m.nu[k] == 0 and m.mu[k] == 0
-                for k in range(self.n)
-                if (k + 1) not in keep
-            ):
-                out[m] = c
-        return MixedPoly(self.n, out)
+        gone = [k for k in range(self.n) if k + 1 not in keep]
+        return MixedPoly(self.n, (
+            (m, c) for m, c in self.terms.items() if not any(m.nu[k] or m.mu[k] for k in gone)
+        ))
 
     # -- numeric evaluation --------------------------------------------------
 
@@ -636,11 +625,11 @@ class _Parser(_Cursor):
         return poly
 
     def expr(self):
-        poly = None
-        for sign, term in self.signed(self.term):
-            term = term if sign > 0 else -term
-            poly = term if poly is None else poly + term
-        return poly
+        return MixedPoly(self.n, (
+            (m, c if sign > 0 else -c)
+            for sign, term in self.signed(self.term)
+            for m, c in term.terms.items()
+        ))
 
     _FACTOR_START = ("nat", "dec", "imag", "z", "zbar", "abs", "(")
 

@@ -26,7 +26,7 @@ from .errors import (
     ZetaIntegralityError,
 )
 from .lattice import normalized_volume
-from .poly import MixedPoly
+from .poly import MixedPoly, _merge_terms
 
 __all__ = [
     "ZetaFactor",
@@ -67,10 +67,7 @@ class ZetaFunction:
 
     def merged(self):
         """Factors with equal d merged by summing exponents, zeros dropped."""
-        acc = {}
-        for f in self.factors:
-            acc[f.d] = acc.get(f.d, 0) + f.e
-        return tuple((d, e) for d, e in sorted(acc.items()) if e != 0)
+        return tuple(sorted(_merge_terms((f.d, f.e) for f in self.factors).items()))
 
     def product_text(self) -> str:
         merged = self.merged()
@@ -192,11 +189,8 @@ def _psi_product(exponents) -> list:
     shift-and-subtract (A_d > 0) or a stride-d prefix sum (A_d < 0, the
     series of 1/(1 - t^d)), exact when truncated at the known degree.
     """
-    powers = {}
-    for k, a in exponents.items():
-        for d in range(1, k + 1):
-            if k % d == 0:
-                powers[d] = powers.get(d, 0) + _mobius(k // d) * a
+    divisors = ((k, d) for k in exponents for d in range(1, k + 1) if k % d == 0)
+    powers = _merge_terms((d, _mobius(k // d) * exponents[k]) for k, d in divisors)
     degree = sum(d * e for d, e in powers.items())
     out = [1] + [0] * degree
     for d, e in powers.items():
@@ -217,11 +211,7 @@ def expand_zeta(z: ZetaFunction):
     negative ones to the denominator.  Both have constant term 1 and
     integer coefficients in ascending degree order.
     """
-    net = {}
-    for d, e in z.merged():
-        for k in range(1, d + 1):
-            if d % k == 0:
-                net[k] = net.get(k, 0) + e
+    net = _merge_terms((k, e) for d, e in z.merged() for k in range(1, d + 1) if d % k == 0)
     num = _psi_product({k: e for k, e in net.items() if e > 0})
     den = _psi_product({k: -e for k, e in net.items() if e < 0})
     return num, den

@@ -16,6 +16,7 @@ from mixedmilnor.errors import (
     ArcInsideVarietyError,
     BadArcError,
     DimensionMismatchError,
+    NonFiniteValuesError,
     PolySyntaxError,
     SingularFiberError,
     TruncationOverflowError,
@@ -379,6 +380,29 @@ class TestTransversality:
         monkeypatch.setattr(MixedPoly, "gradients", counted)
         report = ar.transversality_scan(corpus("tibar"), samples=20, delta=1e-2, seed=3)
         assert len(calls) == report.accepted + report.skipped_singular == 20
+
+    def test_tiny_radius_is_not_singular(self, monkeypatch):
+        # at radius 1e-60 the squared gradient norms underflow; every draw
+        # was skipped as singular until the draw cap
+        monkeypatch.setattr(ar, "MAX_DRAWS", 400_000)
+        report = ar.transversality_scan(corpus("tibar"), radius=1e-60, samples=5, seed=0)
+        assert (report.accepted, report.skipped_singular) == (5, 0)
+        big = ar.transversality_scan(corpus("tibar"), radius=1.0, delta=1.0, samples=5, seed=0)
+        assert report.min_residual == pytest.approx(big.min_residual, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "radius, error", [(1e200, NonFiniteValuesError), (1e-200, AllValuesZeroError)]
+    )
+    def test_values_out_of_float_range(self, monkeypatch, radius, error):
+        monkeypatch.setattr(ar, "MAX_DRAWS", 400_000)
+        with pytest.raises(error):
+            ar.transversality_scan(corpus("tibar"), radius=radius, samples=5)
+
+    def test_nothing_accepted_has_no_statistics(self, monkeypatch):
+        monkeypatch.setattr(ar, "MAX_DRAWS", 200_000)
+        report = ar.transversality_scan(corpus("tibar"), delta=1e-300, samples=5)
+        assert report.accepted == 0
+        assert report.min_residual is None and report.mean_residual is None
 
     def test_scan_runs_deterministically(self):
         f = corpus("tibar")

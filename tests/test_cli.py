@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from mixedmilnor import arcs
 from mixedmilnor.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.json"
@@ -275,17 +276,63 @@ class TestErrors:
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == "NonPositiveArgumentError"
 
-    def test_huge_tame_radius_is_a_verdict(self, capfd):
-        # at |z_I| = 1e200 the search objectives overflow; those points
-        # score inf, silently, instead of ending the request
+    @staticmethod
+    def tame_at(capfd, radius):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["tame", "--corpus", "tibar", "--radius", "1e200", "--budget", "1", "--json"])
+            code = main(["tame", "--corpus", "tibar", "--radius", radius, "--budget", "1", "--json"])
         out, err = capfd.readouterr()
         assert code == 0 and err == ""
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
-        assert report["result"]["subspaces"][0]["status"] == "Inconclusive"
+        return report["result"]["subspaces"][0]
+
+    def test_huge_tame_radius_is_a_verdict(self, capfd):
+        # at |z_I| = 1e200 the squared gradient norms overflow; the residual
+        # is taken at unit scale, so tibar's face function z1*|z2|^2, which is
+        # critical everywhere, is found NotTame, at a finite radius
+        subspace = self.tame_at(capfd, "1e200")
+        assert subspace["status"] == "NotTame"
+        assert subspace["radius"] == pytest.approx(1e200)
+
+    def test_tiny_tame_radius_is_reported(self, capfd):
+        # at |z_I| = 1e-200 the squares underflow instead; the radius is not 0
+        subspace = self.tame_at(capfd, "1e-200")
+        assert subspace["status"] == "NotTame"
+        assert subspace["radius"] == pytest.approx(1e-200, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "radius, error", [("1e200", "NonFiniteValuesError"), ("1e-200", "AllValuesZeroError")]
+    )
+    def test_transversality_out_of_float_range(self, capfd, monkeypatch, radius, error):
+        # f overflows (underflows) on every draw; a block of draws says so at
+        # once instead of scanning to the draw cap
+        monkeypatch.setattr(arcs, "MAX_DRAWS", 400_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["transversality", "--corpus", "tibar", "--radius", radius,
+                         "--samples", "5", "--json"])
+        out, err = capfd.readouterr()
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["error"]["type"] == error
+
+    def test_transversality_accepting_nothing_reports_null(self, capsys, monkeypatch):
+        monkeypatch.setattr(arcs, "MAX_DRAWS", 200_000)
+        argv = ["transversality", "--corpus", "tibar", "--delta", "1e-300", "--samples", "5"]
+        code, out = run(capsys, *argv, "--json")
+        assert code == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=no_constant)
+        jsonschema.validate(report, SCHEMA)
+        result = report["result"]
+        assert result["accepted"] == 0
+        assert result["min_residual"] is None and result["mean_residual"] is None
+        assert run(capsys, *argv) == (0, "accepted 0 samples\n")
 
 
 class TestArgv:

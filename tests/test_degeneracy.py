@@ -51,6 +51,22 @@ class TestCriticalityResidual:
                 val = dg.criticality_residual(scaled, p)
                 assert val == pytest.approx(base, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-60, 1e60, 1e100])
+    def test_scale_safe_at_tiny_and_huge_gradients(self, scale):
+        # tibar's gradients scale by scale^2: their squared norms underflow
+        # or overflow, the residual does not (numpy reports the overflow of
+        # the squares; the searches evaluate under errstate)
+        with np.errstate(over="ignore"):
+            value = dg.criticality_residual(corpus("tibar"), np.array([1, 1]) * scale)
+        assert value == pytest.approx(2 / 9, rel=1e-12)
+
+    def test_out_of_range_nan_gradient_stays_nan(self):
+        # at |z| = 1e150 tibar's dzbar_1 is nan (inf * 0 in gradients); the
+        # rescale must not loop on it
+        with np.errstate(all="ignore"):
+            value = dg.criticality_residual(corpus("tibar"), np.array([1e150, 1e150]))
+        assert math.isnan(value)
+
     def test_exact_recheck_matches_float(self):
         rng = np.random.default_rng(101)
         for _ in range(10):
@@ -482,6 +498,39 @@ class TestBoundedSearch:
         for fr in searched:
             assert fr.stats.evaluations < 6000
             assert fr.rho_probe.evaluations < 2000
+
+
+    @pytest.mark.parametrize("radius", [0.1, 1e-5])
+    def test_rho_probe_value_term_is_scale_free(self, radius):
+        # |f| is O(radius^4) on the shell, so at 1e-5 it passed the witness
+        # threshold anywhere and the probe returned NotTame at a point where
+        # no terms cancel
+        f = parse_poly("(1-1/3i)*z1^2*|z2|^2 + (2+2i)*z1^2*z2*zb2^3")
+        verdict = dg.local_tameness_check(f, {2}, probe_radius=radius, budget=8, seed=56)
+        assert verdict.status is TameStatus.INCONCLUSIVE
+        assert all(fr.rho_probe is None or fr.rho_probe.witness is None for fr in verdict.faces)
+
+    def test_infinite_simplex_ends_the_start(self):
+        # the gradients overflow at every point, so every objective scores inf
+        f = parse_poly("z1^2*|z2|^2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = dg.local_tameness_check(f, {1}, probe_radius=1e200, budget=1)
+        assert verdict.status is TameStatus.INCONCLUSIVE
+        (fr,) = [fr for fr in verdict.faces if fr.stats is not None]
+        assert fr.stats.evaluations + fr.rho_probe.evaluations < 200
+
+    def test_infinite_simplex_keeps_the_draws(self):
+        k, budget = 2, 3
+        rng = np.random.default_rng(5)
+        value, x, evals = dg._multistart(lambda x: math.inf, k, budget, rng)
+        assert (value, x, evals) == (math.inf, None, budget * (2 * k + 1))
+        # each start drew its k log-magnitudes and k phases, and nothing else
+        twin = np.random.default_rng(5)
+        for _ in range(budget):
+            twin.uniform(size=k)
+            twin.uniform(size=k)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestStatsNames:

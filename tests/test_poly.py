@@ -94,6 +94,38 @@ class TestParsing:
         assert parse_poly("(z1+z2)^2") == parse_poly("z1^2 + 2*z1*z2 + z2^2")
 
 
+class TestTermMerge:
+    A = MixedMonomial((1, 0), (0, 1))
+    B = MixedMonomial((0, 2), (0, 0))
+    C = MixedMonomial((1, 1), (0, 0))
+
+    def test_pairs_match_the_sum_path(self):
+        # A cancels and comes back after C; B cancels for good; one key is
+        # given as a (nu, mu) pair
+        pairs = [
+            (self.A, gr(1)), (self.B, gr(2)), (self.A, gr(-1)),
+            (((1, 1), (0, 0)), gr(0, 1)), (self.A, gr(3)), (self.B, gr(-2)),
+        ]
+        built = MixedPoly(2, pairs)
+        summed = MixedPoly.zero(2)
+        for mono, c in pairs:
+            summed = summed + MixedPoly(2, {mono: c})
+        assert built.terms == summed.terms
+        assert list(built.terms) == list(summed.terms) == [self.C, self.A]
+        assert built.to_text() == summed.to_text()
+        for x, y in zip(built._arrays(), summed._arrays()):
+            assert np.array_equal(x, y)
+
+    def test_dict_and_pairs_agree(self):
+        terms = {self.A: gr(1, 2), self.C: gr(-3)}
+        assert MixedPoly(2, terms) == MixedPoly(2, list(terms.items()))
+
+    def test_arity_is_checked_on_cancelling_terms(self):
+        wrong = MixedMonomial((1, 0, 0), (0, 0, 0))
+        with pytest.raises(ValueError, match="arity"):
+            MixedPoly(2, [(wrong, gr(1)), (wrong, gr(-1))])
+
+
 class TestRoundTrip:
     def test_corpus_round_trip(self):
         for text in [

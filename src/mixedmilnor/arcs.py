@@ -65,8 +65,10 @@ __all__ = [
 
 # limit_tangent reports a reduction longer than this as non-terminating
 MAX_REDUCTION_STEPS = 10_000
-# transversality_scan stops drawing sphere points after this many
+# transversality_scan draws at most MAX_DRAWS sphere points in blocks from FIRST_BLOCK
+# doubling to MAX_BLOCK; a batch it scores has at most SCORE_ENTRIES gradient-table entries
 MAX_DRAWS = 40_000_000
+FIRST_BLOCK, MAX_BLOCK, SCORE_ENTRIES = 4_096, 200_000, 2**20
 # boundary_openness_probe sorts arg f into this many equal sectors
 OPENNESS_BINS = 256
 
@@ -540,6 +542,18 @@ def _screened_values(f: MixedPoly, pts, region):
     return vals, mags, scale
 
 
+def _transversality_residuals(f: MixedPoly, pts):
+    """transversality_residual at each row of the (N, n) points, and nan at
+    the rows that are numerically mixed-critical (or have no finite gradients)."""
+    grads = f.gradients(pts)
+    regular = _aligned_residual_float(np.conj(grads.d_z), grads.d_zbar) > REGULARITY_THRESHOLD
+    norms = np.linalg.norm(pts, axis=-1)
+    if np.any(regular & (norms == 0)):
+        raise ValueError("transversality residual is undefined at the origin")
+    span = real_span_residual(pts, *grads.real_imag_zbar())
+    return np.divide(span, norms, out=np.full_like(span, np.nan), where=regular)
+
+
 def transversality_residual(f: MixedPoly, p) -> float:
     """Normalized distance of p from the tangent span of its fiber.
 
@@ -547,15 +561,10 @@ def transversality_residual(f: MixedPoly, p) -> float:
     p (the radius vector lies in span_R of the two gradient covectors).
     Raises SingularFiberError at points that are numerically mixed-critical.
     """
-    p = np.asarray(p, dtype=np.complex128)
-    grads = f.gradients(p)
-    if _aligned_residual_float(np.conj(grads.d_z), grads.d_zbar) <= REGULARITY_THRESHOLD:
+    res = _transversality_residuals(f, np.asarray(p, dtype=np.complex128)[None])[0]
+    if np.isnan(res):
         raise SingularFiberError("point is numerically a mixed critical point")
-    bg, bh = grads.real_imag_zbar()
-    norm = np.linalg.norm(p)
-    if norm == 0:
-        raise ValueError("transversality residual is undefined at the origin")
-    return real_span_residual(p, bg, bh) / norm
+    return float(res)
 
 
 @dataclass(frozen=True)
@@ -588,27 +597,26 @@ def transversality_scan(
     skipped = 0
     min_res = math.inf
     total = 0.0
-    chunk = 200_000
+    batch = max(1, SCORE_ENTRIES // (4 * f.n**2 * max(1, len(f.terms))))
     while accepted < samples and drawn < MAX_DRAWS:
-        block = rng.normal(size=(chunk, 2 * f.n))
-        drawn += chunk
+        block = rng.normal(size=(min(drawn + FIRST_BLOCK, MAX_BLOCK, MAX_DRAWS - drawn), 2 * f.n))
+        drawn += len(block)
         pts = block[:, : f.n] + 1j * block[:, f.n :]
         norms = np.linalg.norm(pts, axis=1)
         pts = pts * (radius / norms)[:, None]
         _, mags, _ = _screened_values(f, pts, "sphere")
         keep = pts[mags <= delta]
-        for p in keep:
-            if accepted >= samples:
-                break
-            try:
-                res = transversality_residual(f, p)
-            except SingularFiberError:
-                skipped += 1
-                continue
-            accepted += 1
-            total += res
-            if res < min_res:
-                min_res = res
+        # score the kept points in order, never more than are still needed,
+        # so that no point after the samples-th regular one is scored
+        while accepted < samples and len(keep):
+            rows, keep = np.split(keep, [min(samples - accepted, batch)])
+            for res in _transversality_residuals(f, rows).tolist():
+                if math.isnan(res):
+                    skipped += 1
+                    continue
+                accepted += 1
+                total += res
+                min_res = min(min_res, res)
     return TransversalityReport(
         samples_drawn=drawn,
         accepted=accepted,

@@ -125,26 +125,27 @@ def _unit_scale(top) -> float:
     return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
-def _aligned_residual_float(v, w) -> float:
-    nv = float(np.sum(v.real * v.real + v.imag * v.imag))
-    nw = float(np.sum(w.real * w.real + w.imag * w.imag))
-    if not 1e-100 < nv + nw < 1e100:
-        # the squares under- or overflow: the residual is homogeneous of degree
-        # 0, so take v and w to unit scale first (a nan entry leaves it nan)
-        top = np.max(np.abs(np.concatenate([v, w])), initial=0.0)
-        if 0.0 < top < math.inf:
-            scale = _unit_scale(top)
-            return _aligned_residual_float(v * scale, w * scale)
-    denom = (nv + nw) ** 2
-    if denom == 0.0:
-        return 0.0
-    t1 = (nv - nw) ** 2
-    # Gram determinant |v|^2 |w|^2 - |<v,w>|^2 via the sum of squared 2x2
-    # minors (Cauchy-Binet); the direct difference cancels catastrophically
-    # near alignment, the minor sum does not
-    minors = np.outer(v, w) - np.outer(w, v)
-    t2 = float(np.sum(minors.real**2 + minors.imag**2)) / 2.0
-    return (t1 + t2) / denom
+def _aligned_residual_float(v, w):
+    """criticality_residual's value over the last axis of v and w: one value
+    for two vectors, one per row for two (N, n) stacks."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nv, nw = ((x.real * x.real + x.imag * x.imag).sum(axis=-1) for x in (v, w))
+        if not (1e-100 < (nv + nw).min() and (nv + nw).max() < 1e100):
+            # the squares under- or overflow: the residual is homogeneous of
+            # degree 0, so take the rows to unit scale first (a row holding
+            # inf or nan keeps scale 1, and its nan)
+            vw, _ = _unit_rows(np.concatenate([v, w], axis=-1))
+            v, w = np.split(vw.view(np.complex128), 2, axis=-1)
+            nv, nw = ((x.real * x.real + x.imag * x.imag).sum(axis=-1) for x in (v, w))
+        denom = (nv + nw) ** 2
+        t1 = (nv - nw) ** 2
+        # Gram determinant |v|^2 |w|^2 - |<v,w>|^2 via the sum of squared 2x2
+        # minors (Cauchy-Binet); the direct difference cancels catastrophically
+        # near alignment, the minor sum does not
+        minors = v[..., :, None] * w[..., None, :] - w[..., :, None] * v[..., None, :]
+        t2 = (minors.real**2 + minors.imag**2).sum(axis=(-2, -1)) / 2.0
+        # both gradients zero: a critical point, residual 0
+        return np.where(denom == 0.0, 0.0, (t1 + t2) / denom)
 
 
 def criticality_residual(f: MixedPoly, p, free=None) -> float:
@@ -166,7 +167,7 @@ def criticality_residual(f: MixedPoly, p, free=None) -> float:
         idx = [j - 1 for j in sorted(free)]
         v = v[idx]
         w = w[idx]
-    return _aligned_residual_float(v, w)
+    return float(_aligned_residual_float(v, w))
 
 
 def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
@@ -208,21 +209,38 @@ def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
     return (t1 + t2) / (nv + nw) ** 2
 
 
-def real_span_residual(target, b1, b2) -> float:
+def real_span_residual(target, b1, b2):
     """Norm of the component of target orthogonal to span_R(b1, b2).
 
     Complex n-vectors are treated as real 2n-vectors under the inner
-    product Re<a, b>; a rank-deficient span is handled by least squares.
+    product Re<a, b>, one residual per row for (N, n) stacks.  Modified
+    Gram-Schmidt orthonormalizes the span; as in least squares, a vector
+    within rounding of the other's line (or zero) adds no direction.
     """
-    target = np.asarray(target, dtype=np.complex128)
-    basis = []
-    for b in (b1, b2):
-        b = np.asarray(b, dtype=np.complex128)
-        basis.append(np.concatenate([b.real, b.imag]))
-    A = np.stack(basis, axis=1)
-    t = np.concatenate([target.real, target.imag])
-    coeffs, *_ = np.linalg.lstsq(A, t, rcond=None)
-    return float(np.linalg.norm(t - A @ coeffs))
+    # rows at unit scale square without under- or overflow; the span keeps
+    # its directions, and the residual scales with t
+    (t, a, b), (scale, _, _) = _unit_rows(np.stack([target, b1, b2]))
+    floor = np.finfo(float).eps * t.shape[-1] * np.sqrt(_dot(b, b))
+    size = np.sqrt(_dot(a, a))
+    q1 = np.divide(a, size, out=np.zeros_like(a), where=size > 0)
+    b = b - _dot(b, q1) * q1
+    size = np.sqrt(_dot(b, b))
+    q2 = np.divide(b, size, out=np.zeros_like(b), where=size > floor)
+    for q in (q1, q2):
+        t = t - _dot(t, q) * q
+    return np.sqrt(_dot(t, t))[..., 0] / scale[..., 0]
+
+
+def _dot(x, y):
+    return (x * y).sum(axis=-1, keepdims=True)
+
+
+def _unit_rows(x):
+    """Complex rows x as real rows scaled by powers of two to max |entry| in [1/2, 1), and the powers."""
+    x = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    top = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+    return x * scale, scale
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +519,7 @@ def _rho_probe(fpoly, I, shell, budget, rng):
         zi = np.where(mask, p, 0.0)
         gg, hh = fpoly.gradients(p).real_imag_zbar()
         if not (np.isfinite(gg).all() and np.isfinite(hh).all()):
-            # overflowed gradients: LAPACK would fail on them, loudly
+            # overflowed gradients span nothing measurable
             return math.inf
         size = np.sum(moduli * np.prod(np.abs(p) ** exps, axis=1))
         value = abs(fpoly.evaluate(p)) / size

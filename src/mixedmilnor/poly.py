@@ -374,9 +374,12 @@ class MixedPoly:
                 nu[i] = mono.nu
                 mu[i] = mono.mu
                 coeff[i] = complex(c)
-            cache = (nu, mu, coeff)
+            # beside them, the constant parts of the gradients table
+            e = np.concatenate([nu, mu], axis=1)
+            lower = np.eye(2 * self.n, dtype=bool)[:, None, :]
+            cache = (nu, mu, coeff), (e, np.maximum(e - 1, 0), lower, e.T * coeff, e.T != 0)
             object.__setattr__(self, "_eval_cache", cache)
-        return cache
+        return cache[0]
 
     def evaluate(self, p) -> complex:
         """Value at a point p in C^n (floats)."""
@@ -401,22 +404,23 @@ class MixedPoly:
     def gradients(self, p) -> "GradientPair":
         """Both Wirtinger gradients at p, as a GradientPair of complex vectors.
 
+        p is one point (n,) or points (N, n); each gradient has p's shape.
         Entry j of d_z (d_zbar) sums nu_j (mu_j) times each term with one
         power of z_j (zbar_j) removed; lowering the power instead of dividing
-        by z_j keeps zero coordinates exact.
+        by z_j keeps zero coordinates exact, and a term free of z_j (zbar_j)
+        adds exactly 0 even where its monomial overflows.
         """
         p = np.asarray(p, dtype=np.complex128)
-        nu, mu, coeff = self._arrays()
-        base = np.concatenate([p, np.conj(p)])
-        exps = np.concatenate([nu, mu], axis=1)
-        # layer k of the (2n, terms, 2n) table lowers column k only; z and zbar
+        self._arrays()
+        exps, lowered, lower, weighted, present = self._eval_cache[1]
+        base = np.concatenate([p, np.conj(p)], axis=-1)[..., None, None, :]
+        # layer k of the (..., 2n, terms, 2n) table lowers column k only; z and zbar
         # factors multiply apart and the weight comes last, rounding each term as
         # the derivative polynomial's evaluation does (seeded searches rely on it)
-        lower = np.eye(2 * self.n, dtype=bool)[:, None, :]
-        table = np.where(lower, base ** np.maximum(exps - 1, 0), base**exps)
-        mono = table[..., : self.n].prod(axis=2) * table[..., self.n :].prod(axis=2)
-        d = (exps.T * coeff * mono).sum(axis=1)
-        return GradientPair(d[: self.n], d[self.n :])
+        table = np.where(lower, base**lowered, base**exps)
+        mono = table[..., : self.n].prod(axis=-1) * table[..., self.n :].prod(axis=-1)
+        d = (weighted * np.where(present, mono, 0)).sum(axis=-1)
+        return GradientPair(d[..., : self.n], d[..., self.n :])
 
     # -- printing ----------------------------------------------------------
 

@@ -369,17 +369,85 @@ class TestTransversality:
         with pytest.raises(SingularFiberError):
             ar.transversality_residual(k, [1.0, 1.0])
 
-    def test_one_gradient_evaluation_per_residual(self, monkeypatch):
-        calls = []
-        gradients = MixedPoly.gradients
+    def test_one_gradient_evaluation_per_block(self, monkeypatch):
+        # each block of draws that keeps a point scores its kept points with
+        # one batched gradients call, and only the points the report counts
+        calls, kept = [], []
+        gradients, evaluate_many = MixedPoly.gradients, MixedPoly.evaluate_many
 
         def counted(poly, p):
-            calls.append(p)
+            calls.append(len(p))
             return gradients(poly, p)
 
+        def screened(poly, pts):
+            vals = evaluate_many(poly, pts)
+            kept.append(np.count_nonzero(np.abs(vals) <= 1e-3))
+            return vals
+
         monkeypatch.setattr(MixedPoly, "gradients", counted)
-        report = ar.transversality_scan(corpus("tibar"), samples=20, delta=1e-2, seed=3)
-        assert len(calls) == report.accepted + report.skipped_singular == 20
+        monkeypatch.setattr(MixedPoly, "evaluate_many", screened)
+        report = ar.transversality_scan(corpus("tibar"), samples=20, delta=1e-3, seed=3)
+        assert len(kept) > 1
+        assert len(calls) == np.count_nonzero(kept)
+        assert sum(calls) == report.accepted + report.skipped_singular == 20
+
+    @staticmethod
+    def one_block_scan(f, delta, samples, seed):
+        """The scan as one 200,000-point block scored point by point."""
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(200_000, 2 * f.n))
+        pts = block[:, : f.n] + 1j * block[:, f.n :]
+        pts = pts / np.linalg.norm(pts, axis=1)[:, None]
+        residuals, skipped = [], 0
+        for p in pts[np.abs(f.evaluate_many(pts)) <= delta]:
+            if len(residuals) == samples:
+                break
+            try:
+                residuals.append(ar.transversality_residual(f, p))
+            except SingularFiberError:
+                skipped += 1
+        assert len(residuals) == samples
+        return residuals, skipped
+
+    @pytest.mark.parametrize(
+        "f, delta, samples",
+        [
+            (corpus("tibar"), 1e-3, 40),
+            (corpus("fig1"), 1e-2, 40),
+            (corpus("parusinski"), 1e-2, 200),
+            # numerically singular along much of its zero set
+            (parse_poly("|z1|^2 - |z2|^2 + 2/1000000*z1", n=2), 1e-2, 40),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_blocks_and_batches_match_one_block_point_by_point(self, f, delta, samples, seed):
+        residuals, skipped = self.one_block_scan(f, delta, samples, seed)
+        report = ar.transversality_scan(f, delta=delta, samples=samples, seed=seed)
+        assert (report.accepted, report.skipped_singular) == (samples, skipped)
+        assert report.samples_drawn < 200_000
+        assert report.min_residual == pytest.approx(min(residuals), rel=1e-12)
+        assert report.mean_residual == pytest.approx(sum(residuals) / samples, rel=1e-12)
+
+    def test_batch_size_does_not_change_the_report(self, monkeypatch):
+        f = parse_poly("|z1|^2 - |z2|^2 + 2/1000000*z1", n=2)
+        batched = ar.transversality_scan(f, delta=1e-2, samples=40, seed=7)
+        monkeypatch.setattr(ar, "SCORE_ENTRIES", 1)  # one point per batch
+        assert ar.transversality_scan(f, delta=1e-2, samples=40, seed=7) == batched
+        assert batched.skipped_singular > 0
+
+    def test_batch_skips_the_singular_rows_of_a_mixed_point_set(self):
+        rng = np.random.default_rng(131)
+        f = corpus("tibar")
+        pts = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+        pts[::3, 1] = 0  # both gradients vanish where z2 = 0
+        singular = 0
+        for p, res in zip(pts, ar._transversality_residuals(f, pts)):
+            try:
+                assert res == pytest.approx(ar.transversality_residual(f, p), rel=1e-12)
+            except SingularFiberError:
+                assert np.isnan(res)
+                singular += 1
+        assert singular == np.count_nonzero(np.isnan(ar._transversality_residuals(f, pts))) == 4
 
     def test_tiny_radius_is_not_singular(self, monkeypatch):
         # at radius 1e-60 the squared gradient norms underflow; every draw
@@ -401,7 +469,8 @@ class TestTransversality:
     def test_nothing_accepted_has_no_statistics(self, monkeypatch):
         monkeypatch.setattr(ar, "MAX_DRAWS", 200_000)
         report = ar.transversality_scan(corpus("tibar"), delta=1e-300, samples=5)
-        assert report.accepted == 0
+        # the last block is cut to the draw cap
+        assert (report.samples_drawn, report.accepted) == (200_000, 0)
         assert report.min_residual is None and report.mean_residual is None
 
     def test_scan_runs_deterministically(self):

@@ -131,6 +131,13 @@ class TestReports:
         assert code == 0
         assert report["result"]["accepted"] == 20
 
+    def test_transversality_draws_what_it_needs(self, capsys):
+        # five points below delta lie in the first block of 4096 draws
+        argv = ["transversality", "--corpus", "tibar", "--samples", "5", "--delta", "1e-3"]
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert (report["result"]["samples_drawn"], report["result"]["accepted"]) == (4096, 5)
+
     def test_openness(self, capsys):
         code, report = run_json(
             capsys,

@@ -54,17 +54,25 @@ class TestCriticalityResidual:
     @pytest.mark.parametrize("scale", [1e-150, 1e-60, 1e60, 1e100])
     def test_scale_safe_at_tiny_and_huge_gradients(self, scale):
         # tibar's gradients scale by scale^2: their squared norms underflow
-        # or overflow, the residual does not (numpy reports the overflow of
-        # the squares; the searches evaluate under errstate)
+        # or overflow, the residual does not, and warns of neither
+        value = dg.criticality_residual(corpus("tibar"), np.array([1, 1]) * scale)
+        assert value == pytest.approx(2 / 9, rel=1e-12)
+
+    def test_overflowing_monomial_leaves_gradients_finite(self):
+        # tibar's monomial overflows at |z| = 1e150; the derivatives do not
         with np.errstate(over="ignore"):
-            value = dg.criticality_residual(corpus("tibar"), np.array([1, 1]) * scale)
+            grads = corpus("tibar").gradients([1e150, 1e150])
+            value = dg.criticality_residual(corpus("tibar"), np.array([1e150, 1e150]))
+        assert grads.d_zbar[0] == 0
+        assert np.isfinite(grads.d_z).all() and np.isfinite(grads.d_zbar).all()
         assert value == pytest.approx(2 / 9, rel=1e-12)
 
     def test_out_of_range_nan_gradient_stays_nan(self):
-        # at |z| = 1e150 tibar's dzbar_1 is nan (inf * 0 in gradients); the
+        # at |z| = 1e200 dz_1 = 3 z1^2 - 2 z1 z2 is inf - inf = nan; the
         # rescale must not loop on it
+        f = parse_poly("z1^3 - z1^2*z2")
         with np.errstate(all="ignore"):
-            value = dg.criticality_residual(corpus("tibar"), np.array([1e150, 1e150]))
+            value = dg.criticality_residual(f, np.array([1e200, 1e200]))
         assert math.isnan(value)
 
     def test_exact_recheck_matches_float(self):
@@ -75,6 +83,36 @@ class TestCriticalityResidual:
             exact = float(dg.criticality_residual_exact(f, p))
             approx = dg.criticality_residual(f, p)
             assert exact == pytest.approx(approx, rel=1e-9, abs=1e-12)
+
+
+class TestRealSpanResidual:
+    def test_matches_least_squares_at_every_rank(self):
+        rng = np.random.default_rng(149)
+        t, b1, b2 = (rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3)) for _ in range(3))
+        b2[10:20] = b1[10:20] * (1 / 3)  # rank 1 up to rounding
+        b2[20:25] = b1[20:25] * np.exp(0.3j)  # independent over R
+        b1[25:30] = 0  # rank 1 from the second vector
+        b1[30:35] = b2[30:35] = 0  # rank 0
+
+        def real(x):
+            return np.concatenate([x.real, x.imag])
+
+        for i, res in enumerate(dg.real_span_residual(t, b1, b2)):
+            A = np.stack([real(b1[i]), real(b2[i])], axis=1)
+            coeffs, *_ = np.linalg.lstsq(A, real(t[i]), rcond=None)
+            expected = np.linalg.norm(real(t[i]) - A @ coeffs)
+            assert res == pytest.approx(expected, rel=1e-12), i
+            assert dg.real_span_residual(t[i], b1[i], b2[i]) == res
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_scale_safe(self, scale):
+        # the squares of these entries under- or overflow; the residual is
+        # linear in the target and blind to the scale of the basis
+        rng = np.random.default_rng(151)
+        t, b1, b2 = (rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)) for _ in range(3))
+        base = dg.real_span_residual(t, b1, b2)
+        assert dg.real_span_residual(t, b1 * scale, b2 / scale) == pytest.approx(base, rel=1e-14)
+        assert dg.real_span_residual(t * scale, b1, b2) == pytest.approx(base * scale, rel=1e-14)
 
 
 class TestFalsifier:

@@ -29,6 +29,7 @@ from .errors import (
     AllValuesZeroError,
     ArcInsideVarietyError,
     BadArcError,
+    BadRequestError,
     DimensionMismatchError,
     NonFiniteValuesError,
     PolySyntaxError,
@@ -651,9 +652,12 @@ def boundary_openness_probe(
     arg f over the nonzero values into OPENNESS_BINS bins of equal width, and
     reports the covered fraction.  When the coverage is not full, the
     half-width of the smallest sector containing all observed arguments is
-    estimated from the raw values (largest circular gap).
+    estimated from the raw values (largest circular gap).  The samples are
+    drawn in one block, so more than MAX_BLOCK is a BadRequestError.
     """
     require_positive(epsilon=epsilon, samples=samples)
+    if samples > MAX_BLOCK:
+        raise BadRequestError(f"samples must be at most {MAX_BLOCK}, got {samples}")
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (f.n,):
         raise DimensionMismatchError(f"point has {p.size} coordinates, f has {f.n} variables")

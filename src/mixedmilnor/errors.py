@@ -128,4 +128,4 @@ def require_positive(**values):
 
 
 class BadRequestError(MixedMilnorError, ValueError):
-    """A command-line value or a batch line that cannot be read."""
+    """A command-line value or a batch line that cannot be read or served."""

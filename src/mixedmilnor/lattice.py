@@ -5,9 +5,9 @@ exactness over asymptotics.  The one Gaussian elimination is `nullspace`,
 fraction-free (Bareiss 1968): rows are cleared of denominators and eliminated
 in Python ints, each new row divided by its gcd.  On it sits one brute-force
 hyperplane search over point subsets (`_hyperplanes`), which gives both the
-facet normals of a Newton polyhedron and the facets of a volume's pyramid
-sum.  Face enumeration is refused before it starts above 64 support points
-or 150,000 (ray set, point subset) pairs for the hyperplane search.
+facets of a Newton polyhedron, whose intersections are its other faces, and
+the facets of a volume's pyramid sum.  Face enumeration is refused before it
+starts above 64 support points or 150,000 (ray set, point subset) pairs.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from math import comb, gcd, lcm
 from .errors import TooManySupportPointsError
 
 MAX_SUPPORT = 64
-# (ray set, point subset) pairs `_candidate_normals` may visit: at 22-82 us a
-# pair for n <= 6 on a 2-vCPU x86 host, the search ends within about 12 s; the
-# intersection closure after it is bounded only by the number of faces
+# (ray set, point subset) pairs over all support points; the facet search visits
+# only undominated projected points, so the cap is conservative: supports near it
+# take at most about 7 s for n <= 7 on a 2-vCPU x86 host.  The closure after the
+# search costs faces x facets subset tests per round and is not capped
 MAX_CANDIDATE_SUBSETS = 150_000
 
 
@@ -125,48 +126,57 @@ def _argmin_face(support, weight):
     return LatticeFace(gens, rays, tuple(weight), d)
 
 
-def _hyperplanes(points, n, rays=()):
-    """(subset, normal) for each subset of n - len(rays) points, in combinations
-    order, whose direction rows span a hyperplane; the normal is a primitive
-    integer vector of either sign."""
-    for subset in combinations(points, n - len(rays)):
-        basis = nullspace(directions(subset, rays, n), n)
+def _hyperplanes(points, n):
+    """(subset, normal) for each subset of n points, in combinations order,
+    whose differences span a hyperplane; the normal is a primitive integer
+    vector of either sign."""
+    for subset in combinations(points, n):
+        basis = nullspace(directions(subset, (), n), n)
         if len(basis) == 1:
             yield subset, basis[0]
 
 
-def _candidate_normals(support, n):
-    """Primitive nonnegative normals of all facets of conv(S) + R_{>=0}^n.
+def _facets(pts, n):
+    """Facets of conv(S) + R_{>=0}^n for sorted distinct points S, as
+    {(generator mask, ray mask): primitive normal}, bit k of a generator mask
+    standing for pts[k] and bit i of a ray mask for e_i (0-based).
 
-    Every facet hyperplane is spanned by affinely independent support points
-    plus coordinate ray directions, so the hyperplanes of (point subset, ray
-    subset) pairs find every facet normal (plus harmless normals of lower
-    faces).
+    Dropping the coordinates R where a facet's normal vanishes maps it to a
+    compact facet of the projection, spanned by undominated projected points
+    (no other one is <= them in every coordinate).  A hyperplane through such
+    points is kept when its normal is nonnegative and they attain the minimum.
     """
-    seen = set()
-    for nrays in range(0, n):
-        for rayset in combinations(range(n), nrays):
-            for _, w in _hyperplanes(support, n, rayset):
-                if all(x <= 0 for x in w):
-                    w = tuple(-x for x in w)
-                if any(x < 0 for x in w) or all(x == 0 for x in w):
+    facets = {}
+    for nrays in range(n):
+        for rays in combinations(range(n), nrays):
+            proj = {tuple(x for i, x in enumerate(p) if i not in rays) for p in pts}
+            low = [p for p in proj if not any(q != p and all(map(int.__le__, q, p)) for q in proj)]
+            for subset, w in _hyperplanes(low, n - nrays):
+                if min(w) < 0 < max(w):
                     continue
-                seen.add(w)
-    return seen
+                entries = map(abs, w)
+                weight = tuple(0 if i in rays else next(entries) for i in range(n))
+                vals = [sum(a * b for a, b in zip(weight, p)) for p in pts]
+                d = min(vals)
+                if d == sum(abs(a) * b for a, b in zip(w, subset[0])):
+                    gens = sum(1 << k for k, v in enumerate(vals) if v == d)
+                    facets[gens, sum(1 << i for i, x in enumerate(weight) if x == 0)] = weight
+    return facets
 
 
 def newton_faces(support, n):
-    """All proper faces of conv(S) + R_{>=0}^n for a support set S.
+    """All proper faces of conv(S) + R_{>=0}^n for a support set S, one
+    LatticeFace per distinct (generators, rays), sorted by (sorted rays,
+    sorted generators).
 
-    Returns one LatticeFace per distinct (generators, rays), sorted by
-    (sorted rays, sorted generators); the stored witness is the
-    lexicographically smallest primitive weight among the candidates that
-    expose the face (facet witnesses are unique).  Raises
+    Each face is the intersection of the facets containing it, so the facets
+    are closed under intersection with a facet.  Its witness is the primitive
+    sum of those facets' normals, which lies in the relative interior of its
+    normal cone and so exposes exactly this face.  Raises
     TooManySupportPointsError, before enumerating anything, above
     MAX_SUPPORT points or MAX_CANDIDATE_SUBSETS candidate subsets.
     """
-    pts = [tuple(int(x) for x in p) for p in support]
-    pts = sorted(set(pts))
+    pts = sorted({tuple(int(x) for x in p) for p in support})
     if not pts:
         return []
     if len(pts) > MAX_SUPPORT:
@@ -179,49 +189,20 @@ def newton_faces(support, n):
             f"{len(pts)} support points in {n} variables give {subsets} candidate subsets,"
             f" above the exact-enumeration cap {MAX_CANDIDATE_SUBSETS}"
         )
-    faces = {}
-
-    def record(face):
-        key = (face.generators, face.rays)
-        old = faces.get(key)
-        if old is None or face.witness < old.witness:
-            faces[key] = face
-
-    for w in _candidate_normals(pts, n):
-        record(_argmin_face(pts, w))
-
-    # close under pairwise intersection; every face of a pointed polyhedron
-    # is an intersection of the facets containing it
-    frontier = list(faces.values())
-    while frontier:
-        new = []
-        items = list(faces.values())
-        for fa in frontier:
-            for fb in items:
-                gens = fa.generators & fb.generators
-                if not gens:
-                    continue
-                w = primitive([a + b for a, b in zip(fa.witness, fb.witness)])
-                old = faces.get((gens, frozenset(i + 1 for i, x in enumerate(w) if x == 0)))
-                if old is not None and old.witness <= w:
-                    # the face w would expose is recorded with a witness no larger
-                    continue
-                cand = _argmin_face(pts, w)
-                if cand.generators != gens:
-                    # numeric witness exposes a different face; cannot happen
-                    # for faces of the same polyhedron, guard anyway
-                    continue
-                key = (cand.generators, cand.rays)
-                old = faces.get(key)
-                if old is None:
-                    faces[key] = cand
-                    new.append(cand)
-                elif cand.witness < old.witness:
-                    faces[key] = cand
-        frontier = new
-    return sorted(
-        faces.values(), key=lambda f: (sorted(f.rays), sorted(f.generators))
-    )
+    facets = _facets(pts, n)
+    keys = list(facets)
+    seen = set(keys)
+    for gens, rays in keys:  # keys grows while it is read
+        for fgens, frays in facets:
+            key = (gens & fgens, rays & frays)
+            if key[0] and key not in seen:
+                seen.add(key)
+                keys.append(key)
+    faces = []
+    for gens, rays in keys:
+        normals = [w for (fg, fr), w in facets.items() if fg & gens == gens and fr & rays == rays]
+        faces.append(_argmin_face(pts, primitive(map(sum, zip(*normals)))))
+    return sorted(faces, key=lambda f: (sorted(f.rays), sorted(f.generators)))
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,9 @@ def _argmin_face_oracle(pts, weight):
 def newton_faces_oracle(support, n):
     """Faces of conv(S) + R_{>=0}^n from every hyperplane through n - r support
     points and r coordinate rays, closed under pairwise intersection with an
-    argmin at every pair; same faces, witnesses and order as the library."""
+    argmin at every pair.  Each face's witness is the integerized sum of the
+    normals of the facets (faces of rank n - 1) that contain it; same faces,
+    witnesses and order as the library."""
     pts = sorted(set(tuple(int(x) for x in p) for p in support))
     if not pts:
         return []
@@ -163,12 +165,9 @@ def newton_faces_oracle(support, n):
                 if not any(x < 0 for x in w):
                     normals.add(w)
     faces = {}
-    # set order, as in the library: it decides which faces the closure meets first
     for w in normals:
         face = _argmin_face_oracle(pts, w)
-        key = (face.generators, face.rays)
-        if key not in faces or face.witness < faces[key].witness:
-            faces[key] = face
+        faces.setdefault((face.generators, face.rays), face)
     frontier = list(faces.values())
     while frontier:
         new = []
@@ -180,17 +179,24 @@ def newton_faces_oracle(support, n):
                     continue
                 w = integerize([Fraction(a + b) for a, b in zip(fa.witness, fb.witness)])
                 cand = _argmin_face_oracle(pts, w)
-                if cand.generators != gens:
-                    continue
                 key = (cand.generators, cand.rays)
-                old = faces.get(key)
-                if old is None:
+                if cand.generators == gens and key not in faces:
                     faces[key] = cand
                     new.append(cand)
-                elif cand.witness < old.witness:
-                    faces[key] = cand
         frontier = new
-    return sorted(faces.values(), key=lambda f: (sorted(f.rays), sorted(f.generators)))
+
+    def rank(face):
+        gens = sorted(face.generators)
+        rows = [[a - b for a, b in zip(p, gens[0])] for p in gens[1:]]
+        rows += [[int(j == i - 1) for j in range(n)] for i in face.rays]
+        return n - len(nullspace_oracle(rows, n))
+
+    facets = [f for f in faces.values() if rank(f) == n - 1]
+    out = []
+    for face in faces.values():
+        normals = [f.witness for f in facets if face.generators <= f.generators and face.rays <= f.rays]
+        out.append(_argmin_face_oracle(pts, integerize([Fraction(sum(c)) for c in zip(*normals)])))
+    return sorted(out, key=lambda f: (sorted(f.rays), sorted(f.generators)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from mixedmilnor.errors import (
     AllValuesZeroError,
     ArcInsideVarietyError,
     BadArcError,
+    BadRequestError,
     DimensionMismatchError,
     NonFiniteValuesError,
     PolySyntaxError,
@@ -504,6 +505,14 @@ class TestOpenness:
     def test_all_values_zero(self):
         with pytest.raises(AllValuesZeroError):
             ar.boundary_openness_probe(MixedPoly.zero(2), [0, 0], 0.1, samples=100)
+
+    def test_samples_above_one_block_are_refused(self):
+        f = corpus("tibar")
+        rep = ar.boundary_openness_probe(f, [1, 0], 0.1, samples=ar.MAX_BLOCK, seed=0)
+        assert rep.nonzero_samples == ar.MAX_BLOCK
+        for samples in (ar.MAX_BLOCK + 1, 10**15):
+            with pytest.raises(BadRequestError, match="at most 200000"):
+                ar.boundary_openness_probe(f, [1, 0], 0.1, samples=samples)
 
     def test_cone_not_open(self):
         f = corpus("cone", (2, 3, 1, 1, 1))

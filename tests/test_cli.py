@@ -527,3 +527,25 @@ class TestBatch:
         jsonschema.validate(first, SCHEMA)
         assert first["error"]["type"] == "BadRequestError"
         assert second["result"]["vanishing"] == [[3]]
+
+    def test_too_many_openness_samples_do_not_stop_the_batch(self, capsys, tmp_path):
+        # 10**15 samples would need petabytes; they are refused before any draw
+        request = {"command": "openness", "corpus": "tibar", "point": "1, 0",
+                   "epsilon": 0.1, "samples": 10**15, "json": True}
+        code, out = run(capsys, "openness", "--corpus", "tibar", "--point", "1, 0",
+                        "--epsilon", "0.1", "--samples", str(10**15), "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        batch = tmp_path / "requests.jsonl"
+        lines = [request, {"command": "vanishing", "corpus": "fig1", "json": True}]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        first, idx = decoder.raw_decode(out.strip())
+        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
+        jsonschema.validate(first, SCHEMA)
+        assert first["error"]["type"] == "BadRequestError"
+        assert "200000" in first["error"]["message"]
+        assert second["result"]["vanishing"] == [[3]]

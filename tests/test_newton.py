@@ -284,11 +284,28 @@ class TestEssentialFaces:
 
 
 class TestFaceEnumerationCompleteness:
-    def test_every_random_weight_face_is_enumerated(self):
+    @staticmethod
+    def check_random_weights(rng, pts, n, draws):
         # the face selected by any semipositive weight (its argmin set plus
         # its zero coordinates) must appear in the enumerated face lattice
         from mixedmilnor.lattice import newton_faces, primitive
 
+        enumerated = [(f.generators, f.rays) for f in newton_faces(pts, n)]
+        faces = set(enumerated)
+        # each witness exposes its own face, so no face comes out twice
+        assert len(faces) == len(enumerated), pts
+        for _ in range(draws):
+            w = tuple(int(x) for x in rng.integers(0, 5, size=n))
+            if all(x == 0 for x in w):
+                continue
+            w = primitive(w)
+            vals = [sum(a * b for a, b in zip(w, p)) for p in pts]
+            d = min(vals)
+            gens = frozenset(p for p, v in zip(pts, vals) if v == d)
+            rays = frozenset(i + 1 for i, x in enumerate(w) if x == 0)
+            assert (gens, rays) in faces, (pts, w)
+
+    def test_every_random_weight_face_is_enumerated(self):
         rng = np.random.default_rng(137)
         for _ in range(60):
             n = int(rng.integers(1, 4))
@@ -298,17 +315,42 @@ class TestFaceEnumerationCompleteness:
                     for _ in range(int(rng.integers(1, 7)))
                 }
             )
-            faces = {(f.generators, f.rays) for f in newton_faces(pts, n)}
-            for _ in range(15):
-                w = tuple(int(x) for x in rng.integers(0, 5, size=n))
-                if all(x == 0 for x in w):
-                    continue
-                w = primitive(w)
-                vals = [sum(a * b for a, b in zip(w, p)) for p in pts]
-                d = min(vals)
-                gens = frozenset(p for p, v in zip(pts, vals) if v == d)
-                rays = frozenset(i + 1 for i, x in enumerate(w) if x == 0)
-                assert (gens, rays) in faces, (pts, w)
+            self.check_random_weights(rng, pts, n, 15)
+        # supports near the candidate-subset cap: two n = 5 supports of 24
+        # points and one n = 6 support of 14
+        for n, size in ((5, 24), (5, 24), (6, 14)):
+            pts = set()
+            while len(pts) < size:
+                pts.add(tuple(int(x) for x in rng.integers(0, 7, size=n)))
+            self.check_random_weights(rng, sorted(pts), n, 200)
+
+    def test_dominated_points_add_no_hyperplane_search(self, monkeypatch):
+        # a point p + e_i lies above the support point p, so it is never a
+        # vertex of a facet or of a facet's projection and is never searched
+        calls = []
+        nullspace = lattice.nullspace
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return nullspace(rows, ncols)
+
+        monkeypatch.setattr(lattice, "nullspace", counted)
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            pts = sorted({tuple(int(x) for x in rng.integers(0, 5, size=n)) for _ in range(8)})
+            calls.clear()
+            faces = lattice.newton_faces(pts, n)
+            searched = len(calls)
+            above = set(pts)
+            for p in pts[:4]:
+                i = int(rng.integers(n))
+                above.add(tuple(x + (j == i) for j, x in enumerate(p)))
+            calls.clear()
+            more = lattice.newton_faces(sorted(above), n)
+            assert len(calls) == searched, (pts, sorted(above))
+            # the same polyhedron: its faces keep their witnesses
+            assert sorted(f.witness for f in more) == sorted(f.witness for f in faces)
 
 
 class TestFractionFreeEnumeration:

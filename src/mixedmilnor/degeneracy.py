@@ -37,11 +37,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import lattice, newton
-from .errors import NotEssentialFaceError, NotVanishingError, require_positive
+from .errors import BadRequestError, NotEssentialFaceError, NotVanishingError, require_positive
 from .newton import FaceDescriptor, FaceKind
 from .poly import GaussianRational, MixedPoly
 
 WITNESS_THRESHOLD = 1e-10
+# search starts per face, 16 times the default budget of 64
+MAX_BUDGET = 1024
 # float searches start at log-magnitudes in [-LOG_RANGE, LOG_RANGE]
 LOG_RANGE = 2.0
 
@@ -403,6 +405,12 @@ def _settle_face(fpoly, budget, seed, index):
     return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, f"support[{k}]"
 
 
+def _require_budget(budget):
+    require_positive(budget=budget)
+    if budget > MAX_BUDGET:
+        raise BadRequestError(f"budget {budget} exceeds the cap of {MAX_BUDGET} search starts")
+
+
 def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list:
     """Search every required face function for torus critical points.
 
@@ -411,7 +419,7 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
     a proof when it carries a support certificate, and otherwise a
     statistics-backed failure to falsify.  Deterministic for a fixed seed.
     """
-    require_positive(budget=budget)
+    _require_budget(budget)
     faces = newton.all_faces(f)
     targets = []
     for fc in faces:
@@ -602,6 +610,7 @@ def local_tameness_check(
     else is Inconclusive.
     """
     require_positive(probe_radius=probe_radius)
+    _require_budget(budget)
     I = newton.coordinate_subset(I, f.n)
     if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")

@@ -38,12 +38,14 @@ class ZeroPolynomialError(MixedMilnorError, ValueError):
 
 
 class TooManyVariablesError(MixedMilnorError, ValueError):
-    """Subset enumeration is guarded at 16 variables."""
+    """Subset enumeration is guarded at 16 variables, and face enumeration at
+    15, where every polyhedron has more than 20,000 faces."""
 
 
 class TooManySupportPointsError(MixedMilnorError, ValueError):
-    """Exact face enumeration is guarded at 64 support points and at 150,000
-    candidate (ray set, point subset) pairs."""
+    """Exact face enumeration is guarded at 64 support points and at 20,000
+    faces of the Newton polyhedron, or facets held by one double description
+    step."""
 
 
 class VanishingSubsetError(MixedMilnorError, ValueError):

@@ -3,45 +3,38 @@
 Everything operates on small integer/rational data, so the algorithms favor
 exactness over asymptotics.  The one Gaussian elimination is `nullspace`,
 fraction-free (Bareiss 1968): rows are cleared of denominators and eliminated
-in Python ints, each new row divided by its gcd.  On it sits one brute-force
-hyperplane search over point subsets (`_hyperplanes`), which gives both the
-facets of a Newton polyhedron, whose intersections are its other faces, and
-the facets of a volume's pyramid sum.  Face enumeration is refused before it
-starts above 64 support points or 150,000 (ray set, point subset) pairs.
+in Python ints, each new row divided by its gcd.  On it sits one facet routine
+for cones, exact double description (`_cone_facets`), for both the faces of a
+Newton polyhedron (intersections of its facets) and a volume's pyramid sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd, lcm
+from functools import reduce
+from math import gcd, lcm
 
-from .errors import TooManySupportPointsError
+import numpy as np
+
+from .errors import TooManySupportPointsError, TooManyVariablesError
 
 MAX_SUPPORT = 64
-# (ray set, point subset) pairs over all support points; the facet search visits
-# only undominated projected points, so the cap is conservative: supports near it
-# take at most about 7 s for n <= 7 on a 2-vCPU x86 host.  The closure after the
-# search costs faces x facets subset tests per round and is not capped
-MAX_CANDIDATE_SUBSETS = 150_000
+# faces of a Newton polyhedron, or facets of a cone held at once; a polyhedron
+# in n variables has at least 2^n - 1 proper faces, so n >= 15 is refused
+MAX_FACES = 20_000
 
 
 def primitive(vec):
     """Scale an integer vector by 1/gcd of its entries (all-zero stays zero)."""
     vec = [int(v) for v in vec]
     g = gcd(*vec)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(v // g for v in vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 def rank(rows) -> int:
     """Rank of a rational matrix given as a list of row vectors."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    return ncols - len(nullspace(rows, ncols))
+    return len(rows[0]) - len(nullspace(rows, len(rows[0]))) if rows else 0
 
 
 def directions(points, rays, n):
@@ -118,49 +111,58 @@ class LatticeFace:
         return not self.rays
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def _argmin_face(support, weight):
-    vals = [sum(w * x for w, x in zip(weight, pt)) for pt in support]
+    vals = [_dot(weight, pt) for pt in support]
     d = min(vals)
     gens = frozenset(pt for pt, v in zip(support, vals) if v == d)
     rays = frozenset(i + 1 for i, w in enumerate(weight) if w == 0)
     return LatticeFace(gens, rays, tuple(weight), d)
 
 
-def _hyperplanes(points, n):
-    """(subset, normal) for each subset of n points, in combinations order,
-    whose differences span a hyperplane; the normal is a primitive integer
-    vector of either sign."""
-    for subset in combinations(points, n):
-        basis = nullspace(directions(subset, (), n), n)
-        if len(basis) == 1:
-            yield subset, basis[0]
-
-
-def _facets(pts, n):
-    """Facets of conv(S) + R_{>=0}^n for sorted distinct points S, as
-    {(generator mask, ray mask): primitive normal}, bit k of a generator mask
-    standing for pts[k] and bit i of a ray mask for e_i (0-based).
-
-    Dropping the coordinates R where a facet's normal vanishes maps it to a
-    compact facet of the projection, spanned by undominated projected points
-    (no other one is <= them in every coordinate).  A hyperplane through such
-    points is kept when its normal is nonnegative and they attain the minimum.
+def _cone_facets(gens, dim):
+    """Facets of the full-dimensional pointed cone spanned by integer vectors
+    gens in R^dim, as (primitive inner normal, mask of the gens on it) pairs,
+    by double description (Motzkin et al. 1953; Fukuda & Prodon 1996): each
+    generator after dim independent ones keeps the facets it satisfies and
+    joins each adjacent pair it separates: they share dim - 2 or more gens,
+    and no third facet holds all of those.  Raises TooManySupportPointsError
+    above MAX_FACES facets.
     """
-    facets = {}
-    for nrays in range(n):
-        for rays in combinations(range(n), nrays):
-            proj = {tuple(x for i, x in enumerate(p) if i not in rays) for p in pts}
-            low = [p for p in proj if not any(q != p and all(map(int.__le__, q, p)) for q in proj)]
-            for subset, w in _hyperplanes(low, n - nrays):
-                if min(w) < 0 < max(w):
-                    continue
-                entries = map(abs, w)
-                weight = tuple(0 if i in rays else next(entries) for i in range(n))
-                vals = [sum(a * b for a, b in zip(weight, p)) for p in pts]
-                d = min(vals)
-                if d == sum(abs(a) * b for a, b in zip(w, subset[0])):
-                    gens = sum(1 << k for k, v in enumerate(vals) if v == d)
-                    facets[gens, sum(1 << i for i, x in enumerate(weight) if x == 0)] = weight
+    basis = []
+    for k, g in enumerate(gens):
+        if len(basis) < dim and rank([gens[j] for j in basis] + [g]) > len(basis):
+            basis.append(k)
+    facets = []
+    for i in basis:
+        w = nullspace([gens[j] for j in basis if j != i], dim)[0]  # the facet opposite gens[i]
+        w = w if _dot(w, gens[i]) > 0 else tuple(-x for x in w)
+        facets.append((w, sum(1 << j for j in basis if j != i)))
+    for k, g in enumerate(gens):
+        if k in basis:
+            continue
+        sides = [(w, mask, _dot(w, g)) for w, mask in facets]
+        kept = [(w, mask | 1 << k if s == 0 else mask) for w, mask, s in sides if s >= 0]
+        pos = [i for i, side in enumerate(sides) if side[2] > 0]
+        neg = [i for i, side in enumerate(sides) if side[2] < 0]
+        if neg:  # the masks as 0/1 rows, and for each generator the facets holding it
+            rows = np.array([[m >> j & 1 for j in range(len(gens))] for _, m, _ in sides], np.float32)
+            held = np.packbits(rows.astype(bool), axis=0, bitorder="little").T
+            holders = [int.from_bytes(c.tobytes(), "little") for c in held]
+        for lo in range(0, len(neg), 256):  # shared generators of (neg, pos) pairs, 256 rows at once
+            shared = rows[neg[lo:lo + 256]] @ rows[pos].T
+            for qi, pi in zip(*np.nonzero(shared >= dim - 2)):
+                (wp, mp, sp), (wq, mq, sq) = sides[pos[pi]], sides[neg[lo + qi]]
+                common = mp & mq
+                on = [holders[j] for j in range(len(gens)) if common >> j & 1]
+                if reduce(int.__and__, on, (1 << len(sides)) - 1).bit_count() == 2:
+                    kept.append((primitive(a * sp - b * sq for a, b in zip(wq, wp)), common | 1 << k))
+        if len(kept) > MAX_FACES:
+            raise TooManySupportPointsError(f"more than {MAX_FACES} facets, the face cap")
+        facets = kept
     return facets
 
 
@@ -169,12 +171,12 @@ def newton_faces(support, n):
     LatticeFace per distinct (generators, rays), sorted by (sorted rays,
     sorted generators).
 
-    Each face is the intersection of the facets containing it, so the facets
-    are closed under intersection with a facet.  Its witness is the primitive
-    sum of those facets' normals, which lies in the relative interior of its
-    normal cone and so exposes exactly this face.  Raises
-    TooManySupportPointsError, before enumerating anything, above
-    MAX_SUPPORT points or MAX_CANDIDATE_SUBSETS candidate subsets.
+    The facets are those of the cone over (1, p), for the undominated p (no
+    other point is <= p in every coordinate), and (0, e_i), less x_0 >= 0.
+    Every face is an intersection of facets; its witness, the primitive sum
+    of their normals, exposes exactly it.  Raises TooManySupportPointsError
+    above MAX_SUPPORT points or MAX_FACES faces, and TooManyVariablesError
+    before any work when 2^n - 1 > MAX_FACES (the faces at any vertex).
     """
     pts = sorted({tuple(int(x) for x in p) for p in support})
     if not pts:
@@ -183,13 +185,18 @@ def newton_faces(support, n):
         raise TooManySupportPointsError(
             f"{len(pts)} support points exceeds the exact-enumeration cap {MAX_SUPPORT}"
         )
-    subsets = sum(comb(n, r) * comb(len(pts), n - r) for r in range(n))
-    if subsets > MAX_CANDIDATE_SUBSETS:
-        raise TooManySupportPointsError(
-            f"{len(pts)} support points in {n} variables give {subsets} candidate subsets,"
-            f" above the exact-enumeration cap {MAX_CANDIDATE_SUBSETS}"
+    if 2**n - 1 > MAX_FACES:
+        raise TooManyVariablesError(
+            f"{n} variables give at least 2^{n} - 1 faces, above the face cap {MAX_FACES}"
         )
-    facets = _facets(pts, n)
+    low = [p for p in pts if not any(q != p and all(map(int.__le__, q, p)) for q in pts)]
+    gens = [(1, *p) for p in low] + [tuple(int(j == i) for j in range(n + 1)) for i in range(1, n + 1)]
+    facets = {}
+    for normal, _ in _cone_facets(gens, n + 1):
+        weight = normal[1:]
+        if any(weight):  # x_0 >= 0 is the facet at infinity
+            gmask = sum(1 << k for k, p in enumerate(pts) if _dot(weight, p) == -normal[0])
+            facets[gmask, sum(1 << i for i, x in enumerate(weight) if x == 0)] = weight
     keys = list(facets)
     seen = set(keys)
     for gens, rays in keys:  # keys grows while it is read
@@ -198,6 +205,8 @@ def newton_faces(support, n):
             if key[0] and key not in seen:
                 seen.add(key)
                 keys.append(key)
+        if len(keys) > MAX_FACES:
+            raise TooManySupportPointsError(f"more than {MAX_FACES} faces, the face cap")
     faces = []
     for gens, rays in keys:
         normals = [w for (fg, fr), w in facets.items() if fg & gens == gens and fr & rays == rays]
@@ -213,29 +222,23 @@ def newton_faces(support, n):
 def _pyramid_sum(pts, m):
     """Normalized volume of sorted distinct points, full-dimensional in R^m.
 
-    conv(P) is the union of the pyramids conv(a, F) over the facets F that
-    miss its lex-min vertex a.  Each weighs a's lattice height over F's
-    hyperplane w.x = c times F's volume in that hyperplane's lattice, which
-    is NV(pi_k F) / |w_k| for primitive w when pi_k drops a coordinate with
-    w_k != 0; |w.a - c| / |w_k| does not depend on how w is scaled.
+    conv(P) is the union of the pyramids conv(a, F) over the facets F (of the
+    cone over (den, den * p), den clearing denominators) that miss its lex-min
+    vertex a.  Each adds |w.a - c| / |w_k| NV(pi_k F) for F's hyperplane
+    w.x = c, where pi_k drops a coordinate with w_k != 0; this does not depend
+    on how w is scaled.
     """
     if m == 1:
         return pts[-1][0] - pts[0][0]
+    den = lcm(*(x.denominator for p in pts for x in p))
+    gens = [(den, *(int(x * den) for x in p)) for p in pts]
     total = Fraction(0)
-    seen = set()
-    for subset, w in _hyperplanes(pts[1:], m):
-        c = sum(wi * xi for wi, xi in zip(w, subset[0]))
-        sides = [sum(wi * xi for wi, xi in zip(w, p)) - c for p in pts]
-        height = sides[0]
-        if height == 0 or any(s * height < 0 for s in sides):
+    for w, mask in _cone_facets(gens, m + 1):
+        if mask & 1:
             continue
-        facet = tuple(p for p, s in zip(pts, sides) if s == 0)
-        if facet in seen:
-            continue
-        seen.add(facet)
-        k = next(i for i, wi in enumerate(w) if wi != 0)
-        proj = sorted({p[:k] + p[k + 1:] for p in facet})
-        total += abs(height) / abs(w[k]) * _pyramid_sum(proj, m - 1)
+        k = next(i for i, wi in enumerate(w) if i and wi)
+        proj = sorted({p[:k - 1] + p[k:] for j, p in enumerate(pts) if mask >> j & 1})
+        total += Fraction(_dot(w, gens[0]), den * abs(w[k])) * _pyramid_sum(proj, m - 1)
     return total
 
 
@@ -246,9 +249,6 @@ def normalized_volume(points) -> Fraction:
     coordinates (unimodular images are fine).
     """
     pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
-    if not pts:
+    if not pts or affine_rank(pts) < len(pts[0]):
         return Fraction(0)
-    m = len(pts[0])
-    if affine_rank(pts) < m:
-        return Fraction(0)
-    return _pyramid_sum(pts, m)
+    return _pyramid_sum(pts, len(pts[0]))

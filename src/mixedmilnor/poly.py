@@ -500,6 +500,8 @@ _TOKEN_RE = re.compile(
 )
 
 _VARIABLES = ("abs", "zbar", "z")
+# the largest variable index in polynomial or arc text
+MAX_INDEX = 64
 _NUMBER = ("nat", "dec")
 _SIGNS = ("+", "-")
 
@@ -508,8 +510,8 @@ def _tokenize(text):
     """(kind, value, position) triples closed by an 'end' token.
 
     A token's position is its first character ('|' of |zK|, 'z' of zK).
-    Variables carry their index K, 'nat' an int, 'dec' the exact Fraction of
-    the decimal; an operator's kind is the operator itself.
+    Variables carry their index K, at most MAX_INDEX, 'nat' an int, 'dec' the
+    exact Fraction of the decimal; an operator's kind is the operator itself.
     """
     tokens = []
     pos = 0
@@ -522,6 +524,11 @@ def _tokenize(text):
             break
         kind, word = m.lastgroup, m.group(m.lastgroup)
         digits = word.strip("|zb")
+        index = digits.lstrip("0")  # its length is compared before int() reads it
+        if kind in _VARIABLES and (
+            len(index) > len(str(MAX_INDEX)) or int(index or 0) > MAX_INDEX
+        ):
+            raise PolySyntaxError(m.start(kind), f"variable index in 1..{MAX_INDEX}", text)
         value = Fraction(word) if kind == "dec" else int(digits) if digits.isdigit() else None
         tokens.append((word if kind == "op" else kind, value, m.start(kind)))
         pos = m.end()

@@ -69,6 +69,12 @@ class TestArcParsing:
             parse_arc("z1 =   ;")
         assert info.value.position == 7
 
+    def test_index_above_the_cap(self):
+        with pytest.raises(PolySyntaxError) as info:
+            parse_arc("z1 = t; z3000000 = t^2")
+        assert info.value.position == 8
+        assert info.value.expected == "variable index in 1..64"
+
     def test_evaluate(self):
         arc = parse_arc("z1 = 1 + t; z2 = 2i*t^2")
         p = arc.evaluate(0.5)

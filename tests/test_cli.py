@@ -6,6 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from mixedmilnor import arcs
@@ -20,6 +21,19 @@ def monomial_sum(n, size):
     exponents = sorted(product(range(3), repeat=n))[1:size + 1]
     return " + ".join(
         "*".join(f"z{i + 1}^{e}" for i, e in enumerate(a) if e) for a in exponents
+    )
+
+
+def equal_degree_sum(n, size, seed=17):
+    """Polynomial text with `size` distinct seeded monomials of degree 3n in n
+    variables: no exponent is <= another, so every support point is undominated."""
+    rng = np.random.default_rng(seed)
+    exponents = set()
+    while len(exponents) < size:
+        cuts = sorted(int(c) for c in rng.integers(0, 3 * n + 1, size=n - 1))
+        exponents.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, 3 * n])))
+    return " + ".join(
+        "*".join(f"z{i + 1}^{e}" for i, e in enumerate(a) if e) for a in sorted(exponents)
     )
 
 
@@ -238,14 +252,23 @@ class TestErrors:
              "BadRequestError"),
             (["transversality", "--corpus", "tibar", "--seed", "-1", "--samples", "10"],
              "BadRequestError"),
-            (["newton", "--poly", monomial_sum(5, 40)], "TooManySupportPointsError"),
-            (["newton", "--poly", monomial_sum(7, 24)], "TooManySupportPointsError"),
+            # more than 20,000 faces (0.3 s), and more than 64 support points
+            (["newton", "--poly", equal_degree_sum(9, 10)], "TooManySupportPointsError"),
+            (["newton", "--poly", monomial_sum(4, 65)], "TooManySupportPointsError"),
             (["tame", "--corpus", "tibar", "--radius", "inf", "--budget", "1"],
              "NonPositiveArgumentError"),
             (["tame", "--corpus", "tibar", "--radius", "nan", "--budget", "1"],
              "NonPositiveArgumentError"),
             (["transversality", "--corpus", "tibar", "--radius", "inf", "--samples", "5"],
              "NonPositiveArgumentError"),
+            # every polyhedron in n variables has at least 2^n - 1 faces
+            (["newton", "z15"], "TooManyVariablesError"),
+            (["newton", "z18"], "TooManyVariablesError"),
+            (["newton", "z30"], "TooManyVariablesError"),
+            (["newton", "z3000000"], "PolySyntaxError"),
+            (["vanishing", "z300000000"], "PolySyntaxError"),
+            (["nondeg", "--corpus", "tibar", "--budget", "1025"], "BadRequestError"),
+            (["tame", "--corpus", "tibar", "--budget", "100000000"], "BadRequestError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):
@@ -274,6 +297,8 @@ class TestErrors:
             ["transversality", "--corpus", "tibar", "--delta", "0"],
             ["tame", "--corpus", "tibar", "--radius", "0"],
             ["tame", "--corpus", "tibar", "--radius", "-1"],
+            ["tame", "--corpus", "tibar", "--budget", "0"],
+            ["tame", "--corpus", "tibar", "--budget", "-3"],
         ],
     )
     def test_non_positive_argument(self, capsys, argv):
@@ -527,6 +552,33 @@ class TestBatch:
         jsonschema.validate(first, SCHEMA)
         assert first["error"]["type"] == "BadRequestError"
         assert second["result"]["vanishing"] == [[3]]
+
+    @pytest.mark.parametrize("command", ["nondeg", "tame"])
+    def test_search_budget_cap_does_not_stop_the_batch(self, capsys, tmp_path, command):
+        # 10**8 starts per face would run for months; they are refused before any face
+        code, out = run(capsys, command, "--corpus", "tibar", "--budget", str(10**8), "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": command, "corpus": "tibar", "budget": 10**8, "json": True},
+            {"command": command, "corpus": "tibar", "budget": 1025, "json": True},
+            {"command": "vanishing", "corpus": "fig1", "json": True},
+        ]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out.strip()
+        assert code == 1
+        decoder = json.JSONDecoder()
+        reports = []
+        while out:
+            report, idx = decoder.raw_decode(out)
+            jsonschema.validate(report, SCHEMA)
+            reports.append(report)
+            out = out[idx:].strip()
+        assert [r["error"]["type"] for r in reports[:2]] == ["BadRequestError"] * 2
+        assert "1024" in reports[1]["error"]["message"]
+        assert reports[2]["result"]["vanishing"] == [[3]]
 
     def test_too_many_openness_samples_do_not_stop_the_batch(self, capsys, tmp_path):
         # 10**15 samples would need petabytes; they are refused before any draw

@@ -1,6 +1,7 @@
 """Newton polyhedron combinatorics against brute-force oracles."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from helpers import (
 from mixedmilnor import lattice, newton, zeta
 from mixedmilnor.cli import main
 from mixedmilnor.constructors import corpus
-from mixedmilnor.errors import VanishingSubsetError, ZeroPolynomialError
+from mixedmilnor.errors import (
+    TooManySupportPointsError,
+    TooManyVariablesError,
+    VanishingSubsetError,
+    ZeroPolynomialError,
+)
 from mixedmilnor.newton import FaceKind, WeightVector
 from mixedmilnor.poly import MixedPoly, parse_poly
 
@@ -324,6 +330,13 @@ class TestFaceEnumerationCompleteness:
                 pts.add(tuple(int(x) for x in rng.integers(0, 7, size=n)))
             self.check_random_weights(rng, sorted(pts), n, 200)
 
+    def test_forty_points_in_five_variables(self):
+        # 40 monomials z^a, a in {0,1,2}^5: once refused by a subset-count cap
+        rng = np.random.default_rng(149)
+        pts = sorted(product(range(3), repeat=5))[1:41]
+        assert len(lattice.newton_faces(pts, 5)) == 59
+        self.check_random_weights(rng, pts, 5, 400)
+
     def test_dominated_points_add_no_hyperplane_search(self, monkeypatch):
         # a point p + e_i lies above the support point p, so it is never a
         # vertex of a facet or of a facet's projection and is never searched
@@ -351,6 +364,82 @@ class TestFaceEnumerationCompleteness:
             assert len(calls) == searched, (pts, sorted(above))
             # the same polyhedron: its faces keep their witnesses
             assert sorted(f.witness for f in more) == sorted(f.witness for f in faces)
+
+
+def cone_facets_oracle(gens, dim):
+    """{(primitive inner normal, generator mask)} of the cone spanned by gens,
+    from every hyperplane through dim - 1 of them that no generator crosses."""
+    facets = set()
+    for subset in combinations(gens, dim - 1):
+        basis = nullspace_oracle(subset, dim)
+        if len(basis) != 1:
+            continue
+        w = integerize(basis[0])
+        sides = [sum(a * b for a, b in zip(w, g)) for g in gens]
+        if min(sides) < 0 < max(sides):
+            continue
+        if min(sides) < 0:
+            w, sides = tuple(-x for x in w), [-s for s in sides]
+        facets.add((w, sum(1 << k for k, s in enumerate(sides) if s == 0)))
+    return facets
+
+
+class TestConeFacets:
+    @pytest.mark.parametrize("dims, low, draws", [((2, 6), -2, 100), ((5, 7), 0, 50)])
+    def test_matches_the_hyperplane_search(self, dims, low, draws):
+        # pointed cones over random integer points (first coordinate 1), often
+        # degenerate; on {0,1,2}^5 two facets can share dim - 2 points and still
+        # meet in a smaller face than a ridge, so only the third-facet test
+        # tells them apart
+        rng = np.random.default_rng(811 + low)
+        for _ in range(draws):
+            dim = int(rng.integers(*dims))
+            pts = {tuple(int(x) for x in rng.integers(low, 3, size=dim - 1))
+                   for _ in range(int(rng.integers(dim, dim + 7)))}
+            gens = [(1, *p) for p in sorted(pts)]
+            if lattice.rank(gens) < dim:
+                continue
+            facets = lattice._cone_facets(gens, dim)
+            assert len(set(facets)) == len(facets), gens
+            assert set(facets) == cone_facets_oracle(gens, dim), gens
+
+    def test_cube_and_the_facet_cap(self, monkeypatch):
+        cube = [(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        facets = lattice._cone_facets(cube, 4)
+        assert sorted(w for w, _ in facets) == sorted(
+            [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)]
+        )
+        assert all(bin(mask).count("1") == 4 for _, mask in facets)
+        monkeypatch.setattr(lattice, "MAX_FACES", 5)
+        with pytest.raises(TooManySupportPointsError, match="facets"):
+            lattice._cone_facets(cube, 4)
+
+
+class TestFaceCap:
+    def test_variables_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("nullspace called")
+
+        monkeypatch.setattr(lattice, "nullspace", no_work)
+        for n in (15, 18, 3000000):
+            with pytest.raises(TooManyVariablesError):
+                lattice.newton_faces([(0,) * (n - 1) + (1,)], n)
+
+    def test_one_monomial_has_every_coordinate_face(self):
+        # z_n: the orthant e_n + R^n_{>=0} has 2^n - 1 proper faces
+        for n in range(1, 11):
+            faces = lattice.newton_faces([(0,) * (n - 1) + (1,)], n)
+            assert len(faces) == 2**n - 1
+            assert len({f.rays for f in faces}) == 2**n - 1
+
+    def test_closure_refused_above_the_cap(self, monkeypatch):
+        pts = [(2, 0, 0, 1), (0, 3, 1, 0), (1, 1, 1, 1), (0, 0, 4, 0), (3, 1, 0, 0), (0, 1, 0, 3)]
+        total = len(lattice.newton_faces(pts, 4))
+        monkeypatch.setattr(lattice, "MAX_FACES", total)
+        assert len(lattice.newton_faces(pts, 4)) == total
+        monkeypatch.setattr(lattice, "MAX_FACES", total - 1)
+        with pytest.raises(TooManySupportPointsError, match="faces"):
+            lattice.newton_faces(pts, 4)
 
 
 class TestFractionFreeEnumeration:

@@ -90,6 +90,18 @@ class TestParsing:
         with pytest.raises(PolySyntaxError):
             parse_poly("z5", n=2)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("z65", 0), ("z1 + zb300000000", 5), ("2*|z0070|^2", 2), ("z" + "9" * 5000, 0)],
+    )
+    def test_index_above_the_cap(self, text, position):
+        # refused at the token, before any n-long exponent tuple is built
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly(text)
+        assert err.value.position == position
+        assert err.value.expected == "variable index in 1..64"
+        assert parse_poly("z64 + z007").n == 64
+
     def test_parens_and_powers(self):
         assert parse_poly("(z1+z2)^2") == parse_poly("z1^2 + 2*z1*z2 + z2^2")
 

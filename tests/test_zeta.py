@@ -181,6 +181,18 @@ class TestNormalizedVolume:
         assert {(m, False, big) for m in range(1, 5) for big in (False, True)} <= kinds
         assert any(flat for _, flat, _ in kinds)
 
+    def test_rational_points_match_the_oracle(self):
+        # the facets are read off the cone over (den, den * p)
+        rng = np.random.default_rng(521)
+        for _ in range(150):
+            m = int(rng.integers(1, 4))
+            pts = [
+                tuple(Fraction(int(x), int(d))
+                      for x, d in zip(rng.integers(-6, 7, size=m), rng.integers(1, 5, size=m)))
+                for _ in range(int(rng.integers(m + 1, m + 6)))
+            ]
+            assert normalized_volume(pts) == normalized_volume_oracle(pts), pts
+
 
 class TestZetaFunction:
     def test_brieskorn_factors(self):

@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import arcs, constructors, degeneracy, newton, zeta
-from .errors import BadRequestError, MixedMilnorError, PolySyntaxError
+from .errors import BadRequestError, MixedMilnorError, PolySyntaxError, require_positive
 from .poly import MixedPoly, parse_coefficient, parse_poly
 
 EXIT_OK = 0
@@ -123,6 +123,9 @@ def cmd_tame(f, args):
     report = newton.vanishing_subsets(f)
     subset = frozenset(_parse_ints(args.subset or ""))
     subsets = [subset] if subset else sorted(report.vanishing, key=sorted)
+    # local_tameness_check's own checks, made even when there is no subspace
+    require_positive(probe_radius=args.radius)
+    degeneracy.require_budget(args.budget)
     entries = []
     negative = False
     for I in subsets:
@@ -326,7 +329,7 @@ def _apply_defaults(args):
 
 def _request_echo(args) -> dict:
     """The parsed options in declaration order, unset ones left out."""
-    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED and v not in (None, False)}
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED and v is not None and v is not False}
 
 
 def _report_error(args, exc) -> int:

@@ -405,7 +405,8 @@ def _settle_face(fpoly, budget, seed, index):
     return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, f"support[{k}]"
 
 
-def _require_budget(budget):
+def require_budget(budget):
+    """Raise unless budget is a positive number of search starts, at most MAX_BUDGET."""
     require_positive(budget=budget)
     if budget > MAX_BUDGET:
         raise BadRequestError(f"budget {budget} exceeds the cap of {MAX_BUDGET} search starts")
@@ -419,7 +420,7 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
     a proof when it carries a support certificate, and otherwise a
     statistics-backed failure to falsify.  Deterministic for a fixed seed.
     """
-    _require_budget(budget)
+    require_budget(budget)
     faces = newton.all_faces(f)
     targets = []
     for fc in faces:
@@ -610,7 +611,7 @@ def local_tameness_check(
     else is Inconclusive.
     """
     require_positive(probe_radius=probe_radius)
-    _require_budget(budget)
+    require_budget(budget)
     I = newton.coordinate_subset(I, f.n)
     if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")

@@ -5,11 +5,15 @@ exactness over asymptotics.  The one Gaussian elimination is `nullspace`,
 fraction-free (Bareiss 1968): rows are cleared of denominators and eliminated
 in Python ints, each new row divided by its gcd.  On it sits one facet routine
 for cones, exact double description (`_cone_facets`), for both the faces of a
-Newton polyhedron (intersections of its facets) and a volume's pyramid sum.
+Newton polyhedron and a volume's pyramid sum.  The faces are the facets closed
+level by level under intersection, as bitmasks (Kaibel & Pfetsch, "Computing
+the face lattice of a polytope from its vertex-facet incidences", 2002), so
+each face's dimension is its level and no face is ranked.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import TooManySupportPointsError, TooManyVariablesError
 
 MAX_SUPPORT = 64
-# faces of a Newton polyhedron, or facets of a cone held at once; a polyhedron
+# faces of a Newton polyhedron met, or facets of a cone held at once; a polyhedron
 # in n variables has at least 2^n - 1 proper faces, so n >= 15 is refused
 MAX_FACES = 20_000
 
@@ -37,18 +41,10 @@ def rank(rows) -> int:
     return len(rows[0]) - len(nullspace(rows, len(rows[0]))) if rows else 0
 
 
-def directions(points, rays, n):
-    """Rows p - points[0] for the other points, then e_i (0-based i in rays) in R^n."""
-    base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    rows += [[int(j == i) for j in range(n)] for i in rays]
-    return rows
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a point set."""
     pts = list(points)
-    return rank(directions(pts, (), len(pts[0]))) if pts else 0
+    return rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) if pts else 0
 
 
 def nullspace(rows, ncols):
@@ -100,12 +96,14 @@ class LatticeFace:
     generators: support points realizing the minimum of the witness weight.
     rays: 1-based coordinate directions i with witness_i == 0 (the face is
     closed under adding R_{>=0} E_i for each).  Compact faces have no rays.
+    d: that minimum.  dim: the face's dimension, its level in the face lattice.
     """
 
     generators: frozenset
     rays: frozenset
     witness: tuple
     d: int
+    dim: int
 
     def is_compact(self) -> bool:
         return not self.rays
@@ -115,12 +113,8 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _argmin_face(support, weight):
-    vals = [_dot(weight, pt) for pt in support]
-    d = min(vals)
-    gens = frozenset(pt for pt, v in zip(support, vals) if v == d)
-    rays = frozenset(i + 1 for i, w in enumerate(weight) if w == 0)
-    return LatticeFace(gens, rays, tuple(weight), d)
+def _bits(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _cone_facets(gens, dim):
@@ -173,10 +167,15 @@ def newton_faces(support, n):
 
     The facets are those of the cone over (1, p), for the undominated p (no
     other point is <= p in every coordinate), and (0, e_i), less x_0 >= 0.
-    Every face is an intersection of facets; its witness, the primitive sum
-    of their normals, exposes exactly it.  Raises TooManySupportPointsError
-    above MAX_SUPPORT points or MAX_FACES faces, and TooManyVariablesError
-    before any work when 2^n - 1 > MAX_FACES (the faces at any vertex).
+    They are closed level by level from dim n - 1 down (Kaibel & Pfetsch
+    2002): the facets of a face F are its inclusion-maximal proper nonempty
+    intersections with facets, each face a mask of the points and rays on it,
+    so a face's dim is its level.  Its facet mask is the AND of the masks of
+    the facets holding its points and rays; its witness, the primitive sum of
+    the normals on that mask, exposes exactly it.  Raises
+    TooManySupportPointsError above MAX_SUPPORT points or once the closure
+    has met more than MAX_FACES faces, and TooManyVariablesError before any
+    work when 2^n - 1 > MAX_FACES (the faces at any vertex).
     """
     pts = sorted({tuple(int(x) for x in p) for p in support})
     if not pts:
@@ -191,26 +190,40 @@ def newton_faces(support, n):
         )
     low = [p for p in pts if not any(q != p and all(map(int.__le__, q, p)) for q in pts)]
     gens = [(1, *p) for p in low] + [tuple(int(j == i) for j in range(n + 1)) for i in range(1, n + 1)]
+    # a face as one mask: bit k for pts[k] on it, bit len(pts) + i for ray i + 1
     facets = {}
     for normal, _ in _cone_facets(gens, n + 1):
         weight = normal[1:]
         if any(weight):  # x_0 >= 0 is the facet at infinity
-            gmask = sum(1 << k for k, p in enumerate(pts) if _dot(weight, p) == -normal[0])
-            facets[gmask, sum(1 << i for i, x in enumerate(weight) if x == 0)] = weight
-    keys = list(facets)
-    seen = set(keys)
-    for gens, rays in keys:  # keys grows while it is read
-        for fgens, frays in facets:
-            key = (gens & fgens, rays & frays)
-            if key[0] and key not in seen:
-                seen.add(key)
-                keys.append(key)
-        if len(keys) > MAX_FACES:
-            raise TooManySupportPointsError(f"more than {MAX_FACES} faces, the face cap")
-    faces = []
-    for gens, rays in keys:
-        normals = [w for (fg, fr), w in facets.items() if fg & gens == gens and fr & rays == rays]
-        faces.append(_argmin_face(pts, primitive(map(sum, zip(*normals)))))
+            incident = [_dot(weight, p) == -normal[0] for p in pts] + [x == 0 for x in weight]
+            facets[sum(1 << k for k, b in enumerate(incident) if b)] = weight
+    keys, normals = list(facets), list(facets.values())
+    # for each point, then each ray, the mask of the facets holding it
+    held = [sum(1 << j for j, key in enumerate(keys) if key >> k & 1) for k in range(len(pts) + n)]
+    point_bits = (1 << len(pts)) - 1
+    masks = {key: 1 << j for j, key in enumerate(keys)}  # each face met -> the facets holding it
+    level, faces = keys, []
+    for dim in range(n - 1, -1, -1):
+        below = {}
+        for face in level:
+            on = masks[face]
+            witness = primitive(map(sum, zip(*(normals[j] for j in _bits(on)))))
+            bits = _bits(face)
+            points = frozenset(pts[k] for k in bits if k < len(pts))
+            rays = frozenset(k - len(pts) + 1 for k in bits if k >= len(pts))
+            faces.append(LatticeFace(points, rays, witness, _dot(witness, pts[bits[0]]), dim))
+            # F & G over the facets G, less F itself: each is a face, and one is
+            # maximal (a facet of F) exactly when every facet holding it but not
+            # F gives it
+            meets = Counter(face & key for key in keys if face & key & point_bits)
+            del meets[face]
+            new = [key for key in meets if key not in masks]
+            if len(masks) + len(new) > MAX_FACES:
+                raise TooManySupportPointsError(f"more than {MAX_FACES} faces, the face cap")
+            masks.update((key, reduce(int.__and__, [held[k] for k in _bits(key)])) for key in new)
+            below.update((key, None) for key, count in meets.items()
+                         if count == masks[key].bit_count() - on.bit_count())
+        level = below
     return sorted(faces, key=lambda f: (sorted(f.rays), sorted(f.generators)))
 
 

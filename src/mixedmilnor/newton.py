@@ -12,7 +12,7 @@ naming of the text format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 
@@ -136,14 +136,12 @@ class NewtonBoundary:
     """The Newton boundary of one polynomial, built once and shared.
 
     support is sorted; faces are in the lattice enumeration order (by
-    noncompact directions, then generators); compact_points are the support
-    points on some compact face.
+    noncompact directions, then generators).
     """
 
     support: tuple
     faces: tuple
     vertices: frozenset
-    compact_points: frozenset
 
 
 def newton_boundary(f: MixedPoly) -> NewtonBoundary:
@@ -155,39 +153,26 @@ def newton_boundary(f: MixedPoly) -> NewtonBoundary:
         compact_pts = frozenset().union(*compact)
         boundary = NewtonBoundary(
             support=tuple(support),
-            faces=tuple(_descriptor(f, fc, compact_pts) for fc in faces),
+            faces=tuple(_descriptor(fc, compact_pts) for fc in faces),
             vertices=frozenset().union(*(g for g in compact if len(g) == 1)),
-            compact_points=compact_pts,
         )
         object.__setattr__(f, "_boundary", boundary)
     return f._boundary
 
 
-def _face_dim(face: lattice.LatticeFace, compact_pts) -> int:
-    gens = sorted(face.generators & compact_pts) or sorted(face.generators)
-    rays = [i - 1 for i in sorted(face.rays)]
-    return lattice.rank(lattice.directions(gens, rays, len(gens[0])))
-
-
-def _descriptor(f, face, compact_pts):
+def _descriptor(face, compact_pts):
     if face.is_compact():
         kind = FaceKind.COMPACT
-        compact_part = face.generators
-    else:
-        kind = (
-            FaceKind.NONCOMPACT_ESSENTIAL
-            if vanishes_on(f, face.rays)
-            else FaceKind.NONCOMPACT_INESSENTIAL
-        )
-        compact_part = frozenset(face.generators & compact_pts)
+    else:  # the witness is zero exactly on the rays, so f^rays == 0 exactly when d > 0
+        kind = FaceKind.NONCOMPACT_ESSENTIAL if face.d > 0 else FaceKind.NONCOMPACT_INESSENTIAL
     return FaceDescriptor(
         generators=face.generators,
-        dim=_face_dim(face, compact_pts),
+        dim=face.dim,
         weight_witness=WeightVector(face.witness),
         d_value=face.d,
         kind=kind,
         noncompact_directions=face.rays,
-        compact_part=compact_part,
+        compact_part=face.generators & compact_pts,
     )
 
 
@@ -211,16 +196,18 @@ def delta_of_weight(f: MixedPoly, P):
     """Minimal weight value d(P), the face it selects, and the face function.
 
     The weight is evaluated on the support; the face function f_P collects
-    the terms whose support point attains the minimum.
+    the terms whose support point attains the minimum.  The face is the
+    boundary face with those generators and rays, with P as its witness.
     """
     if not isinstance(P, WeightVector):
         P = WeightVector(tuple(P))
     boundary = newton_boundary(f)
     if P.n != f.n:
         raise ValueError("weight length does not match variable count")
-    lat = lattice._argmin_face(boundary.support, P.p)
-    face = _descriptor(f, lat, boundary.compact_points)
-    return lat.d, face, face_function(f, face)
+    d = min(map(P.value, boundary.support))
+    key = frozenset(xi for xi in boundary.support if P.value(xi) == d), P.zero_set()
+    face = next(fc for fc in boundary.faces if (fc.generators, fc.noncompact_directions) == key)
+    return d, replace(face, weight_witness=P, d_value=d), face_function(f, face)
 
 
 def _terms_on(f: MixedPoly, points) -> MixedPoly:
@@ -280,25 +267,13 @@ def essential_noncompact_faces(f: MixedPoly, include_inessential=False) -> list:
     include_inessential=True the maximal non-essential non-compact faces
     are reported too.
     """
-    faces = [fc for fc in newton_boundary(f).faces if not fc.is_compact()]
-    by_dirs = {}
-    for fc in faces:
-        by_dirs.setdefault(fc.noncompact_directions, []).append(fc)
-    out = []
-    for dirs in sorted(by_dirs, key=sorted):
-        group = by_dirs[dirs]
-        maximal = [
-            fc
-            for fc in group
-            if not any(
-                other is not fc and fc.generators < other.generators for other in group
-            )
-        ]
-        for fc in sorted(maximal, key=lambda x: sorted(x.generators)):
-            if fc.kind is FaceKind.NONCOMPACT_ESSENTIAL or include_inessential:
-                out.append(fc)
-    out.sort(key=lambda fc: (fc.kind is not FaceKind.NONCOMPACT_ESSENTIAL, sorted(fc.noncompact_directions)))
-    return out
+    by_dirs = {}  # in boundary order, so by sorted directions, then generators
+    for fc in newton_boundary(f).faces:
+        if fc.kind is FaceKind.NONCOMPACT_ESSENTIAL or include_inessential and not fc.is_compact():
+            by_dirs.setdefault(fc.noncompact_directions, []).append(fc)
+    out = [fc for group in by_dirs.values() for fc in group
+           if not any(fc.generators < other.generators for other in group)]
+    return sorted(out, key=lambda fc: fc.kind is not FaceKind.NONCOMPACT_ESSENTIAL)
 
 
 def top_faces(f: MixedPoly, I) -> list:

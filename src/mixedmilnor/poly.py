@@ -20,6 +20,7 @@ function, so everything here is safe to use concurrently.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -512,7 +513,10 @@ def _tokenize(text):
     A token's position is its first character ('|' of |zK|, 'z' of zK).
     Variables carry their index K, at most MAX_INDEX, 'nat' an int, 'dec' the
     exact Fraction of the decimal; an operator's kind is the operator itself.
+    A digit run longer than int() reads (sys.get_int_max_str_digits()) is
+    refused at its token.
     """
+    limit = sys.get_int_max_str_digits()
     tokens = []
     pos = 0
     while pos < len(text):
@@ -529,6 +533,8 @@ def _tokenize(text):
             len(index) > len(str(MAX_INDEX)) or int(index or 0) > MAX_INDEX
         ):
             raise PolySyntaxError(m.start(kind), f"variable index in 1..{MAX_INDEX}", text)
+        if 0 < limit < max(map(len, digits.split("."))):
+            raise PolySyntaxError(m.start(kind), f"a number of at most {limit} digits", text)
         value = Fraction(word) if kind == "dec" else int(digits) if digits.isdigit() else None
         tokens.append((word if kind == "op" else kind, value, m.start(kind)))
         pos = m.end()

@@ -133,20 +133,20 @@ def integerize(vec):
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def _argmin_face_oracle(pts, weight):
+def _argmin_face_oracle(pts, weight, dim=None):
     vals = [sum(w * x for w, x in zip(weight, pt)) for pt in pts]
     d = min(vals)
     gens = frozenset(pt for pt, v in zip(pts, vals) if v == d)
     rays = frozenset(i + 1 for i, w in enumerate(weight) if w == 0)
-    return lattice.LatticeFace(gens, rays, tuple(weight), d)
+    return lattice.LatticeFace(gens, rays, tuple(weight), d, dim)
 
 
 def newton_faces_oracle(support, n):
     """Faces of conv(S) + R_{>=0}^n from every hyperplane through n - r support
     points and r coordinate rays, closed under pairwise intersection with an
     argmin at every pair.  Each face's witness is the integerized sum of the
-    normals of the facets (faces of rank n - 1) that contain it; same faces,
-    witnesses and order as the library."""
+    normals of the facets (faces of rank n - 1) that contain it, and its dim
+    its rank; same faces, witnesses, dims and order as the library."""
     pts = sorted(set(tuple(int(x) for x in p) for p in support))
     if not pts:
         return []
@@ -195,7 +195,8 @@ def newton_faces_oracle(support, n):
     out = []
     for face in faces.values():
         normals = [f.witness for f in facets if face.generators <= f.generators and face.rays <= f.rays]
-        out.append(_argmin_face_oracle(pts, integerize([Fraction(sum(c)) for c in zip(*normals)])))
+        witness = integerize([Fraction(sum(c)) for c in zip(*normals)])
+        out.append(_argmin_face_oracle(pts, witness, rank(face)))
     return sorted(out, key=lambda f: (sorted(f.rays), sorted(f.generators)))
 
 

@@ -75,6 +75,11 @@ class TestArcParsing:
         assert info.value.position == 8
         assert info.value.expected == "variable index in 1..64"
 
+    def test_digit_run_above_the_int_limit(self):
+        with pytest.raises(PolySyntaxError) as info:
+            parse_arc("z1 = " + "1" * 5000 + "*t; z2 = t")
+        assert info.value.position == 5
+
     def test_evaluate(self):
         arc = parse_arc("z1 = 1 + t; z2 = 2i*t^2")
         p = arc.evaluate(0.5)

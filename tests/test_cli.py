@@ -269,6 +269,14 @@ class TestErrors:
             (["vanishing", "z300000000"], "PolySyntaxError"),
             (["nondeg", "--corpus", "tibar", "--budget", "1025"], "BadRequestError"),
             (["tame", "--corpus", "tibar", "--budget", "100000000"], "BadRequestError"),
+            (["tame", "--poly", "z1^2 + z2^2", "--budget", "5000"], "BadRequestError"),
+            # digit runs longer than int() reads, in polynomial, arc and point text
+            (["newton", "--poly", "1" + "0" * 5000 + "*z1"], "PolySyntaxError"),
+            (["newton", "--poly", "z1 + 1/" + "1" * 5000 + "*z2"], "PolySyntaxError"),
+            (["arc-limit", "--corpus", "tibar", "--arc", "z1 = " + "1" * 5000 + "*t; z2 = t"],
+             "PolySyntaxError"),
+            (["openness", "--corpus", "tibar", "--point", "1" + "0" * 5000 + ", 0"],
+             "BadRequestError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):
@@ -299,6 +307,9 @@ class TestErrors:
             ["tame", "--corpus", "tibar", "--radius", "-1"],
             ["tame", "--corpus", "tibar", "--budget", "0"],
             ["tame", "--corpus", "tibar", "--budget", "-3"],
+            # no vanishing subspace, so no tameness check runs; the arguments are still checked
+            ["tame", "--poly", "z1^2 + z2^2", "--budget", "0"],
+            ["tame", "--poly", "z1^2 + z2^2", "--radius", "-1"],
         ],
     )
     def test_non_positive_argument(self, capsys, argv):
@@ -446,6 +457,13 @@ class TestArgv:
         assert list(report["request"].items()) == list(values.items())
 
 
+    def test_request_echo_keeps_zero(self, capsys):
+        code, report = run_json(capsys, "tame", "--poly", "z1^2 + z2^2", "--epsilon", "0")
+        assert code == 0
+        assert report["request"]["epsilon"] == 0
+        assert report["result"]["subspaces"] == []
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         args = ["nondeg", "--corpus", "tibar", "--budget", "8", "--seed", "3", "--json"]
@@ -534,6 +552,23 @@ class TestBatch:
         first, idx = decoder.raw_decode(out.strip())
         second, _ = decoder.raw_decode(out.strip()[idx:].strip())
         assert first["error"]["type"] == "NonPositiveArgumentError"
+        assert second["result"]["vanishing"] == [[3]]
+
+    def test_long_literal_does_not_stop_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": "newton", "poly": "1" + "0" * 5000 + "*z1", "json": True},
+            {"command": "vanishing", "corpus": "fig1", "json": True},
+        ]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        first, idx = decoder.raw_decode(out.strip())
+        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
+        jsonschema.validate(first, SCHEMA)
+        assert first["error"]["type"] == "PolySyntaxError"
         assert second["result"]["vanishing"] == [[3]]
 
     def test_negative_seed_does_not_stop_the_batch(self, capsys, tmp_path):

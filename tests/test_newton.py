@@ -122,6 +122,9 @@ class TestDeltaOfWeight:
             argmin = {xi for xi, v in vals.items() if v == dmin}
             assert face.generators == argmin
             assert face_poly.support() == frozenset(argmin)
+            oracle = newton_faces_oracle(sorted(f.support()), 3)
+            (dim,) = [fc.dim for fc in oracle if (fc.generators, fc.rays) == (argmin, P.zero_set())]
+            assert face.dim == dim
             # primitive rescaling can change the reported minimum value
             assert d == min(P.value(xi) for xi in f.support())
 
@@ -365,6 +368,23 @@ class TestFaceEnumerationCompleteness:
             # the same polyhedron: its faces keep their witnesses
             assert sorted(f.witness for f in more) == sorted(f.witness for f in faces)
 
+    def test_boundary_ranks_no_face(self, monkeypatch):
+        # each face's dim is its closure level, so only the facet routine
+        # solves for normals: z10 has 1,023 faces and 10 facets
+        calls = []
+        nullspace = lattice.nullspace
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return nullspace(rows, ncols)
+
+        monkeypatch.setattr(lattice, "nullspace", counted)
+        assert len(newton.newton_boundary(parse_poly("z10")).faces) == 1023
+        built = len(calls)
+        calls.clear()
+        lattice._cone_facets([(1, *(0,) * 9, 1)] + [tuple(int(j == i) for j in range(11)) for i in range(1, 11)], 11)
+        assert built <= len(calls)
+
 
 def cone_facets_oracle(gens, dim):
     """{(primitive inner normal, generator mask)} of the cone spanned by gens,
@@ -440,6 +460,23 @@ class TestFaceCap:
         monkeypatch.setattr(lattice, "MAX_FACES", total - 1)
         with pytest.raises(TooManySupportPointsError, match="faces"):
             lattice.newton_faces(pts, 4)
+
+    def test_closure_stops_at_the_cap(self, monkeypatch):
+        # the cap bounds the closure's work, not only its answer: of these 55
+        # faces (9 facets), no more than the cap are ever built
+        pts = [(2, 0, 0, 1), (0, 3, 1, 0), (1, 1, 1, 1), (0, 0, 4, 0), (3, 1, 0, 0), (0, 1, 0, 3)]
+        built = []
+        face = lattice.LatticeFace
+
+        def counted(*args):
+            built.append(args)
+            return face(*args)
+
+        monkeypatch.setattr(lattice, "LatticeFace", counted)
+        monkeypatch.setattr(lattice, "MAX_FACES", 20)
+        with pytest.raises(TooManySupportPointsError, match="faces"):
+            lattice.newton_faces(pts, 4)
+        assert len(built) <= 20
 
 
 class TestFractionFreeEnumeration:

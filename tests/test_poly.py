@@ -1,5 +1,6 @@
 """Parser, Wirtinger calculus, and evaluation of exact mixed polynomials."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,20 @@ class TestParsing:
         assert err.value.position == position
         assert err.value.expected == "variable index in 1..64"
         assert parse_poly("z64 + z007").n == 64
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1" + "0" * 5000 + "*z1", 0), ("z1 + 1/" + "1" * 5000 + "*z2", 7),
+         ("z1 + 0." + "0" * 5000 + "1*z2", 5), ("z" + "0" * 5000 + "1", 0)],
+        ids=["integer", "denominator", "decimal", "index"],
+    )
+    def test_digit_run_above_the_int_limit(self, text, position):
+        # refused at the token, before int() or Fraction() reads the digits
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly(text)
+        assert err.value.position == position
+        assert err.value.expected == f"a number of at most {sys.get_int_max_str_digits()} digits"
+        assert parse_coefficient("1" + "0" * 4299) == GaussianRational.of(10**4299)
 
     def test_parens_and_powers(self):
         assert parse_poly("(z1+z2)^2") == parse_poly("z1^2 + 2*z1*z2 + z2^2")

@@ -48,6 +48,7 @@ from .poly import (
     MixedPoly,
     _Cursor,
     _merge_terms,
+    format_gaussian,
     join_signed,
 )
 
@@ -697,7 +698,8 @@ def limit_to_json(result: LimitTangentResult) -> dict:
         "covector_h": [[float(x.real), float(x.imag)] for x in result.covector_h],
         "orders": list(result.orders),
         "reduction_steps": [
-            {"lambda": str(lam), "shift": shift} for lam, shift in result.reduction_steps
+            {"lambda": format_gaussian(GaussianRational.of(lam)), "shift": shift}
+            for lam, shift in result.reduction_steps
         ],
         "swapped": result.swapped,
         "independent": result.independent,

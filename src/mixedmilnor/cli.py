@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import arcs, constructors, degeneracy, newton, zeta
-from .errors import BadRequestError, MixedMilnorError, PolySyntaxError, require_positive
+from .errors import BadRequestError, MixedMilnorError, require_positive
 from .poly import MixedPoly, parse_coefficient, parse_poly
 
 EXIT_OK = 0
@@ -30,7 +30,7 @@ def _parse_point(text: str):
     """Comma-separated coordinates, each a signed sum of coefficient literals."""
     try:
         return [complex(parse_coefficient(part)) for part in text.split(",")]
-    except (PolySyntaxError, OverflowError):
+    except MixedMilnorError:
         raise BadRequestError(f"cannot read {text!r} as a complex point") from None
 
 
@@ -277,20 +277,19 @@ _VALUE_OPTIONS = frozenset(flag for flag, spec in _OPTIONS if "action" not in sp
 _NOT_ECHOED = ("command", "poly_positional", "seed", "as_json", "batch")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mixed-milnor",
-        description="Newton boundary, tameness, limit tangent, and zeta analysis "
-        "of mixed polynomials",
-    )
-    parser.add_argument("command", nargs="?", choices=_COMMANDS)
-    parser.add_argument("poly_positional", nargs="?", help="polynomial text")
-    for flag, spec in _OPTIONS:
-        parser.add_argument(flag, **spec)
-    return parser
+# the one argument parser, built at import and used for every request
+_PARSER = argparse.ArgumentParser(
+    prog="mixed-milnor",
+    description="Newton boundary, tameness, limit tangent, and zeta analysis "
+    "of mixed polynomials",
+)
+_PARSER.add_argument("command", nargs="?", choices=_COMMANDS)
+_PARSER.add_argument("poly_positional", nargs="?", help="polynomial text")
+for _flag, _spec in _OPTIONS:
+    _PARSER.add_argument(_flag, **_spec)
 
 
-def _parse(parser, argv):
+def _parse(argv):
     """Parse argv with each value-taking option joined to its next token as
     --flag=value unless that token starts with '--', so a value may start
     with '-' ('-2i*z1', '-1,0').  Any other token with one leading '-' but
@@ -304,10 +303,10 @@ def _parse(parser, argv):
             dashed.append(token)
         else:
             glued.append(token)
-    args = parser.parse_intermixed_args(glued)
+    args = _PARSER.parse_intermixed_args(glued)
     if dashed:
         if args.poly_positional is not None or len(dashed) > 1:
-            parser.error(f"unrecognized arguments: {' '.join(dashed)}")
+            _PARSER.error(f"unrecognized arguments: {' '.join(dashed)}")
         args.poly_positional = dashed[0]
     return args
 
@@ -368,7 +367,7 @@ def _run_one(args) -> int:
     return EXIT_OK
 
 
-def _batch_args(parser, line, lineno):
+def _batch_args(line, lineno):
     """Parsed arguments of one batch line; BadRequestError if unreadable."""
     try:
         request = json.loads(line)
@@ -384,13 +383,13 @@ def _batch_args(parser, line, lineno):
         if value is not False:
             argv += [flag] if value is True else [flag, str(value)]
     try:
-        return _parse(parser, argv)
+        return _parse(argv)
     except SystemExit:
         # argparse has printed the usage error; report the line and go on
         raise BadRequestError(f"batch line {lineno} has invalid arguments") from None
 
 
-def _run_batch(args, parser) -> int:
+def _run_batch(args) -> int:
     try:
         with open(args.batch, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -402,7 +401,7 @@ def _run_batch(args, parser) -> int:
         if not line:
             continue
         try:
-            sub_args = _batch_args(parser, line, lineno)
+            sub_args = _batch_args(line, lineno)
         except BadRequestError as exc:
             code = _report_error(args, exc)
         else:
@@ -412,14 +411,13 @@ def _run_batch(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = _parse(parser, sys.argv[1:] if argv is None else argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if not args.command:
-        parser.print_help()
+        _PARSER.print_help()
         return EXIT_ERROR
     try:
         if args.batch:
-            return _run_batch(args, parser)
+            return _run_batch(args)
         return _run_one(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,7 +131,7 @@ def _cone(m, n, exps):
         raise BadParamsError("cone needs 1 <= m < n")
     if len(exps) != n or any(a < 1 for a in exps):
         raise BadParamsError("cone needs n exponents, all >= 1")
-    z1 = MixedPoly.variable(n, 1)
+    z1 = MixedPoly.monomial(n, {1: 1}, {})
     k = MixedPoly.zero(n)
     for i in range(1, n + 1):
         term = MixedPoly.monomial(n, {i: exps[i - 1]}, {i: exps[i - 1]})

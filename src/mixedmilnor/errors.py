@@ -86,7 +86,9 @@ class AllValuesZeroError(MixedMilnorError, ValueError):
 
 
 class NonFiniteValuesError(MixedMilnorError, ArithmeticError):
-    """f's values at the probe samples overflow or are not numbers."""
+    """f's values at the probe samples overflow or are not numbers, or an
+    exact coefficient is beyond float range.  Not an OverflowError, which the
+    searches score as an infinite objective."""
 
 
 class NotStronglyPolarError(MixedMilnorError, ValueError):

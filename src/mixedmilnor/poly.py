@@ -28,7 +28,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import OddModulusExponentError, PolySyntaxError
+from .errors import BadRequestError, NonFiniteValuesError, OddModulusExponentError, PolySyntaxError
 
 __all__ = [
     "GaussianRational",
@@ -90,7 +90,10 @@ class GaussianRational:
         return not self.is_zero()
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise NonFiniteValuesError("a coefficient is beyond float range") from None
 
     def __str__(self):
         return format_gaussian(self)
@@ -105,18 +108,20 @@ GR_NEG_HALF_I = GaussianRational(Fraction(0), Fraction(-1, 2))
 
 
 def format_gaussian(c: GaussianRational) -> str:
-    """Render a coefficient in the grammar the parser accepts."""
+    """Render a coefficient in the grammar the parser accepts; BadRequestError
+    for a number longer than str() writes (sys.get_int_max_str_digits())."""
+    try:
+        real, imag = str(c.re), str(c.im)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise BadRequestError(f"cannot write a coefficient of more than {limit} digits") from None
     if c.im == 0:
-        return str(c.re)
+        return real
+    imag = {"1": "i", "-1": "-i"}.get(imag, f"{imag}i")
     if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}i"
-    im = "i" if c.im == 1 else ("-i" if c.im == -1 else f"{c.im}i")
+        return imag
     sign = "+" if c.im > 0 else ""
-    return f"({c.re}{sign}{im})"
+    return f"({real}{sign}{imag})"
 
 
 def join_signed(parts) -> str:
@@ -217,16 +222,6 @@ class MixedPoly:
         c = c if isinstance(c, GaussianRational) else GaussianRational.of(c)
         zero = (0,) * n
         return MixedPoly(n, {MixedMonomial(zero, zero): c})
-
-    @staticmethod
-    def variable(n: int, j: int) -> "MixedPoly":
-        """The polynomial z_j (1-based j)."""
-        return MixedPoly.monomial(n, {j: 1}, {})
-
-    @staticmethod
-    def conj_variable(n: int, j: int) -> "MixedPoly":
-        """The polynomial zbar_j (1-based j)."""
-        return MixedPoly.monomial(n, {}, {j: 1})
 
     @staticmethod
     def monomial(n: int, nu, mu, coeff=GR_ONE) -> "MixedPoly":
@@ -626,8 +621,11 @@ class _Parser(_Cursor):
 
     expr   := [sign] term (('+'|'-') term)*
     term   := factor ('*'? factor)*
-    factor := primary ('^' nat)? | |z| ('^' even)?
-    primary:= literal | z | zb | '(' expr ')'
+    factor := (literal | z | zb | '(' expr ')') ('^' nat)? | |z| ('^' even)?
+
+    A term's variable factors fold into one monomial, their exponents added
+    (|z_k|^e adds e/2 to those of z_k and zb_k); only literals and
+    parenthesized exprs stay polynomials, multiplied onto it in text order.
     """
 
     def __init__(self, text, n):
@@ -651,44 +649,39 @@ class _Parser(_Cursor):
     _FACTOR_START = ("nat", "dec", "imag", "z", "zbar", "abs", "(")
 
     def term(self):
-        poly = self.factor()
-        while self.accept("*") or self.peek()[0] in self._FACTOR_START:
-            poly = poly * self.factor()
-        return poly
-
-    def factor(self):
-        tok = self.peek()
-        if self.accept("abs"):
-            self._check_index(tok)
-            base = None
-        else:
-            base = self.primary()
-        e = self.expect("nat")[1] if self.accept("^") else 1
-        if base is not None:
-            return base if e == 1 else base**e
-        # |z_k|^e desugars to z_k^(e/2) zb_k^(e/2), for even e only
-        if e % 2 != 0:
-            raise OddModulusExponentError(tok[2], e)
-        return MixedPoly.monomial(self.n, {tok[1]: e // 2}, {tok[1]: e // 2})
-
-    def primary(self):
-        kind, value, _ = tok = self.peek()
-        if kind in ("nat", "dec", "imag"):
-            return MixedPoly.constant(self.n, self.literal())
-        self.take()
-        if kind in ("z", "zbar"):
-            self._check_index(tok)
-            make = MixedPoly.variable if kind == "z" else MixedPoly.conj_variable
-            return make(self.n, value)
-        if kind == "(":
-            poly = self.expr()
-            self.expect(")")
-            return poly
-        self.error(tok, "a coefficient, variable, or '('")
-
-    def _check_index(self, tok):
-        if not 1 <= tok[1] <= self.n:
-            self.error(tok, f"variable index in 1..{self.n}")
+        nu, mu = [0] * self.n, [0] * self.n
+        polys = []
+        while True:
+            kind, k, pos = tok = self.peek()
+            if kind in _VARIABLES:
+                self.take()
+                if not 1 <= k <= self.n:
+                    self.error(tok, f"variable index in 1..{self.n}")
+            elif kind in ("nat", "dec", "imag"):
+                poly = MixedPoly.constant(self.n, self.literal())
+            elif self.accept("("):
+                poly = self.expr()
+                self.expect(")")
+            else:
+                self.error(tok, "a coefficient, variable, or '('")
+            e = self.expect("nat")[1] if self.accept("^") else 1
+            if kind not in _VARIABLES:
+                polys.append(poly if e == 1 else poly**e)
+            elif kind == "abs":
+                # |z_k|^e desugars to z_k^(e/2) zb_k^(e/2), for even e only
+                if e % 2:
+                    raise OddModulusExponentError(pos, e)
+                nu[k - 1] += e // 2
+                mu[k - 1] += e // 2
+            else:
+                (nu if kind == "z" else mu)[k - 1] += e
+            if not (self.accept("*") or self.peek()[0] in self._FACTOR_START):
+                break
+        unit = polys and not any(nu + mu)  # no variable factor: no monomial 1 to multiply
+        out = polys.pop(0) if unit else MixedPoly.monomial(self.n, nu, mu)
+        for poly in polys:
+            out = out * poly
+        return out
 
 
 def parse_poly(text: str, n: int | None = None) -> MixedPoly:

@@ -37,6 +37,11 @@ def equal_degree_sum(n, size, seed=17):
     )
 
 
+# beyond float range, and a product of two literals longer than str() writes
+BIG = "1" + "0" * 400
+NINES = "9" * 3000
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -276,6 +281,19 @@ class TestErrors:
             (["arc-limit", "--corpus", "tibar", "--arc", "z1 = " + "1" * 5000 + "*t; z2 = t"],
              "PolySyntaxError"),
             (["openness", "--corpus", "tibar", "--point", "1" + "0" * 5000 + ", 0"],
+             "BadRequestError"),
+            # a coefficient beyond float range, and one too long to write as text
+            (["nondeg", "--budget", "1", "--poly", BIG + "*z1^2 + z2^2"], "NonFiniteValuesError"),
+            # first met inside the search, which scores an OverflowError as inf
+            (["nondeg", "--budget", "1", "--poly", BIG + "*z1^2*zb2 + z1*z2^2 + 3*|z1|^2*z2"],
+             "NonFiniteValuesError"),
+            (["transversality", "--samples", "5", "--poly", BIG + "*z1^2 + z2^2"],
+             "NonFiniteValuesError"),
+            (["tame", "--poly", BIG + "*z1*|z2|^2"], "NonFiniteValuesError"),
+            (["arc-limit", "--arc", "z1 = 1; z2 = t", "--poly", BIG + "*z1*|z2|^2"],
+             "NonFiniteValuesError"),
+            (["openness", "--point", "1, 0", "--poly", BIG + "*z1*z2"], "NonFiniteValuesError"),
+            (["join", "--poly", f"{NINES}*{NINES}*z1^2 + z2^2", "--poly2", "z1"],
              "BadRequestError"),
         ],
     )
@@ -570,6 +588,30 @@ class TestBatch:
         jsonschema.validate(first, SCHEMA)
         assert first["error"]["type"] == "PolySyntaxError"
         assert second["result"]["vanishing"] == [[3]]
+
+    def test_huge_coefficients_do_not_stop_the_batch(self, capsys, tmp_path):
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": "nondeg", "poly": BIG + "*z1^2 + z2^2", "budget": 1, "json": True},
+            {"command": "join", "poly": f"{NINES}*{NINES}*z1^2 + z2^2", "poly2": "z1",
+             "json": True},
+            # exact commands still serve the polynomial whose float search overflows
+            {"command": "zeta", "poly": BIG + "*z1^2 + z2^2", "json": True},
+        ]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out.strip()
+        assert code == 1
+        decoder = json.JSONDecoder()
+        reports = []
+        while out:
+            report, idx = decoder.raw_decode(out)
+            jsonschema.validate(report, SCHEMA)
+            reports.append(report)
+            out = out[idx:].strip()
+        assert [r["error"]["type"] for r in reports[:2]] == [
+            "NonFiniteValuesError", "BadRequestError"]
+        assert reports[2]["result"] == run_json(capsys, "zeta", "z1^2 + z2^2")[1]["result"]
 
     def test_negative_seed_does_not_stop_the_batch(self, capsys, tmp_path):
         batch = tmp_path / "requests.jsonl"

@@ -119,6 +119,34 @@ class TestParsing:
 
     def test_parens_and_powers(self):
         assert parse_poly("(z1+z2)^2") == parse_poly("z1^2 + 2*z1*z2 + z2^2")
+        z1, z2, z3 = (MixedPoly.monomial(3, {k: 1}, {}) for k in (1, 2, 3))
+        zb1 = MixedPoly.monomial(3, {}, {1: 1})
+        one = MixedPoly.constant(3, 1)
+        ring = {
+            "2^3*z1": MixedPoly.constant(3, 2) ** 3 * z1,
+            "i^2*z2": MixedPoly.constant(3, I) ** 2 * z2,
+            "z1^0*z2 + |z1|^0": z1**0 * z2 + one,
+            "z2*0*z1 + z3": z2 * 0 * z1 + z3,
+            "zb1*|z2|^4*z1^2": zb1 * (z2 * z2.conjugate()) ** 2 * z1**2,
+            "(z1+z2)^2*z3^2*(z1-1)": (z1 + z2) ** 2 * z3**2 * (z1 - one),
+            "2*z1*(z1 - zb1)*3*(z2 + 1)^2": 2 * z1 * (z1 - zb1) * 3 * (z2 + one) ** 2,
+        }
+        for text, expected in ring.items():
+            # key order too: _arrays reads the terms in this order
+            assert list(parse_poly(text, n=3).terms.items()) == list(expected.terms.items()), text
+
+    def test_variable_factors_build_one_monomial(self, monkeypatch):
+        built = []
+        init = MixedPoly.__init__
+
+        def counted(poly, *args):
+            built.append(poly)
+            init(poly, *args)
+
+        monkeypatch.setattr(MixedPoly, "__init__", counted)
+        f = parse_poly("z1^64*zb2^64*|z3|^64")
+        assert len(built) <= 2
+        assert list(f.terms) == [MixedMonomial((64, 0, 32), (0, 64, 32))]
 
 
 class TestTermMerge:

@@ -18,12 +18,12 @@ Local tameness along a vanishing coordinate subspace C^I is decided in
 stages: an exact symbolic criterion (a sign-definite diagonal witness
 polynomial T_j, then the support certificate on the complement of I), then
 a sampling falsifier that freezes small nonzero values on the I
-coordinates and searches the remaining torus for critical points, then a
-probe for critical values of the squared I-norm on the zero set of the
-face function.  Every float search, the falsifier's included, is the same
-bounded multistart minimization: log-magnitudes start in [-2, 2] and stay
-in [-2.5, 2.5].  Certification by sampling alone is never claimed: without
-an exact certificate the best possible verdict is Inconclusive.
+coordinates and searches the remaining torus for critical points of the
+face function.  A NotTame witness is always such a critical point at a
+frozen z_I.  Both float searches, the falsifier and the frozen one, are the
+same bounded multistart minimization: log-magnitudes start in [-2, 2] and
+stay in [-2.5, 2.5].  Certification by sampling alone is never claimed:
+without an exact certificate the best possible verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -78,15 +78,6 @@ class NondegeneracyVerdict:
 
 
 @dataclass(frozen=True)
-class RhoProbeReport:
-    """Search for critical values of rho(z) = |z_I|^2 on the face zero set."""
-
-    evaluations: int
-    min_objective: float
-    witness: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class FaceTameness:
     face: FaceDescriptor
     status: TameStatus
@@ -95,7 +86,6 @@ class FaceTameness:
     criterion_polynomials: dict  # j -> T_j as exact MixedPoly
     certified_by: str | None  # "sign-definite-T[j]", "support[k]" or None
     stats: ResidualStats | None
-    rho_probe: RhoProbeReport | None
 
 
 @dataclass(frozen=True)
@@ -504,42 +494,6 @@ def _certify_symbolically(T_polys):
     return None
 
 
-def _rho_probe(fpoly, I, shell, budget, rng):
-    """Look for z on the face zero set with z_I in span_R of the gradients.
-
-    Minimizes the squares of two scale-free residuals: |f(z)| over the sum
-    of the term moduli |u_k(z)|, small only where terms cancel (|f| alone is
-    small on any small shell), and the span residual of the masked vector
-    z_I over the shell; a joint near-zero is a candidate critical value.
-    """
-    n = fpoly.n
-    mask = np.zeros(n, dtype=bool)
-    mask[[i - 1 for i in I]] = True
-    nu, mu, coeff = fpoly._arrays()
-    moduli, exps = np.abs(coeff), nu + mu
-
-    def point(x):
-        p = _torus_point(x[:n], x[n:])
-        p[mask] *= shell / np.linalg.norm(p[mask])
-        return p
-
-    def objective(x):
-        p = point(x)
-        zi = np.where(mask, p, 0.0)
-        gg, hh = fpoly.gradients(p).real_imag_zbar()
-        if not (np.isfinite(gg).all() and np.isfinite(hh).all()):
-            # overflowed gradients span nothing measurable
-            return math.inf
-        size = np.sum(moduli * np.prod(np.abs(p) ** exps, axis=1))
-        value = abs(fpoly.evaluate(p)) / size
-        span = real_span_residual(zi, gg, hh) / shell
-        return value**2 + span**2
-
-    value, x, evals = _multistart(objective, n, budget, rng)
-    witness = point(x) if value < WITNESS_THRESHOLD else None
-    return RhoProbeReport(evals, float(value), witness)
-
-
 def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
     fd = newton.face_function(f, face)
     T_polys = _witness_polys(fd, face)
@@ -549,11 +503,10 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
     if certified is None:
         k = support_certificate(fd, free)
         certified = None if k is None else f"support[{k}]"
-    status, radius, witness, stats, rho = TameStatus.TAME_CERTIFIED, math.inf, None, None, None
+    status, radius, witness, stats = TameStatus.TAME_CERTIFIED, math.inf, None, None
     if certified is None:
         # freeze z_I at four random directions on each of three shells of
-        # decreasing radius and search the rest of the torus; when every
-        # shell comes back clean, probe rho on the outer one
+        # decreasing radius and search the rest of the torus
         rng = np.random.default_rng([seed, face_index])
         shells = [probe_radius] * 4 + [probe_radius / 2] * 4 + [probe_radius / 4] * 4
         restarts = max(1, budget // len(shells))
@@ -568,11 +521,6 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
             if value < WITNESS_THRESHOLD:
                 status, witness = TameStatus.NOT_TAME, (zi, point)
                 break
-        else:
-            rho = _rho_probe(fd, I, probe_radius, max(1, budget // 8), rng)
-            if rho.witness is not None:
-                status = TameStatus.NOT_TAME
-                witness = (rho.witness[[j - 1 for j in I]], rho.witness)
         # without a witness the outer shell is the clean radius; |z_I| is
         # taken at unit scale, so it neither underflows nor overflows
         radius = probe_radius
@@ -592,7 +540,6 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
         criterion_polynomials=T_polys,
         certified_by=certified,
         stats=stats,
-        rho_probe=rho,
     )
 
 

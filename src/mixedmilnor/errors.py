@@ -87,8 +87,9 @@ class AllValuesZeroError(MixedMilnorError, ValueError):
 
 class NonFiniteValuesError(MixedMilnorError, ArithmeticError):
     """f's values at the probe samples overflow or are not numbers, or an
-    exact coefficient is beyond float range.  Not an OverflowError, which the
-    searches score as an infinite objective."""
+    exact coefficient is beyond float range, or an exponent beyond the int64
+    range of the float term table.  Not an OverflowError, which the searches
+    score as an infinite objective."""
 
 
 class NotStronglyPolarError(MixedMilnorError, ValueError):

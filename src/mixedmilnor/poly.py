@@ -367,8 +367,11 @@ class MixedPoly:
             mu = np.zeros((m, self.n), dtype=np.int64)
             coeff = np.zeros(m, dtype=np.complex128)
             for i, (mono, c) in enumerate(self.terms.items()):
-                nu[i] = mono.nu
-                mu[i] = mono.mu
+                try:
+                    nu[i] = mono.nu
+                    mu[i] = mono.mu
+                except OverflowError:
+                    raise NonFiniteValuesError("an exponent is beyond int64 range") from None
                 coeff[i] = complex(c)
             # beside them, the constant parts of the gradients table
             e = np.concatenate([nu, mu], axis=1)
@@ -522,15 +525,17 @@ def _tokenize(text):
                 raise PolySyntaxError(where, "a coefficient, variable, or operator", text)
             break
         kind, word = m.lastgroup, m.group(m.lastgroup)
-        digits = word.strip("|zb")
-        index = digits.lstrip("0")  # its length is compared before int() reads it
-        if kind in _VARIABLES and (
-            len(index) > len(str(MAX_INDEX)) or int(index or 0) > MAX_INDEX
-        ):
-            raise PolySyntaxError(m.start(kind), f"variable index in 1..{MAX_INDEX}", text)
-        if 0 < limit < max(map(len, digits.split("."))):
-            raise PolySyntaxError(m.start(kind), f"a number of at most {limit} digits", text)
-        value = Fraction(word) if kind == "dec" else int(digits) if digits.isdigit() else None
+        value = None
+        if kind in _VARIABLES or kind in _NUMBER:
+            digits = word.strip("|zb")
+            index = digits.lstrip("0")  # its length is compared before int() reads it
+            if kind in _VARIABLES and (
+                len(index) > len(str(MAX_INDEX)) or int(index or 0) > MAX_INDEX
+            ):
+                raise PolySyntaxError(m.start(kind), f"variable index in 1..{MAX_INDEX}", text)
+            if 0 < limit < max(map(len, digits.split("."))):
+                raise PolySyntaxError(m.start(kind), f"a number of at most {limit} digits", text)
+            value = Fraction(word) if kind == "dec" else int(digits)
         tokens.append((word if kind == "op" else kind, value, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import newton
 from .errors import (
+    BadRequestError,
     NegativeReducedExponentError,
     NotStronglyPolarError,
     NotStronglyPolarFaceTypeError,
@@ -36,6 +37,10 @@ __all__ = [
     "zeta_function",
     "expand_zeta",
 ]
+
+# the largest sum of d * |e| over the merged factors that expand_zeta expands:
+# the expansion is dense in the polar degree, one coefficient per power of t
+MAX_EXPANDED_DEGREE = 100_000
 
 
 @dataclass(frozen=True)
@@ -209,9 +214,17 @@ def expand_zeta(z: ZetaFunction):
     Each 1 - t^d is prod_{k | d} Psi_k, so the reduced pair nets the
     exponent of each Psi_k: positive net exponents go to the numerator,
     negative ones to the denominator.  Both have constant term 1 and
-    integer coefficients in ascending degree order.
+    integer coefficients in ascending degree order.  A product whose sum of
+    d * |e| exceeds MAX_EXPANDED_DEGREE is refused before any expansion.
     """
-    net = _merge_terms((k, e) for d, e in z.merged() for k in range(1, d + 1) if d % k == 0)
+    merged = z.merged()
+    degree = sum(d * abs(e) for d, e in merged)
+    if degree > MAX_EXPANDED_DEGREE:
+        raise BadRequestError(
+            f"the zeta factors have total degree {degree} (the sum of d*|e|), above "
+            f"the expansion cap of {MAX_EXPANDED_DEGREE}"
+        )
+    net = _merge_terms((k, e) for d, e in merged for k in range(1, d + 1) if d % k == 0)
     num = _psi_product({k: e for k, e in net.items() if e > 0})
     den = _psi_product({k: -e for k, e in net.items() if e < 0})
     return num, den

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, JSON schema conformance, determinism, exits."""
 
 import json
+import time
 import warnings
 from itertools import product
 from pathlib import Path
@@ -40,6 +41,7 @@ def equal_degree_sum(n, size, seed=17):
 # beyond float range, and a product of two literals longer than str() writes
 BIG = "1" + "0" * 400
 NINES = "9" * 3000
+HUGE_EXP = "9" * 20
 
 
 def run(capsys, *argv):
@@ -295,6 +297,15 @@ class TestErrors:
             (["openness", "--point", "1, 0", "--poly", BIG + "*z1*z2"], "NonFiniteValuesError"),
             (["join", "--poly", f"{NINES}*{NINES}*z1^2 + z2^2", "--poly2", "z1"],
              "BadRequestError"),
+            # an exponent beyond int64, which the float term table cannot hold
+            (["nondeg", "--budget", "1", "--poly", f"z1^{HUGE_EXP}*|z2|^2 + z2^3"],
+             "NonFiniteValuesError"),
+            (["transversality", "--samples", "5", "--poly", f"z1^{HUGE_EXP}+z2^3"],
+             "NonFiniteValuesError"),
+            (["openness", "--point", "0,0", "--poly", f"z1^{HUGE_EXP}+z2"],
+             "NonFiniteValuesError"),
+            # a zeta expansion dense in a polar degree of millions
+            (["zeta", "--corpus", "d_n", "--params", "2000001"], "BadRequestError"),
         ],
     )
     def test_typed_json_error(self, capsys, argv, error):
@@ -612,6 +623,51 @@ class TestBatch:
         assert [r["error"]["type"] for r in reports[:2]] == [
             "NonFiniteValuesError", "BadRequestError"]
         assert reports[2]["result"] == run_json(capsys, "zeta", "z1^2 + z2^2")[1]["result"]
+
+    def test_huge_exponent_does_not_stop_the_batch(self, capsys, tmp_path):
+        text = f"z1^{HUGE_EXP}*|z2|^2 + z2^3"
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": "nondeg", "poly": text, "budget": 1, "json": True},
+            # exact commands still serve the polynomial
+            {"command": "faces", "poly": text, "json": True},
+        ]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        first, idx = decoder.raw_decode(out.strip())
+        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
+        jsonschema.validate(first, SCHEMA)
+        jsonschema.validate(second, SCHEMA)
+        assert first["error"]["type"] == "NonFiniteValuesError"
+        assert second["result"]["faces"]
+
+    def test_dense_zeta_expansion_does_not_stop_the_batch(self, capsys, tmp_path):
+        # the expansion would hold millions of coefficients; it is refused
+        # before any is computed
+        start = time.perf_counter()
+        code, out = run(capsys, "zeta", "--corpus", "d_n", "--params", "2000001", "--json")
+        assert time.perf_counter() - start < 0.1
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": "zeta", "corpus": "d_n", "params": "2000001", "json": True},
+            {"command": "vanishing", "corpus": "fig1", "json": True},
+        ]
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        first, idx = decoder.raw_decode(out.strip())
+        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
+        jsonschema.validate(first, SCHEMA)
+        assert first["error"]["type"] == "BadRequestError"
+        assert "100000" in first["error"]["message"]
+        assert second["result"]["vanishing"] == [[3]]
 
     def test_negative_seed_does_not_stop_the_batch(self, capsys, tmp_path):
         batch = tmp_path / "requests.jsonl"

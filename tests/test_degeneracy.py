@@ -273,7 +273,7 @@ class TestSupportCertificate:
         assert edge.status is TameStatus.TAME_CERTIFIED
         assert edge.certified_by == "support[1]"
         assert edge.certified_radius == math.inf
-        assert edge.stats is None and edge.rho_probe is None
+        assert edge.stats is None
         # f on {(4,2,1)} is a unit phase times a real polynomial in z1, z2
         assert by_face[frozenset({(4, 2, 1)})].status is TameStatus.NOT_TAME
         assert verdict.status is TameStatus.NOT_TAME
@@ -431,20 +431,18 @@ class TestLocalTameness:
             verdict = dg.local_tameness_check(f, I, budget=8, seed=0)
             assert verdict.status is TameStatus.TAME_CERTIFIED, sorted(I)
 
-    def test_inconclusive_runs_rho_probe(self):
+    def test_inconclusive_reports_the_search(self):
         # T_2 = |z1|^2 (8|z2|^2 + 2 z2^2 + 2 zb2^2) is strictly positive on
         # the torus but not a same-sign diagonal combination, so the
-        # symbolic certificate cannot fire; the samplers find no witness
-        # either, leaving Inconclusive with both probes reported
+        # symbolic certificate cannot fire; the frozen search finds no
+        # witness either, leaving Inconclusive with the search reported
         f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
         verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
         assert verdict.status is TameStatus.INCONCLUSIVE
-        probed = [fr for fr in verdict.faces if fr.status is TameStatus.INCONCLUSIVE]
-        assert probed
-        for fr in probed:
+        searched = [fr for fr in verdict.faces if fr.status is TameStatus.INCONCLUSIVE]
+        assert searched
+        for fr in searched:
             assert fr.stats is not None
-            assert fr.rho_probe is not None
-            assert fr.rho_probe.witness is None
             assert fr.certified_radius > 0
 
     def test_radii_aggregation(self):
@@ -463,11 +461,22 @@ class TestLocalTameness:
         assert radii.r_nc == math.inf and radii.rho_0 == math.inf
 
 
+def _count_minimize(monkeypatch):
+    """The list that gets one entry per scipy minimize call degeneracy makes."""
+    calls = []
+    real_minimize = dg.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(dg, "minimize", counted)
+    return calls
+
+
 class TestBoundedSearch:
-    # minimizing without bounds, the rho probe overflowed exp and sent z_2
-    # to 0 on the face of test_rho_probe_on_a_certified_face_stays_in_the_log_box,
-    # and reached |z_1| ~ 1e6, |z_2| ~ 6e-11 on the face below, where the
-    # frozen-z_I search is clean so the probe runs; each came back NotTame
+    # a search without bounds once reached |z_1| ~ 1e6, |z_2| ~ 6e-11 on the
+    # face below, where the frozen-z_I search is clean, and came back NotTame
     # on that escaped point
     @pytest.mark.parametrize(
         "text, I, seed",
@@ -479,43 +488,14 @@ class TestBoundedSearch:
             ),
         ],
     )
-    def test_rho_probe_stays_in_the_log_box(self, text, I, seed):
+    def test_frozen_search_stays_in_the_log_box(self, text, I, seed):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = dg.local_tameness_check(parse_poly(text), I, budget=8, seed=seed)
         assert verdict.status is not TameStatus.NOT_TAME
-        probes = [fr.rho_probe for fr in verdict.faces if fr.rho_probe is not None]
-        assert probes and all(math.isfinite(r.min_objective) for r in probes)
-
-    def test_rho_probe_on_a_certified_face_stays_in_the_log_box(self):
-        # the support certificate settles this face along I = [2], so
-        # local_tameness_check never probes it; the probe runs directly, with
-        # the budget a check at budget 8 would give it (8 // 8)
-        f = parse_poly(
-            "(-1-i)*z1^2*zb1*z2*|z3|^4 + (1/3+2i)*|z1|^4*z2^2*zb3^2"
-            " + (-2+3/2i)*|z1|^4*|z2|^2*|z3|^4"
-        )
-        face = next(
-            fc for fc in newton.faces_with_directions(f, {2})
-            if fc.generators == {(3, 1, 4), (4, 2, 2)}
-        )
-        fd = newton.face_function(f, face)
-        assert dg.support_certificate(fd, [1, 3]) is not None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            probe = dg._rho_probe(fd, [2], 0.1, 1, np.random.default_rng(71))
-        assert math.isfinite(probe.min_objective)
-        assert probe.witness is None
 
     def test_one_nelder_mead_pass_per_start(self, monkeypatch):
-        calls = []
-        real_minimize = dg.minimize
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real_minimize(*args, **kwargs)
-
-        monkeypatch.setattr(dg, "minimize", counted)
+        calls = _count_minimize(monkeypatch)
         # a positive minimum: every start runs, and nothing runs after them
         dg._multistart(lambda x: 1.0 + float(np.sum(x**2)), 2, 5, np.random.default_rng(3))
         assert len(calls) == 5
@@ -535,18 +515,24 @@ class TestBoundedSearch:
         assert searched
         for fr in searched:
             assert fr.stats.evaluations < 6000
-            assert fr.rho_probe.evaluations < 2000
 
+    def test_clean_shells_end_the_tameness_search(self, monkeypatch):
+        # when every frozen shell comes back clean, nothing else is searched:
+        # one Nelder-Mead pass per counted restart, and no more
+        calls = _count_minimize(monkeypatch)
+        f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
+        verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
+        assert verdict.status is TameStatus.INCONCLUSIVE
+        restarts = [fr.stats.restarts for fr in verdict.faces if fr.stats is not None]
+        assert restarts and len(calls) == sum(restarts)
 
     @pytest.mark.parametrize("radius", [0.1, 1e-5])
-    def test_rho_probe_value_term_is_scale_free(self, radius):
-        # |f| is O(radius^4) on the shell, so at 1e-5 it passed the witness
-        # threshold anywhere and the probe returned NotTame at a point where
-        # no terms cancel
+    def test_small_shell_gives_no_witness(self, radius):
+        # |f| is O(radius^4) on the shell, so at 1e-5 every point has a tiny
+        # value; no terms cancel, and a small value is no witness
         f = parse_poly("(1-1/3i)*z1^2*|z2|^2 + (2+2i)*z1^2*z2*zb2^3")
         verdict = dg.local_tameness_check(f, {2}, probe_radius=radius, budget=8, seed=56)
         assert verdict.status is TameStatus.INCONCLUSIVE
-        assert all(fr.rho_probe is None or fr.rho_probe.witness is None for fr in verdict.faces)
 
     def test_infinite_simplex_ends_the_start(self):
         # the gradients overflow at every point, so every objective scores inf
@@ -556,7 +542,7 @@ class TestBoundedSearch:
             verdict = dg.local_tameness_check(f, {1}, probe_radius=1e200, budget=1)
         assert verdict.status is TameStatus.INCONCLUSIVE
         (fr,) = [fr for fr in verdict.faces if fr.stats is not None]
-        assert fr.stats.evaluations + fr.rho_probe.evaluations < 200
+        assert fr.stats.evaluations < 200
 
     def test_infinite_simplex_keeps_the_draws(self):
         k, budget = 2, 3
@@ -577,7 +563,3 @@ class TestStatsNames:
         v = next(v for v in verdicts if v.residual_stats.restarts)
         assert v.residual_stats.evaluations > v.residual_stats.restarts
         assert dg.nondeg_verdict_to_json(v)["stats"]["samples"] == v.residual_stats.evaluations
-        f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
-        verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
-        probes = [fr.rho_probe for fr in verdict.faces if fr.rho_probe is not None]
-        assert probes and all(r.evaluations > 0 for r in probes)

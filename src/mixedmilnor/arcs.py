@@ -8,7 +8,8 @@ the limit of the tangent planes of the fibers of f along the arc.  When the
 leading coefficients of the two series are real-dependent the naive limits
 collapse, and the limit plane is recovered by iterated elimination
 v_h <- v_h - lambda t^(r'-r) v_g, which preserves the real span at every t
-and terminates with a real-independent leading pair.
+and terminates with a real-independent leading pair.  Substitution raises
+each jet to each of its variable's exponents once, within poly's power caps.
 
 The numeric probes (fiber/sphere transversality, argument coverage of small
 neighborhoods of points of the zero set) are sampling estimates, separate
@@ -47,7 +48,9 @@ from .poly import (
     GaussianRational,
     MixedPoly,
     _Cursor,
+    _check_power,
     _merge_terms,
+    _power,
     format_gaussian,
     join_signed,
 )
@@ -100,10 +103,7 @@ def _s_mul(a, b, trunc=None):
 
 
 def _s_pow(a, e, trunc=None):
-    out = {0: GaussianRational.of(1)}
-    for _ in range(e):
-        out = _s_mul(out, a, trunc)
-    return out
+    return _power(a, e, {0: GR_ONE}, lambda x, y: _s_mul(x, y, trunc))
 
 
 def _s_conj(a):
@@ -271,8 +271,13 @@ def parse_arc(text: str, n: int | None = None, truncation_order=None) -> Arc:
 
 def _substitute(poly: MixedPoly, arc: Arc, trunc=None):
     """Exact series of poly(z(t), conj z(t)); t is real so conjugating a jet
-    conjugates its coefficients only."""
+    conjugates its coefficients only.  Every distinct jet power is checked
+    against the power caps before any is computed, and computed once."""
     jets = [arc.coordinate_series(j) for j in range(1, arc.n + 1)]
+    used = {(j, e) for m in poly.terms for j, e in chain(enumerate(m.nu), enumerate(m.mu)) if e}
+    for j, e in used:
+        _check_power(jets[j].values(), e)
+    powers = {(j, e): _s_pow(jets[j], e, trunc) for j, e in used}
     pairs = []
     for mono, coeff in poly.terms.items():
         term = {0: coeff}
@@ -280,9 +285,9 @@ def _substitute(poly: MixedPoly, arc: Arc, trunc=None):
             a, b = mono.nu[j], mono.mu[j]
             # a zero coordinate's empty jet makes the term empty
             if a:
-                term = _s_mul(term, _s_pow(jets[j], a, trunc), trunc)
+                term = _s_mul(term, powers[j, a], trunc)
             if b:
-                term = _s_mul(term, _s_pow(_s_conj(jets[j]), b, trunc), trunc)
+                term = _s_mul(term, _s_conj(powers[j, b]), trunc)
             if not term:
                 break
         pairs.extend(term.items())

@@ -280,6 +280,7 @@ _NOT_ECHOED = ("command", "poly_positional", "seed", "as_json", "batch")
 # the one argument parser, built at import and used for every request
 _PARSER = argparse.ArgumentParser(
     prog="mixed-milnor",
+    allow_abbrev=False,
     description="Newton boundary, tameness, limit tangent, and zeta analysis "
     "of mixed polynomials",
 )
@@ -290,25 +291,20 @@ for _flag, _spec in _OPTIONS:
 
 
 def _parse(argv):
-    """Parse argv with each value-taking option joined to its next token as
-    --flag=value unless that token starts with '--', so a value may start
-    with '-' ('-2i*z1', '-1,0').  Any other token with one leading '-' but
-    '-h' is the positional polynomial.  Positionals may come before or after
-    options."""
-    glued, dashed = [], []
+    """Parse argv in one pass, each value-taking option joined to its next
+    token as --flag=value unless that token starts with '--', so a value may
+    start with '-' ('-2i*z1', '-1,0').  Every other token but an option ('--'
+    or '-h' led) is positional, plain words before dash-led ones: the
+    command, then the polynomial, before or after options."""
+    glued, words, dashed = [], [], []
     for token in argv:
         if glued and glued[-1] in _VALUE_OPTIONS and not token.startswith("--"):
             glued[-1] += "=" + token
-        elif token.startswith("-") and not token.startswith("--") and token != "-h":
-            dashed.append(token)
-        else:
+        elif token.startswith("--") or token == "-h":
             glued.append(token)
-    args = _PARSER.parse_intermixed_args(glued)
-    if dashed:
-        if args.poly_positional is not None or len(dashed) > 1:
-            _PARSER.error(f"unrecognized arguments: {' '.join(dashed)}")
-        args.poly_positional = dashed[0]
-    return args
+        else:
+            (dashed if token.startswith("-") else words).append(token)
+    return _PARSER.parse_args([*glued, "--", *words, *dashed])
 
 
 _RADIUS_DEFAULT = {"tame": 0.1, "transversality": 1.0}

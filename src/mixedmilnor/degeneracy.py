@@ -39,7 +39,7 @@ from scipy.optimize import minimize
 from . import lattice, newton
 from .errors import BadRequestError, NotEssentialFaceError, NotVanishingError, require_positive
 from .newton import FaceDescriptor, FaceKind
-from .poly import GaussianRational, MixedPoly
+from .poly import GR_ZERO, GaussianRational, MixedPoly, _power
 
 WITNESS_THRESHOLD = 1e-10
 # search starts per face, 16 times the default budget of 64
@@ -168,23 +168,15 @@ def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
     The float coordinates are promoted to exact rationals, so a residual of
     exactly zero certifies the witness at infinite precision.
     """
-    pts = [
-        GaussianRational(Fraction(float(np.real(x))), Fraction(float(np.imag(x))))
-        for x in p
-    ]
+    pts = [GaussianRational(Fraction(x.real), Fraction(x.imag)) for x in np.asarray(p, dtype=complex)]
     indices = sorted(free) if free is not None else range(1, f.n + 1)
 
     def eval_exact(poly):
-        total = GaussianRational(Fraction(0), Fraction(0))
+        total = GR_ZERO
         for m, c in poly.terms.items():
-            val = c
             for x, a, b in zip(pts, m.nu, m.mu):
-                for _ in range(a):
-                    val = val * x
-                xb = x.conjugate()
-                for _ in range(b):
-                    val = val * xb
-            total = total + val
+                c = _power(x.conjugate(), b, _power(x, a, c))
+            total = total + c
         return total
 
     v = [eval_exact(f.wirtinger(j, "z")).conjugate() for j in indices]
@@ -193,9 +185,7 @@ def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
     nw = sum((x.re * x.re + x.im * x.im for x in w), Fraction(0))
     if nv + nw == 0:
         return Fraction(0)
-    inner = GaussianRational(Fraction(0), Fraction(0))
-    for a, b in zip(v, w):
-        inner = inner + a * b.conjugate()
+    inner = sum((a * b.conjugate() for a, b in zip(v, w)), GR_ZERO)
     t1 = (nv - nw) ** 2
     t2 = nv * nw - (inner.re * inner.re + inner.im * inner.im)
     return (t1 + t2) / (nv + nw) ** 2

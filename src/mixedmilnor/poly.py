@@ -8,10 +8,12 @@ variables (Wirtinger derivatives) are the basic calculus here.
 
 All combinatorial decisions downstream (vanishing of restrictions, face data,
 sign-definiteness of tameness witnesses) are exact, which is why coefficients
-are Gaussian rationals and never floats.  Floats enter only through
-:meth:`MixedPoly.evaluate`, :meth:`MixedPoly.evaluate_many` and
-:meth:`MixedPoly.gradients`, which all read one cached term table (nu, mu,
-coefficients) and build no derivative or real/imaginary-part polynomial.
+are Gaussian rationals and never floats, and why a power that input sets is
+checked against two caps before one square-and-multiply routine computes it.
+Floats enter only through :meth:`MixedPoly.evaluate`,
+:meth:`MixedPoly.evaluate_many` and :meth:`MixedPoly.gradients`, which all
+read one cached term table (nu, mu, coefficients) and build no derivative or
+real/imaginary-part polynomial.
 
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -19,12 +21,13 @@ function, so everything here is safe to use concurrently.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -176,6 +179,41 @@ def _merge_terms(pairs) -> dict:
     return out
 
 
+def _power(base, e, one, mul=mul):
+    """one * base**e by square-and-multiply, for any associative product mul."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
+
+
+# a power that input sets may have at most MAX_POWER_TERMS terms and grow its
+# coefficients by at most MAX_POWER_BITS bits
+MAX_POWER_TERMS = 256
+MAX_POWER_BITS = 1_000_000
+
+
+def _check_power(coeffs, e):
+    """BadRequestError, before anything is multiplied, for a power e of a base
+    with these coefficients that could pass a cap.  A base of T terms has at
+    most comb(e + T - 1, T - 1) terms in its power; the growth is estimated
+    as e * (longest numerator or denominator in bits - 1 + ceil(log2 P)), P
+    the count of nonzero real and imaginary parts, so +-1 and +-i never count."""
+    if e < 2 or not coeffs:
+        return
+    terms = len(coeffs)
+    if terms > 1 and (e >= MAX_POWER_TERMS or math.comb(e + terms - 1, e) > MAX_POWER_TERMS):
+        raise BadRequestError(f"a power could have more than {MAX_POWER_TERMS} terms")
+    parts = [x for c in coeffs for x in (c.re, c.im) if x]
+    longest = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in parts)
+    if e * (longest - 1 + (len(parts) - 1).bit_length()) > MAX_POWER_BITS:
+        raise BadRequestError(f"a power's coefficients could grow by more than {MAX_POWER_BITS} bits")
+
+
 def _checked_monomial(n, mono) -> MixedMonomial:
     if not isinstance(mono, MixedMonomial):
         mono = MixedMonomial(tuple(mono[0]), tuple(mono[1]))
@@ -264,14 +302,7 @@ class MixedPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not representable")
-        out = MixedPoly.constant(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return _power(self, e, MixedPoly.constant(self.n, 1))
 
     def _coerce(self, other) -> "MixedPoly":
         if isinstance(other, MixedPoly):
@@ -671,6 +702,7 @@ class _Parser(_Cursor):
                 self.error(tok, "a coefficient, variable, or '('")
             e = self.expect("nat")[1] if self.accept("^") else 1
             if kind not in _VARIABLES:
+                _check_power(poly.terms.values(), e)
                 polys.append(poly if e == 1 else poly**e)
             elif kind == "abs":
                 # |z_k|^e desugars to z_k^(e/2) zb_k^(e/2), for even e only

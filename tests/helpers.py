@@ -5,6 +5,7 @@ agreement is evidence, not tautology.
 """
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,6 +45,13 @@ def random_mixed_poly(rng, n=None, max_terms=5, max_exp=3, holomorphic=False):
 def random_real_valued_poly(rng, n=None, max_terms=3, max_exp=2):
     base = random_mixed_poly(rng, n=n, max_terms=max_terms, max_exp=max_exp)
     return base + base.conjugate()
+
+
+def repeated_power(base, e, one, mul=operator.mul):
+    """one * base**e by e multiplications: the oracle for square-and-multiply."""
+    for _ in range(e):
+        one = mul(one, base)
+    return one
 
 
 def random_point(rng, n, scale=1.0, min_mag=0.3):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_gaussian, random_mixed_poly, random_point
+from helpers import random_gaussian, random_mixed_poly, random_point, repeated_power
 from mixedmilnor import arcs as ar
 from mixedmilnor.arcs import Arc, af_test_arc, expand_arc, limit_tangent, parse_arc
 from mixedmilnor.constructors import corpus
@@ -150,6 +150,26 @@ class TestExpandArc:
         arc = parse_arc("z1 = t", truncation_order=3)
         with pytest.raises(TruncationOverflowError):
             expand_arc(parse_poly("z1"), arc, order=10)
+
+    def test_series_power_matches_repeated_products(self):
+        rng = np.random.default_rng(167)
+        for _ in range(10):
+            exps = sorted({int(k) for k in rng.integers(0, 4, size=int(rng.integers(1, 4)))})
+            jet = {k: random_gaussian(rng) for k in exps}
+            for trunc in (None, 2, 5):
+                for e in range(9):
+                    product = repeated_power(jet, e, {0: GaussianRational.of(1)},
+                                             lambda a, b: ar._s_mul(a, b, trunc))
+                    assert ar._s_pow(jet, e, trunc) == product, (jet, e, trunc)
+
+    def test_jet_powers_are_checked_once(self, monkeypatch):
+        checked = []
+        real_check = ar._check_power
+        monkeypatch.setattr(ar, "_check_power", lambda c, e: checked.append(e) or real_check(c, e))
+        f = parse_poly("z1^3*z2 + z1^3*zb2 + z1^3 + zb1^3*z2^2")
+        expand_arc(f, parse_arc("z1 = 1 + t; z2 = 2*t"))
+        # (z1, 3), (z2, 1) and (z2, 2); z1^3 and zb1^3 share one check
+        assert sorted(checked) == [1, 2, 3]
 
 
 class TestLimitTangent:

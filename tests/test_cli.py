@@ -42,6 +42,14 @@ def equal_degree_sum(n, size, seed=17):
 BIG = "1" + "0" * 400
 NINES = "9" * 3000
 HUGE_EXP = "9" * 20
+# powers above poly.MAX_POWER_TERMS terms or poly.MAX_POWER_BITS bits of growth
+POWER_REFUSALS = [
+    ["faces", "--poly", "2^99999999999999999999*z1 + z2^2"],
+    ["vanishing", "--poly", "(z1+z2)^3000"],
+    ["vanishing", "--poly", "(z1+z2+z3+z4)^30"],
+    ["arc-limit", "--poly", "z1^1000000000*z2 + z2^3", "--arc", "z1 = 2; z2 = t"],
+    ["arc-limit", "--poly", "z2^300 + z1*z2", "--arc", "z1 = t; z2 = t + t^2"],
+]
 
 
 def run(capsys, *argv):
@@ -137,6 +145,17 @@ class TestReports:
         )
         assert code == 0
         assert report["result"]["independent"] is True
+
+    @pytest.mark.parametrize("exponent", [100_000, 10_000_000])
+    def test_arc_limit_high_power_of_a_unit_coordinate(self, capsys, exponent):
+        # z1 = 1 along the arc, so the exponent changes no series
+        arc = ["--arc", "z1 = 1; z2 = t"]
+        start = time.perf_counter()
+        code, report = run_json(capsys, "arc-limit", "--poly", f"z1^{exponent}*z2 + z2^3", *arc)
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert report["result"] == run_json(capsys, "arc-limit", "--poly", "z1^2*z2 + z2^3", *arc)[1]["result"]
+        assert report["result"]["covector_h"] == [[0.0, 0.0], [0.0, 1.0]]
 
     def test_transversality_small(self, capsys):
         code, report = run_json(
@@ -450,6 +469,25 @@ class TestArgv:
             main(["newton", "--poly", "--json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tame", "--poly", "z1^2 + z2^2", "--subs", "1"],
+            ["tame", "--poly", "z1^2 + z2^2", "--subs=1"],
+            ["newton", "z1^2", "--js"],
+        ],
+    )
+    def test_abbreviated_options_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["newton", "--", "z1"], ["newton", "z1", "--"]])
+    def test_literal_double_dash_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_positional_after_options(self, capsys):
         after = run(capsys, "newton", "--json", "z1^3 + z2^2")
         assert after[0] == 0
@@ -667,6 +705,32 @@ class TestBatch:
         jsonschema.validate(first, SCHEMA)
         assert first["error"]["type"] == "BadRequestError"
         assert "100000" in first["error"]["message"]
+        assert second["result"]["vanishing"] == [[3]]
+
+    @pytest.mark.parametrize("argv", POWER_REFUSALS, ids=lambda argv: argv[2])
+    def test_refused_power_does_not_stop_the_batch(self, capsys, tmp_path, argv):
+        # each would run for minutes or exhaust memory; it is refused before
+        # anything is multiplied
+        start = time.perf_counter()
+        code, out = run(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 0.1
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        request = {key[2:]: value for key, value in zip(argv[1::2], argv[2::2])}
+        lines = [
+            {"command": argv[0], **request, "json": True},
+            {"command": "vanishing", "corpus": "fig1", "json": True},
+        ]
+        batch = tmp_path / "requests.jsonl"
+        batch.write_text("\n".join(json.dumps(x) for x in lines))
+        code = main(["zeta", "--json", "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 1
+        decoder = json.JSONDecoder()
+        first, idx = decoder.raw_decode(out.strip())
+        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
+        jsonschema.validate(first, SCHEMA)
+        assert first["error"]["type"] == "BadRequestError"
         assert second["result"]["vanishing"] == [[3]]
 
     def test_negative_seed_does_not_stop_the_batch(self, capsys, tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_mixed_poly, random_point, random_real_valued_poly
+from helpers import random_mixed_poly, random_point, random_real_valued_poly, repeated_power
 from mixedmilnor import degeneracy as dg
 from mixedmilnor import lattice, newton
 from mixedmilnor.constructors import corpus, join
@@ -83,6 +83,16 @@ class TestCriticalityResidual:
             exact = float(dg.criticality_residual_exact(f, p))
             approx = dg.criticality_residual(f, p)
             assert exact == pytest.approx(approx, rel=1e-9, abs=1e-12)
+
+    def test_exact_recheck_matches_repeated_products(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        cases = [(random_mixed_poly(rng, n=2, max_exp=2), random_point(rng, 2), None) for _ in range(10)]
+        f = corpus("tibar_a", (1,))
+        cases.append((f, dg.local_tameness_check(f, {1}, budget=16, seed=0).witness[1], {2}))
+        squared = [dg.criticality_residual_exact(f, p, free) for f, p, free in cases]
+        monkeypatch.setattr(dg, "_power", repeated_power)
+        assert squared == [dg.criticality_residual_exact(f, p, free) for f, p, free in cases]
+        assert squared[-1] == 0
 
 
 class TestRealSpanResidual:

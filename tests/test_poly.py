@@ -8,13 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_mixed_poly, random_point, random_real_valued_poly
+from helpers import random_mixed_poly, random_point, random_real_valued_poly, repeated_power
 from mixedmilnor.arcs import parse_arc
-from mixedmilnor.errors import OddModulusExponentError, PolySyntaxError
+from mixedmilnor.errors import BadRequestError, OddModulusExponentError, PolySyntaxError
 from mixedmilnor.poly import (
+    MAX_POWER_BITS,
+    MAX_POWER_TERMS,
     GaussianRational,
     MixedMonomial,
     MixedPoly,
+    _check_power,
     parse_coefficient,
     parse_poly,
 )
@@ -147,6 +150,52 @@ class TestParsing:
         f = parse_poly("z1^64*zb2^64*|z3|^64")
         assert len(built) <= 2
         assert list(f.terms) == [MixedMonomial((64, 0, 32), (0, 64, 32))]
+
+
+class TestPower:
+    def test_power_matches_repeated_products(self):
+        rng = np.random.default_rng(163)
+        for _ in range(10):
+            f = random_mixed_poly(rng, n=2, max_terms=3, max_exp=2)
+            one = MixedPoly.constant(f.n, 1)
+            for e in range(7):
+                # the square-and-multiply sequence, whose key order _arrays reads
+                out, base, k = one, f, e
+                while k:
+                    if k & 1:
+                        out = out * base
+                    base = base * base if k > 1 else base
+                    k >>= 1
+                power = f**e
+                assert power == repeated_power(f, e, one)
+                assert list(power.terms.items()) == list(out.terms.items())
+
+    def test_term_cap(self):
+        two_terms = [gr(1), gr(1)]
+        _check_power(two_terms, MAX_POWER_TERMS - 1)  # comb(e + 1, 1) = 256 terms
+        with pytest.raises(BadRequestError, match="terms"):
+            _check_power(two_terms, MAX_POWER_TERMS)
+        with pytest.raises(BadRequestError, match="terms"):
+            _check_power([gr(1)] * 4, 30)  # comb(33, 3) = 5,456
+        # a power of 0 or 1 multiplies nothing out
+        for e in (0, 1):
+            _check_power([gr(1)] * 1000, e)
+
+    def test_bits_cap(self):
+        _check_power([gr(2)], MAX_POWER_BITS)  # one bit per factor
+        with pytest.raises(BadRequestError, match="bits"):
+            _check_power([gr(2)], MAX_POWER_BITS + 1)
+        with pytest.raises(BadRequestError, match="bits"):
+            _check_power([gr(Fraction(1, 3))], MAX_POWER_BITS + 1)
+        # 1 + i grows by half a bit a factor, though neither part is above 1
+        with pytest.raises(BadRequestError, match="bits"):
+            _check_power([gr(1, 1)], MAX_POWER_BITS + 1)
+        for unit in (gr(1), gr(-1), I, -I):
+            _check_power([unit], 10**20)
+
+    def test_parser_serves_unit_and_variable_powers(self):
+        assert parse_poly("i^1000000001*z1 + (-1)^99999999999999999999") == parse_poly("i*z1 - 1")
+        assert parse_poly("z1^99999999999999999999").total_degree() == 99999999999999999999
 
 
 class TestTermMerge:

@@ -14,16 +14,28 @@ nullspaces vanish at some term k, u_k = 0 is forced and the face has no
 critical point.  A face it settles is never searched, and its verdict
 names the forced term as "support[k]".
 
+A face the support certificate leaves open is next tried against the
+phase-lattice decision (`phase_lattice`), which is exact both ways on a
+covered face, one whose rows of A_J are independent: then y = 0, and a
+critical point exists iff some sign vector of x passes a Fourier-Motzkin
+test on ker B_J^T and a phase test against a Z-basis of the lattice
+{lambda : lambda^T [B_J | B_I | 1] = 0}.  A critical point it finds is
+built from exact data and rechecked with `criticality_residual_exact`
+before it is emitted; its verdict names "phase-lattice", as does a proof
+that there is none.  Faces with dependent rows, or past the decision's
+caps, are searched.
+
 Local tameness along a vanishing coordinate subspace C^I is decided in
 stages: an exact symbolic criterion (a sign-definite diagonal witness
-polynomial T_j, then the support certificate on the complement of I), then
-a sampling falsifier that freezes small nonzero values on the I
+polynomial T_j, then the support certificate on the complement of I, then
+the phase-lattice decision, whose witness puts |z_I| at the probe radius),
+then a sampling falsifier that freezes small nonzero values on the I
 coordinates and searches the remaining torus for critical points of the
-face function.  A NotTame witness is always such a critical point at a
-frozen z_I.  Both float searches, the falsifier and the frozen one, are the
-same bounded multistart minimization: log-magnitudes start in [-2, 2] and
-stay in [-2.5, 2.5].  Certification by sampling alone is never claimed:
-without an exact certificate the best possible verdict is Inconclusive.
+face function.  A NotTame witness is always a critical point at a nonzero
+z_I.  Both float searches, the falsifier and the frozen one, are the same
+bounded multistart minimization: log-magnitudes start in [-2, 2] and stay
+in [-2.5, 2.5].  Certification by sampling alone is never claimed: without
+an exact certificate the best possible verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from scipy.optimize import minimize
@@ -39,7 +52,7 @@ from scipy.optimize import minimize
 from . import lattice, newton
 from .errors import BadRequestError, NotEssentialFaceError, NotVanishingError, require_positive
 from .newton import FaceDescriptor, FaceKind
-from .poly import GR_ZERO, GaussianRational, MixedPoly, _power
+from .poly import GR_ONE, GR_ZERO, MAX_POWER_BITS, GaussianRational, MixedPoly, _power
 
 WITNESS_THRESHOLD = 1e-10
 # search starts per face, 16 times the default budget of 64
@@ -74,7 +87,7 @@ class NondegeneracyVerdict:
     residual_stats: ResidualStats
     face: FaceDescriptor
     face_function: MixedPoly
-    certified_by: str | None = None  # "support[k]" or None
+    certified_by: str | None = None  # "support[k]", "phase-lattice" or None
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,7 @@ class FaceTameness:
     certified_radius: float
     witness: tuple | None  # (frozen z_I values, full critical point)
     criterion_polynomials: dict  # j -> T_j as exact MixedPoly
-    certified_by: str | None  # "sign-definite-T[j]", "support[k]" or None
+    certified_by: str | None  # "sign-definite-T[j]", "support[k]", "phase-lattice" or None
     stats: ResidualStats | None
 
 
@@ -360,16 +373,160 @@ def support_certificate(fpoly: MixedPoly, free) -> int | None:
     return None
 
 
+# sign vectors one phase-lattice decision tests before it leaves the face to the search
+MAX_SIGN_VECTORS = 32
+PHASE_LATTICE = "phase-lattice"
+
+
+def _log_abs(q) -> float:
+    """log |q| of a nonzero rational, for any size of its numerator and denominator."""
+    return math.log(abs(q.numerator)) - math.log(q.denominator)
+
+
+def _arg(c) -> float:
+    """arg c of a nonzero Gaussian rational, taken at unit scale so that no part overflows."""
+    top = max(abs(c.re), abs(c.im))
+    return math.atan2(float(c.im / top), float(c.re / top))
+
+
+def _parity_solutions(equations, T):
+    """Each s in {0,1}^T with bit 0 clear and popcount(mask & s) = bit (mod 2)
+    for every (mask, bit) in equations, in the order of its free bits; none
+    when the system is inconsistent.  Gauss-Jordan over GF(2) on bitmasks."""
+    rows = {}  # pivot bit -> (mask, bit), each mask free of the other pivots
+    for mask, bit in [*equations, (1, 0)]:
+        for p, (m, b) in rows.items():
+            if mask >> p & 1:
+                mask, bit = mask ^ m, bit ^ b
+        if not mask:
+            if bit:
+                return
+            continue
+        p = mask.bit_length() - 1
+        for q, (m, b) in rows.items():
+            if m >> p & 1:
+                rows[q] = (m ^ mask, b ^ bit)
+        rows[p] = (mask, bit)
+    free = [k for k in range(T) if k not in rows]
+    for choice in range(1 << len(free)):
+        s = sum(1 << k for i, k in enumerate(free) if choice >> i & 1)
+        for p, (m, b) in rows.items():
+            s |= (b ^ (m & s).bit_count()) % 2 << p
+        yield s
+
+
+def _phase_product(coeffs, lam):
+    """rho = prod_{l_k > 0} conj(c_k)^l_k prod_{l_k < 0} c_k^-l_k, exactly, or
+    None when its coefficients could grow past MAX_POWER_BITS bits."""
+    size = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for c in coeffs for x in (c.re, c.im))
+    if sum(map(abs, lam)) * (size + 1) > MAX_POWER_BITS:
+        return None
+    rho = GR_ONE
+    for c, l in zip(coeffs, lam):
+        rho = _power(c.conjugate() if l > 0 else c, abs(l), rho)
+    return rho
+
+
+def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
+    """Exact decision of torus critical points on the free variables J for a
+    face whose exponent rows A_J = (nu + mu)_J are independent ("covered").
+
+    A critical point gives w = e^{i phi} u = x + i y with B_J^T x = 0 and
+    A_J^T y = 0 (see support_certificate); independent rows force y = 0, and
+    leave the term moduli free.  So one exists iff some sign vector sigma
+    passes two tests: (i) some x in ker B_J^T has signs sigma, decided by
+    Fourier-Motzkin (lattice.strict_point); (ii) the unit phases
+    sigma_k conj(c_k)/|c_k| are e^{i(B_J theta_J + B_I theta_I + phi)} for
+    some angles, which holds iff every lambda of a Z-basis of
+    L = {lambda : lambda^T [B_J | B_I | 1] = 0} (lattice.hermite_rows) gives
+    a real rho_lambda (_phase_product) of sign prod sigma_k^lambda_k.  A
+    non-real rho proves there is none; the signs filter sigma by parity.
+
+    Returns None when the face is not covered or a cap stops the decision
+    (MAX_SIGN_VECTORS sign vectors, lattice.MAX_FM_ROWS, a rho past
+    MAX_POWER_BITS bits), (False, None) when there is no critical point at
+    any nonzero z_I, and (True, point) for a critical point built from the
+    Fourier-Motzkin x: log-magnitudes by back-substitution on the Hermite
+    form of A_J, phases on that of [B_J | B_I | 1], and |z_I| = radius.  The
+    point is rechecked with criticality_residual_exact; one that does not
+    come below WITNESS_THRESHOLD, or leaves float range, gives None.
+    """
+    items = fpoly._sorted_terms()
+    monos, coeffs = [m for m, _ in items], [c for _, c in items]
+    T = len(monos)
+    J = sorted(free)
+    I = [j for j in range(1, fpoly.n + 1) if j not in J]
+    h_a, u_a, piv_a = lattice.hermite_rows([[m.nu[j - 1] + m.mu[j - 1] for j in J] for m in monos], len(J))
+    if len(piv_a) < T:
+        return None
+    b = [[m.nu[j - 1] - m.mu[j - 1] for j in J + I] + [1] for m in monos]
+    kernel = lattice.nullspace([[row[c] for row in b] for c in range(len(J))], T)
+    h, u, piv = lattice.hermite_rows(b, len(J) + len(I) + 1)
+    equations = []
+    for lam in u[len(piv):]:
+        rho = _phase_product(coeffs, lam)
+        if rho is None:
+            return None
+        if rho.im:
+            return False, None
+        equations.append((sum(1 << k for k, l in enumerate(lam) if l % 2), int(rho.re < 0)))
+    for tried, s in enumerate(_parity_solutions(equations, T)):
+        if tried == MAX_SIGN_VECTORS:
+            return None
+        sigma = [-1 if s >> k & 1 else 1 for k in range(T)]
+        try:
+            t = lattice.strict_point([[sg * v[k] for v in kernel] for k, sg in enumerate(sigma)], len(kernel))
+        except lattice.CapExceeded:
+            return None
+        if t is not None:
+            break
+    else:
+        return False, None
+    # the witness: |c_k| e^{(A_J s)_k + (A_I log|z_I|)_k} = |x_k| for the moduli,
+    # and arg c_k + (B theta)_k + phi = arg sigma_k for the phases, both
+    # solved exactly from the float logs and arguments
+    x = [sum((ti * v[k] for ti, v in zip(t, kernel)), Fraction(0)) for k in range(T)]
+    log_zi = math.log(radius) - 0.5 * math.log(len(I)) if I else 0.0
+    moduli = [
+        Fraction(_log_abs(xk) - 0.5 * _log_abs(c.re * c.re + c.im * c.im)
+                 - log_zi * sum(m.nu[i - 1] + m.mu[i - 1] for i in I))
+        for xk, c, m in zip(x, coeffs, monos)
+    ]
+    phases = [Fraction((math.pi if sg < 0 else 0.0) - _arg(c)) for c, sg in zip(coeffs, sigma)]
+    s = lattice.echelon_solve(h_a, piv_a, [sum(map(mul, row, moduli)) for row in u_a])
+    theta = lattice.echelon_solve(h, piv, [sum(map(mul, row, phases)) for row in u])
+    point = np.zeros(fpoly.n, dtype=np.complex128)
+    try:
+        for col, j in enumerate(J + I):
+            modulus = math.exp(s[col]) if col < len(J) else radius / math.sqrt(len(I))
+            point[j - 1] = modulus * complex(math.cos(theta[col]), math.sin(theta[col]))
+    except OverflowError:
+        return None
+    if not (np.isfinite(point).all() and point.all()):
+        return None
+    if criticality_residual_exact(fpoly, point, J) >= WITNESS_THRESHOLD:
+        return None
+    return True, point
+
+
 def _settle_face(fpoly, budget, seed, index):
     """(status, witness, stats, certified_by) of one face function: a unit
     phase times a real polynomial is Degenerate, a support certificate
-    proves it has no critical point, anything else is searched."""
+    proves it has no critical point, the phase-lattice decision settles a
+    covered face both ways, and anything else is searched."""
     all_vars = list(range(1, fpoly.n + 1))
     rng = np.random.default_rng([seed, index])
-    k = None
+    certified = None
     if not _unit_phase_real(fpoly):
         k = support_certificate(fpoly, all_vars)
-        if k is None:
+        if k is not None:
+            certified = f"support[{k}]"
+        elif (decided := phase_lattice(fpoly, all_vars)) is not None:
+            certified = PHASE_LATTICE
+            if decided[0]:
+                point = decided[1]
+                return NondegStatus.CRITICAL_POINT_WITNESS, point, _point_stats(fpoly, point), certified
+        else:
             value, point, stats = _critical_search(fpoly, all_vars, {}, budget, rng)
             if value < WITNESS_THRESHOLD:
                 return NondegStatus.CRITICAL_POINT_WITNESS, point, stats, None
@@ -379,10 +536,17 @@ def _settle_face(fpoly, budget, seed, index):
     point = _torus_point(
         rng.uniform(-1, 1, size=fpoly.n), rng.uniform(0, 2 * np.pi, size=fpoly.n)
     )
-    stats = ResidualStats(1, criticality_residual(fpoly, point), 0)
-    if k is None:
+    stats = _point_stats(fpoly, point)
+    if certified is None:
         return NondegStatus.DEGENERATE, point, stats, None
-    return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, f"support[{k}]"
+    return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, certified
+
+
+def _point_stats(fpoly, point, free=None):
+    """The stats of a verdict settled without a search: the residual at one
+    point, which may overflow there (a NotTame witness at --radius 1e200)."""
+    with np.errstate(all="ignore"):
+        return ResidualStats(1, criticality_residual(fpoly, point, free), 0)
 
 
 def require_budget(budget):
@@ -494,6 +658,12 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
         k = support_certificate(fd, free)
         certified = None if k is None else f"support[{k}]"
     status, radius, witness, stats = TameStatus.TAME_CERTIFIED, math.inf, None, None
+    if certified is None and (decided := phase_lattice(fd, free, probe_radius)) is not None:
+        certified = PHASE_LATTICE
+        if decided[0]:
+            point = decided[1]
+            status, witness = TameStatus.NOT_TAME, (point[[i - 1 for i in I]], point)
+            stats = _point_stats(fd, point, free)
     if certified is None:
         # freeze z_I at four random directions on each of three shells of
         # decreasing radius and search the rest of the torus
@@ -511,17 +681,17 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
             if value < WITNESS_THRESHOLD:
                 status, witness = TameStatus.NOT_TAME, (zi, point)
                 break
-        # without a witness the outer shell is the clean radius; |z_I| is
-        # taken at unit scale, so it neither underflows nor overflows
+        # without a witness the outer shell is the clean radius
         radius = probe_radius
-        if witness is not None:
-            scale = _unit_scale(np.max(np.abs(witness[0])))
-            radius = float(np.linalg.norm(witness[0] * scale)) / scale
         stats = ResidualStats(
             sum(r.evaluations for r in runs),
             min(r.min_residual for r in runs),
             len(runs) * restarts,
         )
+    if witness is not None:
+        # |z_I| is taken at unit scale, so it neither underflows nor overflows
+        scale = _unit_scale(np.max(np.abs(witness[0])))
+        radius = float(np.linalg.norm(witness[0] * scale)) / scale
     return FaceTameness(
         face=face,
         status=status,

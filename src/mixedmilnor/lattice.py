@@ -84,6 +84,108 @@ def nullspace(rows, ncols):
     return basis
 
 
+def hermite_rows(rows, ncols):
+    """Row Hermite form of an integer matrix with its unimodular transform.
+
+    Column by column, the row with the least nonzero entry in absolute value
+    becomes the pivot and the rows below are reduced modulo it, until no
+    other is left (Euclid on rows; taking the least pivot keeps the entries
+    of U small, where a 2x2 extended-gcd step lets them grow into the
+    billions).  Each pivot is made positive and the entries above it are
+    reduced into [0, pivot).  Returns (H, U, pivots) with H = U rows and
+    pivots the pivot columns in order: the rows of U from len(pivots) on
+    are a Z-basis of the integer left kernel {l : l^T rows = 0}.
+    """
+    h = [[int(x) for x in row] for row in rows]
+    u = [[int(i == j) for j in range(len(h))] for i in range(len(h))]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        live = [i for i in range(r, len(h)) if h[i][col]]
+        if not live:
+            continue
+        while len(live) > 1 or live[0] != r:
+            p = min(live, key=lambda i: abs(h[i][col]))
+            h[r], h[p], u[r], u[p] = h[p], h[r], u[p], u[r]
+            for i in range(r + 1, len(h)):
+                _subtract(h, u, i, r, h[i][col] // h[r][col])
+            live = [i for i in range(r, len(h)) if h[i][col]]
+        if h[r][col] < 0:
+            h[r], u[r] = [-x for x in h[r]], [-x for x in u[r]]
+        for i in range(r):
+            _subtract(h, u, i, r, h[i][col] // h[r][col])
+        pivots.append(col)
+    return h, u, pivots
+
+
+def _subtract(h, u, i, r, q):
+    """Row i -= q * row r, in H and in U."""
+    if q:
+        h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+
+
+def echelon_solve(h, pivots, rhs):
+    """The solution v of H v = rhs over the pivot rows of an echelon form H,
+    zero on the free columns, by exact back-substitution; rhs rational."""
+    v = [Fraction(0)] * len(h[0])
+    for i in reversed(range(len(pivots))):
+        col = pivots[i]
+        rest = sum((h[i][j] * v[j] for j in range(col + 1, len(v))), Fraction(0))
+        v[col] = (Fraction(rhs[i]) - rest) / h[i][col]
+    return v
+
+
+class CapExceeded(Exception):
+    """An exact routine met more rows than its cap."""
+
+
+# rows one Fourier-Motzkin elimination may combine, over all its steps
+MAX_FM_ROWS = 512
+
+
+def strict_point(rows, nvars):
+    """A rational point t with a.t > 0 for every integer row a, or None when
+    there is none, by Fourier-Motzkin elimination (Motzkin 1936).
+
+    Each step eliminates the variable with the fewest (lower, upper) pairs:
+    the rows that do not hold it stay, and each pair of rows with opposite
+    signs there gives their positive combination without it, made
+    primitive and kept once.  A strict system is feasible exactly when no
+    step leaves the row 0 > 0.  The point comes from back-substitution,
+    each variable strictly between the bounds of its step.  Raises
+    CapExceeded once more than MAX_FM_ROWS combined rows are made.
+    """
+    rows = list(dict.fromkeys(primitive(a) for a in rows))
+    steps = []
+    made = 0
+    while rows:
+        if any(not any(a) for a in rows):
+            return None
+        live = [v for v in range(nvars) if any(a[v] for a in rows)]
+        var = min(live, key=lambda v: sum(a[v] > 0 for a in rows) * sum(a[v] < 0 for a in rows))
+        pos = [a for a in rows if a[var] > 0]
+        neg = [a for a in rows if a[var] < 0]
+        made += len(pos) * len(neg)
+        if made > MAX_FM_ROWS:
+            raise CapExceeded(f"more than {MAX_FM_ROWS} Fourier-Motzkin rows")
+        steps.append((var, pos, neg))
+        rows = [a for a in rows if a[var] == 0]
+        rows += [primitive(-q[var] * s + p[var] * t for s, t in zip(p, q)) for p in pos for q in neg]
+        rows = list(dict.fromkeys(rows))
+    t = [Fraction(0)] * nvars
+    for var, pos, neg in reversed(steps):
+        def bound(a):
+            return -sum((x * y for x, y in zip(a, t)), Fraction(0)) / a[var]
+        lo = max(map(bound, pos), default=None)
+        hi = min(map(bound, neg), default=None)
+        if lo is None:
+            t[var] = Fraction(0) if hi is None else hi - 1
+        else:
+            t[var] = lo + 1 if hi is None else (lo + hi) / 2
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Faces of a Newton polyhedron conv(S) + R_{>=0}^n
 # ---------------------------------------------------------------------------

@@ -662,6 +662,9 @@ class _Parser(_Cursor):
     A term's variable factors fold into one monomial, their exponents added
     (|z_k|^e adds e/2 to those of z_k and zb_k); only literals and
     parenthesized exprs stay polynomials, multiplied onto it in text order.
+    Each power is checked by _check_power, and the term is refused before
+    any power or product is computed when its factors' term bounds multiply
+    to more than MAX_POWER_TERMS**2.
     """
 
     def __init__(self, text, n):
@@ -686,7 +689,8 @@ class _Parser(_Cursor):
 
     def term(self):
         nu, mu = [0] * self.n, [0] * self.n
-        polys = []
+        factors = []
+        size = 1  # a bound on the term count of the factors' product
         while True:
             kind, k, pos = tok = self.peek()
             if kind in _VARIABLES:
@@ -703,7 +707,10 @@ class _Parser(_Cursor):
             e = self.expect("nat")[1] if self.accept("^") else 1
             if kind not in _VARIABLES:
                 _check_power(poly.terms.values(), e)
-                polys.append(poly if e == 1 else poly**e)
+                factors.append((poly, e))
+                size *= math.comb(e + len(poly.terms) - 1, e) if poly.terms else 0
+                if size > MAX_POWER_TERMS**2:
+                    raise BadRequestError(f"a term's factors could multiply to more than {MAX_POWER_TERMS**2} terms")
             elif kind == "abs":
                 # |z_k|^e desugars to z_k^(e/2) zb_k^(e/2), for even e only
                 if e % 2:
@@ -714,6 +721,7 @@ class _Parser(_Cursor):
                 (nu if kind == "z" else mu)[k - 1] += e
             if not (self.accept("*") or self.peek()[0] in self._FACTOR_START):
                 break
+        polys = [poly if e == 1 else poly**e for poly, e in factors]
         unit = polys and not any(nu + mu)  # no variable factor: no monomial 1 to multiply
         out = polys.pop(0) if unit else MixedPoly.monomial(self.n, nu, mu)
         for poly in polys:

@@ -10,8 +10,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mixedmilnor import arcs
+from mixedmilnor import arcs, degeneracy
 from mixedmilnor.cli import main
+from mixedmilnor.poly import MixedPoly, parse_poly
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -49,6 +50,7 @@ POWER_REFUSALS = [
     ["vanishing", "--poly", "(z1+z2+z3+z4)^30"],
     ["arc-limit", "--poly", "z1^1000000000*z2 + z2^3", "--arc", "z1 = 2; z2 = t"],
     ["arc-limit", "--poly", "z2^300 + z1*z2", "--arc", "z1 = t; z2 = t + t^2"],
+    ["vanishing", "--poly", "(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9"],
 ]
 
 
@@ -101,12 +103,31 @@ class TestReports:
                                 "--budget", "2")
         assert code == 0
         labels = [v.get("certified_by") for v in report["result"]["verdicts"]]
-        # every face but the planted witness face -z1*|z2|^2 + z1^2*zb1
-        assert labels.count(None) == 1 and set(labels) == {None, "support[1]"}
+        # every face but the planted witness face -z1*|z2|^2 + z1^2*zb1, which
+        # the phase-lattice decision settles
+        assert labels.count("phase-lattice") == 1 and set(labels) == {"phase-lattice", "support[1]"}
         bad = dict(report, result={"verdicts": [dict(report["result"]["verdicts"][0],
                                                      certified_by="support")]})
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, SCHEMA)
+
+    def test_tame_witness_outside_the_log_box(self, capsys):
+        # the frozen search came back Inconclusive: the critical point has
+        # |z3| = 20.8, outside the box it searches
+        text = "-4*zb1^2*zb2^3*|z3|^2 + (2/3-i)*z1*|z2|^4*zb3^3 + (-4+i)*z1^3*zb1^2*z2*|z3|^4"
+        code, report = run_json(capsys, "tame", "--poly", text, "--subset", "1", "--budget", "8",
+                                "--seed", "17")
+        assert code == 0
+        (entry,) = report["result"]["subspaces"]
+        assert entry["status"] == "NotTame" and entry["radius"] == 0.1
+        (face,) = [fr for fr in entry["faces"] if fr["status"] == "NotTame"]
+        assert face["certified_by"] == "phase-lattice"
+        f = parse_poly(text)
+        fd = MixedPoly(3, {m: c for m, c in f.terms.items()
+                           if m.support_point() in {tuple(g) for g in face["face"]["generators"]}})
+        point = [complex(*x) for x in entry["witness"]["point"]]
+        assert abs(point[2]) > 20
+        assert degeneracy.criticality_residual_exact(fd, point, {2, 3}) < 1e-25
 
     def test_tame_strict_exit(self, capsys):
         code, report = run_json(

@@ -1,13 +1,14 @@
 """Criticality residual, the non-degeneracy falsifier, and tameness checks."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import random_mixed_poly, random_point, random_real_valued_poly, repeated_power
+from helpers import _det, random_mixed_poly, random_point, random_real_valued_poly, repeated_power
 from mixedmilnor import degeneracy as dg
 from mixedmilnor import lattice, newton
 from mixedmilnor.constructors import corpus, join
@@ -545,8 +546,9 @@ class TestBoundedSearch:
         assert verdict.status is TameStatus.INCONCLUSIVE
 
     def test_infinite_simplex_ends_the_start(self):
-        # the gradients overflow at every point, so every objective scores inf
-        f = parse_poly("z1^2*|z2|^2")
+        # the gradients overflow at every point, so every objective scores inf;
+        # the face's A_J rows (2, 2) are dependent, so it is searched
+        f = parse_poly("z1^2*|z2|^2 + z1^2*z2^2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = dg.local_tameness_check(f, {1}, probe_radius=1e200, budget=1)
@@ -569,7 +571,212 @@ class TestBoundedSearch:
 
 class TestStatsNames:
     def test_evaluations_count_objective_calls(self):
-        verdicts = dg.falsify_nondegeneracy(corpus("cone", (1, 2, 1, 1)), budget=2, seed=0)
+        # the three-term face has dependent A rows, so it is searched
+        f = parse_poly("(-2+2i)*|z1|^2 + (2+i)*zb1*z2^2 + (-1+i)*z2^3*zb2")
+        verdicts = dg.falsify_nondegeneracy(f, budget=2, seed=0)
         v = next(v for v in verdicts if v.residual_stats.restarts)
         assert v.residual_stats.evaluations > v.residual_stats.restarts
         assert dg.nondeg_verdict_to_json(v)["stats"]["samples"] == v.residual_stats.evaluations
+
+
+# points of the unit circle with Gaussian-rational coordinates
+UNIT_PHASES = [
+    GaussianRational(Fraction(a, c), Fraction(b, c))
+    for a, b, c in [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (3, 4, 5), (-4, 3, 5), (5, 12, 13),
+                    (-12, -5, 13), (8, -15, 17)]
+]
+
+
+def _planted_covered_face(rng, n, T, free):
+    """(f, z0): a polynomial of T terms in n variables whose A_J rows are
+    independent, with a critical point on the free variables J at z0, whose
+    coordinates are Gaussian-rational units; None when the draw gives none.
+
+    B = nu - mu is drawn of rank below T (T rows in the span of fewer),
+    so ker B_J^T is not zero, and nu, mu add a random 0 or 1 to its parts.
+    x, a random combination of a basis of ker B_J^T, sets each coefficient
+    c_k = x_k / (z0^nu_k zb0^mu_k), so the terms at z0 are the reals x_k.
+    """
+    span = rng.integers(-1, 2, size=(int(rng.integers(0, T)), n))
+    b = rng.integers(-1, 2, size=(T, len(span))) @ span
+    d = rng.integers(0, 2, size=(T, n))
+    monos = sorted({
+        (tuple(map(int, np.maximum(row, 0) + dk)), tuple(map(int, np.maximum(-row, 0) + dk)))
+        for row, dk in zip(b.reshape(T, n), d)
+    })
+    if len(monos) < T:
+        return None
+    cols = [j - 1 for j in free]
+    if lattice.rank([[Fraction(nu[j] + mu[j]) for j in cols] for nu, mu in monos]) < T:
+        return None
+    basis = lattice.nullspace([[nu[j] - mu[j] for nu, mu in monos] for j in cols], T)
+    weights = [int(w) for w in rng.integers(-4, 5, size=len(basis))]
+    x = [sum(w * b[k] for w, b in zip(weights, basis)) for k in range(T)]
+    if not all(x):
+        return None
+    z0 = [UNIT_PHASES[i] for i in rng.integers(0, len(UNIT_PHASES), size=n)]
+    terms = {}
+    for (nu, mu), xk in zip(monos, x):
+        value = GaussianRational.of(1)
+        for z, a, b in zip(z0, nu, mu):
+            value = value * repeated_power(z, a, GaussianRational.of(1))
+            value = value * repeated_power(z.conjugate(), b, GaussianRational.of(1))
+        terms[(nu, mu)] = value.conjugate() * GaussianRational.of(xk)  # |value| = 1
+    return MixedPoly(n, terms), [complex(z) for z in z0]
+
+
+def _gram_det(vectors):
+    return _det([[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors])
+
+
+def _worst_shape(rng):
+    """14 terms in 14 variables with independent A rows and B of rank 7,
+    real coefficients (every rho is real, so only parity and Fourier-Motzkin
+    decide): B = C W for random 14 x 7 and 7 x 14 matrices of -1, 0, 1."""
+    n = 14
+    while True:
+        w = rng.integers(-1, 2, size=(7, n))
+        terms = {}
+        for k, b in enumerate(rng.integers(-1, 2, size=(n, 7)) @ w):
+            nu, mu = np.maximum(b, 0), np.maximum(-b, 0)
+            nu[k] += 1
+            mu[k] += 1
+            terms[(tuple(map(int, nu)), tuple(map(int, mu)))] = GaussianRational.of(int(rng.choice([1, -1, 2, -2])))
+        f = MixedPoly(n, terms)
+        rows = [[Fraction(a + b) for a, b in zip(m.nu, m.mu)] for m in f.terms]
+        if len(f.terms) == n and lattice.rank(rows) == n:
+            return f
+
+
+class TestPhaseLattice:
+    def test_decides_every_planted_critical_point(self):
+        rng = np.random.default_rng(907)
+        planted = {"all": 0, "proper": 0}
+        for _ in range(800):
+            n = int(rng.integers(2, 6))
+            if rng.random() < 0.5:
+                free, kind = list(range(1, n + 1)), "all"
+            else:
+                size = int(rng.integers(1, n))
+                free = sorted(int(j) for j in rng.choice(np.arange(1, n + 1), size, replace=False))
+                kind = "proper"
+            T = int(rng.integers(min(2, len(free)), len(free) + 1))
+            draw = _planted_covered_face(rng, n, T, free)
+            if draw is None:
+                continue
+            f, z0 = draw
+            assert dg.criticality_residual_exact(f, z0, free) < 1e-25, (f, free)
+            radius = float(rng.choice([1.0, 0.1, 1e-3]))
+            decided = dg.phase_lattice(f, free, radius)
+            assert decided is not None and decided[0], (f, free)
+            point = decided[1]
+            assert dg.criticality_residual_exact(f, point, free) < dg.WITNESS_THRESHOLD
+            others = [j - 1 for j in range(1, n + 1) if j not in free]
+            if others:
+                assert np.linalg.norm(point[others]) == pytest.approx(radius, rel=1e-12)
+            planted[kind] += len(f.terms) > 1
+        assert planted["all"] >= 80 and planted["proper"] >= 40, planted
+
+    def test_never_says_none_on_dependent_rows(self):
+        # the planted faces of TestSupportCertificate mostly have more terms
+        # than free variables: the decision leaves such a face to the search,
+        # and never reads y = 0 off dependent rows
+        rng = np.random.default_rng(811)
+        dependent = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 4))
+            T = int(rng.integers(2, 6))
+            size = int(rng.integers(1, n + 1))
+            free = sorted(int(j) for j in rng.choice(np.arange(1, n + 1), size, replace=False))
+            f = _planted_critical_face(rng, n, T, free)
+            if f is None:
+                continue
+            decided = dg.phase_lattice(f, free)
+            assert decided is None or decided[0], (f, free)
+            dependent += decided is None
+        assert dependent >= 200, dependent
+
+    @pytest.mark.parametrize("seed, budget", [(24, 8), (0, 64), (1, 64), (2, 64)])
+    def test_no_false_witness_where_rho_is_not_real(self, seed, budget):
+        # f = a + c b with (a, b) = (|z1|^2 |z2|^6, |z1|^4 |z2|^4) a local
+        # diffeomorphism of the moduli and c not real: df has rank 2 on the
+        # torus.  The search once came back with a residual of 1e-14 at the
+        # corner of its log box
+        f = parse_poly("|z1|^2*|z2|^6 + (3/2-4/3i)*|z1|^4*|z2|^4")
+        verdicts = dg.falsify_nondegeneracy(f, budget=budget, seed=seed)
+        (v,) = [v for v in verdicts if len(v.face_function.terms) == 2]
+        assert v.status is NondegStatus.NO_CRITICAL_POINT_FOUND
+        assert v.certified_by == "phase-lattice"
+        assert v.residual_stats.restarts == 0
+        assert dg.nondeg_verdict_to_json(v)["certified_by"] == "phase-lattice"
+
+    def test_parity_decides_a_face_with_real_phases(self):
+        # |z1|^4 (1 + |z1|^2) z2^3 has no critical point: ker B^T asks for
+        # x2 = -x1, while rho = 1 > 0 asks for two terms of one sign
+        f = parse_poly("|z1|^4*z2^3 + |z1|^6*z2^3")
+        assert dg.phase_lattice(f, [1, 2]) == (False, None)
+
+    def test_z_basis_of_a_lattice_the_rref_vectors_miss(self):
+        f = parse_poly(
+            "-z1^2*zb1*zb2*z3^2*zb3^3 + zb1^3*z2^4*zb2*z3^3*|z4|^2"
+            " + i*z1*zb1^3*z2^3*zb2*z3^2*|z4|^4 + 2*z1^4*zb1^2*zb2^2*z3^2*zb3^4*|z4|^4"
+        )
+        rows = [[*(a - b for a, b in zip(m.nu, m.mu)), 1] for m, _ in f._sorted_terms()]
+        _, u, pivots = lattice.hermite_rows(rows, 5)
+        rref = lattice.nullspace([[row[c] for row in rows] for c in range(5)], len(rows))
+        # the primitive RREF vectors span a sublattice of index 4 of L: their
+        # test misses the parity of a vector of L outside it
+        assert _gram_det(rref) == 16 * _gram_det(u[len(pivots):])
+        assert dg.phase_lattice(f, range(1, 5)) == (False, None)
+
+    @pytest.mark.parametrize("radius", [1e200, 1e-200])
+    def test_not_tame_at_every_radius(self, radius):
+        f = parse_poly("z1^2*|z2|^2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = dg.local_tameness_check(f, {1}, probe_radius=radius, budget=1)
+        assert verdict.status is TameStatus.NOT_TAME
+        (fr,) = verdict.faces
+        assert fr.certified_by == "phase-lattice"
+        assert verdict.certified_radius == pytest.approx(radius, rel=1e-12)
+        zi, point = verdict.witness
+        assert list(zi) == [point[0]]
+        assert dg.criticality_residual_exact(f, point, {2}) == 0
+
+    def test_witness_that_fails_the_recheck_goes_to_the_search(self, monkeypatch):
+        f = corpus("tibar_a", (1,))
+        assert dg.phase_lattice(f, [2])[0]
+        monkeypatch.setattr(dg, "criticality_residual_exact", lambda *args: Fraction(1))
+        assert dg.phase_lattice(f, [2]) is None
+        calls = _count_minimize(monkeypatch)
+        verdict = dg.local_tameness_check(f, {1}, budget=12, seed=0)
+        assert calls and all(fr.certified_by != "phase-lattice" for fr in verdict.faces)
+
+    def test_covered_pool_requests_run_no_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a covered face reached the search")
+
+        monkeypatch.setattr(dg, "_multistart", refuse)
+        cones = [((1, 2, a1, a2), seed) for a1 in (1, 2, 3) for a2 in (1, 2, 3) for seed in (0, 1)]
+        for params, seed in cones + [((1, 3, 1, 1, 1), 9)]:
+            verdicts = dg.falsify_nondegeneracy(corpus("cone", params), budget=1, seed=seed)
+            hits = [v for v in verdicts if v.status is NondegStatus.CRITICAL_POINT_WITNESS]
+            assert hits and all(v.certified_by == "phase-lattice" for v in hits), params
+        for params in [(), (1,)]:
+            f = corpus("tibar_a", params) if params else corpus("tibar")
+            for I in newton.vanishing_subsets(f).vanishing:
+                dg.local_tameness_check(f, I, budget=1, seed=0)
+            assert dg.local_tameness_check(f, {1}, budget=1, seed=0).status is TameStatus.NOT_TAME
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_worst_shape_is_bounded(self, seed):
+        # n = T = 14 with dim ker B^T = 7: up to 2^13 sign vectors and a
+        # Fourier-Motzkin elimination in 7 unknowns each, before the caps
+        f = _worst_shape(np.random.default_rng(seed))
+        monos = list(f.terms)
+        assert lattice.rank([[Fraction(a - b) for a, b in zip(m.nu, m.mu)] for m in monos]) == 7
+        start = time.perf_counter()
+        decided = dg.phase_lattice(f, range(1, 15))
+        assert time.perf_counter() - start < 0.5
+        if decided is not None and decided[0]:
+            assert dg.criticality_residual_exact(f, decided[1]) < dg.WITNESS_THRESHOLD

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _det,
     hull_2d_oracle,
     integerize,
     newton_faces_oracle,
@@ -477,6 +478,50 @@ class TestFaceCap:
         with pytest.raises(TooManySupportPointsError, match="faces"):
             lattice.newton_faces(pts, 4)
         assert len(built) <= 20
+
+
+class TestExactFeasibility:
+    def test_hermite_rows_is_a_unimodular_echelon_form(self):
+        rng = np.random.default_rng(431)
+        for _ in range(400):
+            nrows, ncols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            rows = rng.integers(-4, 5, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.7)
+            rows = rows.tolist()
+            h, u, pivots = lattice.hermite_rows(rows, ncols)
+            assert (np.array(u) @ np.array(rows)).tolist() == h
+            assert abs(_det(u)) == 1
+            assert len(pivots) == lattice.rank([[Fraction(x) for x in row] for row in rows])
+            for i, col in enumerate(pivots):
+                assert not any(h[i][:col]) and h[i][col] > 0
+                assert all(0 <= h[k][col] < h[i][col] for k in range(i))
+            # zero rows of H: the rows of U below are the left kernel's Z-basis
+            assert not any(x for row in h[len(pivots):] for x in row)
+
+    def test_strict_point_matches_a_linear_program(self):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(433)
+        feasible = 0
+        for _ in range(300):
+            nvars = int(rng.integers(1, 5))
+            rows = rng.integers(-3, 4, size=(int(rng.integers(1, 8)), nvars)).tolist()
+            t = lattice.strict_point(rows, nvars)
+            # max s over A t >= s, |t_i| <= 1, s <= 1: positive iff a t > 0 is solvable
+            lp = linprog([0] * nvars + [-1], A_ub=[[-a for a in row] + [1] for row in rows],
+                         b_ub=[0] * len(rows), bounds=[(-1, 1)] * nvars + [(None, 1)])
+            if t is None:
+                assert -lp.fun < 1e-9, rows
+            else:
+                assert all(sum(a * x for a, x in zip(row, t)) > 0 for row in rows), rows
+                assert -lp.fun > 1e-9, rows
+                feasible += 1
+        assert 60 <= feasible <= 240, feasible
+
+    def test_strict_point_stops_at_its_cap(self):
+        rng = np.random.default_rng(437)
+        rows = rng.integers(-9, 10, size=(80, 3)).tolist()
+        with pytest.raises(lattice.CapExceeded):
+            lattice.strict_point(rows, 3)
 
 
 class TestFractionFreeEnumeration:

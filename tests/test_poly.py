@@ -193,6 +193,17 @@ class TestPower:
         for unit in (gr(1), gr(-1), I, -I):
             _check_power([unit], 10**20)
 
+    def test_term_product_cap(self):
+        # the factors' term counts multiply to 256 * 256, the cap: accepted
+        assert len(parse_poly("(z1+z2)^255*(z1+z2)^255").terms) == 511
+        # one more factor of two terms passes it, refused before any product
+        with pytest.raises(BadRequestError, match="65536"):
+            parse_poly("(z1+z2)^255*(z1+z2)^255*(z1+z2)")
+        # a literal is one term, and variables fold into the monomial
+        with pytest.raises(BadRequestError, match="65536"):
+            parse_poly("(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9")
+        assert parse_poly("2*(z1+z2)*z3*(1/2)*zb3") == parse_poly("z1*|z3|^2 + z2*|z3|^2")
+
     def test_parser_serves_unit_and_variable_powers(self):
         assert parse_poly("i^1000000001*z1 + (-1)^99999999999999999999") == parse_poly("i*z1 - 1")
         assert parse_poly("z1^99999999999999999999").total_degree() == 99999999999999999999

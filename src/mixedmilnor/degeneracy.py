@@ -52,7 +52,7 @@ from scipy.optimize import minimize
 from . import lattice, newton
 from .errors import BadRequestError, NotEssentialFaceError, NotVanishingError, require_positive
 from .newton import FaceDescriptor, FaceKind
-from .poly import GR_ONE, GR_ZERO, MAX_POWER_BITS, GaussianRational, MixedPoly, _power
+from .poly import MAX_POWER_BITS, MixedPoly, _power
 
 WITNESS_THRESHOLD = 1e-10
 # search starts per face, 16 times the default budget of 64
@@ -179,29 +179,53 @@ def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
     """Exact rational recomputation of the residual at a float witness.
 
     The float coordinates are promoted to exact rationals, so a residual of
-    exactly zero certifies the witness at infinite precision.
+    exactly zero certifies the witness at infinite precision.  The residual
+    is unchanged when every derivative is scaled by one positive number, so
+    each is evaluated times a common denominator, in Gaussian integers.
     """
-    pts = [GaussianRational(Fraction(x.real), Fraction(x.imag)) for x in np.asarray(p, dtype=complex)]
+    pts, k = _gaussian_ints(p)
     indices = sorted(free) if free is not None else range(1, f.n + 1)
+    derivs = [f.wirtinger(j, "z") for j in indices] + [f.wirtinger(j, "zbar") for j in indices]
+    terms = [item for d in derivs for item in d.terms.items()]
+    top = max((m.total_degree() for m, _ in terms), default=0)
+    scale = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
 
-    def eval_exact(poly):
-        total = GR_ZERO
+    def eval_scaled(poly):
+        # scale * 2^(k top) * poly(p), every term a Gaussian integer
+        re = im = 0
         for m, c in poly.terms.items():
+            shift = k * (top - m.total_degree())
+            value = (int(c.re * scale) << shift, int(c.im * scale) << shift)
             for x, a, b in zip(pts, m.nu, m.mu):
-                c = _power(x.conjugate(), b, _power(x, a, c))
-            total = total + c
-        return total
+                value = _power((x[0], -x[1]), b, _power(x, a, value, _gaussian_mul), _gaussian_mul)
+            re, im = re + value[0], im + value[1]
+        return re, im
 
-    v = [eval_exact(f.wirtinger(j, "z")).conjugate() for j in indices]
-    w = [eval_exact(f.wirtinger(j, "zbar")) for j in indices]
-    nv = sum((x.re * x.re + x.im * x.im for x in v), Fraction(0))
-    nw = sum((x.re * x.re + x.im * x.im for x in w), Fraction(0))
+    values = [eval_scaled(d) for d in derivs]
+    v = [(a, -b) for a, b in values[: len(indices)]]
+    w = values[len(indices) :]
+    nv = sum(a * a + b * b for a, b in v)
+    nw = sum(a * a + b * b for a, b in w)
     if nv + nw == 0:
         return Fraction(0)
-    inner = sum((a * b.conjugate() for a, b in zip(v, w)), GR_ZERO)
+    # <v, w> = sum v_j conj(w_j)
+    inner_re = sum(a * c + b * d for (a, b), (c, d) in zip(v, w))
+    inner_im = sum(b * c - a * d for (a, b), (c, d) in zip(v, w))
     t1 = (nv - nw) ** 2
-    t2 = nv * nw - (inner.re * inner.re + inner.im * inner.im)
-    return (t1 + t2) / (nv + nw) ** 2
+    t2 = nv * nw - (inner_re * inner_re + inner_im * inner_im)
+    return Fraction(t1 + t2, (nv + nw) ** 2)
+
+
+def _gaussian_ints(p):
+    """The float coordinates of p as Gaussian integers (re, im) over one
+    power of two 2^k, and k."""
+    parts = [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(p, dtype=complex)]
+    k = max((x.denominator.bit_length() - 1 for pair in parts for x in pair), default=0)
+    return [(int(re * (1 << k)), int(im * (1 << k))) for re, im in parts], k
+
+
+def _gaussian_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def real_span_residual(target, b1, b2):
@@ -375,6 +399,9 @@ def support_certificate(fpoly: MixedPoly, free) -> int | None:
 
 # sign vectors one phase-lattice decision tests before it leaves the face to the search
 MAX_SIGN_VECTORS = 32
+# bits of the exact numbers in the recheck of a phase-lattice witness; the
+# gcd of the residual's numerator and denominator grows as their square
+MAX_RECHECK_BITS = 1 << 15
 PHASE_LATTICE = "phase-lattice"
 
 
@@ -416,14 +443,20 @@ def _parity_solutions(equations, T):
 
 
 def _phase_product(coeffs, lam):
-    """rho = prod_{l_k > 0} conj(c_k)^l_k prod_{l_k < 0} c_k^-l_k, exactly, or
-    None when its coefficients could grow past MAX_POWER_BITS bits."""
-    size = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for c in coeffs for x in (c.re, c.im))
-    if sum(map(abs, lam)) * (size + 1) > MAX_POWER_BITS:
-        return None
-    rho = GR_ONE
+    """rho = prod_{l_k > 0} conj(c_k)^l_k prod_{l_k < 0} c_k^-l_k times a
+    positive integer, as a Gaussian integer (re, im): each c_k is scaled by
+    its denominators, which keeps whether rho is real and its sign.  None
+    when it could pass MAX_POWER_BITS bits."""
+    bases = []
     for c, l in zip(coeffs, lam):
-        rho = _power(c.conjugate() if l > 0 else c, abs(l), rho)
+        d = math.lcm(c.re.denominator, c.im.denominator)
+        re, im = int(c.re * d), int(c.im * d)
+        bases.append((re, -im if l > 0 else im))
+    if sum(abs(l) * (max(map(abs, b)).bit_length() + 1) for b, l in zip(bases, lam)) > MAX_POWER_BITS:
+        return None
+    rho = (1, 0)
+    for b, l in zip(bases, lam):
+        rho = _power(b, abs(l), rho, _gaussian_mul)
     return rho
 
 
@@ -444,12 +477,13 @@ def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
 
     Returns None when the face is not covered or a cap stops the decision
     (MAX_SIGN_VECTORS sign vectors, lattice.MAX_FM_ROWS, a rho past
-    MAX_POWER_BITS bits), (False, None) when there is no critical point at
-    any nonzero z_I, and (True, point) for a critical point built from the
-    Fourier-Motzkin x: log-magnitudes by back-substitution on the Hermite
-    form of A_J, phases on that of [B_J | B_I | 1], and |z_I| = radius.  The
-    point is rechecked with criticality_residual_exact; one that does not
-    come below WITNESS_THRESHOLD, or leaves float range, gives None.
+    MAX_POWER_BITS bits, a recheck past MAX_RECHECK_BITS), (False, None)
+    when there is no critical point at any nonzero z_I, and (True, point)
+    for a critical point built from the Fourier-Motzkin x: log-magnitudes by
+    back-substitution on the Hermite form of A_J, phases on that of
+    [B_J | B_I | 1], and |z_I| = radius.  The point is rechecked with
+    criticality_residual_exact; one that does not come below
+    WITNESS_THRESHOLD, or leaves float range, gives None.
     """
     items = fpoly._sorted_terms()
     monos, coeffs = [m for m, _ in items], [c for _, c in items]
@@ -467,9 +501,9 @@ def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
         rho = _phase_product(coeffs, lam)
         if rho is None:
             return None
-        if rho.im:
+        if rho[1]:
             return False, None
-        equations.append((sum(1 << k for k, l in enumerate(lam) if l % 2), int(rho.re < 0)))
+        equations.append((sum(1 << k for k, l in enumerate(lam) if l % 2), int(rho[0] < 0)))
     for tried, s in enumerate(_parity_solutions(equations, T)):
         if tried == MAX_SIGN_VECTORS:
             return None
@@ -503,6 +537,11 @@ def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
     except OverflowError:
         return None
     if not (np.isfinite(point).all() and point.all()):
+        return None
+    # the recheck multiplies Gaussian integers of up to deg f times the bits
+    # of one exact coordinate
+    pts, _ = _gaussian_ints(point)
+    if fpoly.total_degree() * max(max(map(abs, x)).bit_length() for x in pts) > MAX_RECHECK_BITS:
         return None
     if criticality_residual_exact(fpoly, point, J) >= WITNESS_THRESHOLD:
         return None
@@ -663,6 +702,9 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
         if decided[0]:
             point = decided[1]
             status, witness = TameStatus.NOT_TAME, (point[[i - 1 for i in I]], point)
+            # tame prints no stats: this float residual is evaluated only so
+            # that a coefficient beyond float range still raises
+            # NonFiniteValuesError here, as the frozen search does
             stats = _point_stats(fd, point, free)
     if certified is None:
         # freeze z_I at four random directions on each of three shells of

@@ -708,7 +708,8 @@ class _Parser(_Cursor):
             if kind not in _VARIABLES:
                 _check_power(poly.terms.values(), e)
                 factors.append((poly, e))
-                size *= math.comb(e + len(poly.terms) - 1, e) if poly.terms else 0
+                # a zero base counts as one term: its power 0 is the constant 1
+                size *= math.comb(e + max(len(poly.terms), 1) - 1, e)
                 if size > MAX_POWER_TERMS**2:
                     raise BadRequestError(f"a term's factors could multiply to more than {MAX_POWER_TERMS**2} terms")
             elif kind == "abs":

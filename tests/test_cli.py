@@ -51,6 +51,7 @@ POWER_REFUSALS = [
     ["arc-limit", "--poly", "z1^1000000000*z2 + z2^3", "--arc", "z1 = 2; z2 = t"],
     ["arc-limit", "--poly", "z2^300 + z1*z2", "--arc", "z1 = t; z2 = t + t^2"],
     ["vanishing", "--poly", "(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9"],
+    ["vanishing", "--poly", "0^0*(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9"],
 ]
 
 
@@ -128,6 +129,24 @@ class TestReports:
         point = [complex(*x) for x in entry["witness"]["point"]]
         assert abs(point[2]) > 20
         assert degeneracy.criticality_residual_exact(fd, point, {2, 3}) < 1e-25
+
+    @pytest.mark.parametrize("argv", [
+        ["tame", "--poly", "z1^2*|z2|^20000000", "--subset", "1"],
+        ["nondeg", "--budget", "1", "--poly",
+         "(3/2-4/3i)*|z1|^2 + (3/2-4/3i)*|z2|^2*z4 + (3/2-4/3i)*|z3|^2*z4^100000"],
+    ], ids=["recheck", "rho"])
+    def test_exact_decision_on_huge_exponents_is_bounded(self, capsys, argv):
+        # the exact recheck of a witness in |z2|^20000000, and a rho with
+        # exponents of 10^5 on a face of degree 100002: each is capped, and
+        # ran for minutes without its cap
+        start = time.perf_counter()
+        code, report = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        if argv[0] == "tame":
+            (entry,) = report["result"]["subspaces"]
+            assert entry["status"] == "NotTame"
+            assert all("certified_by" not in fr for fr in entry["faces"])
 
     def test_tame_strict_exit(self, capsys):
         code, report = run_json(

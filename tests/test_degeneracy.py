@@ -14,7 +14,7 @@ from mixedmilnor import lattice, newton
 from mixedmilnor.constructors import corpus, join
 from mixedmilnor.degeneracy import NondegStatus, TameStatus
 from mixedmilnor.errors import NotEssentialFaceError, NotVanishingError
-from mixedmilnor.poly import GaussianRational, MixedPoly, parse_poly
+from mixedmilnor.poly import MAX_POWER_BITS, GaussianRational, MixedPoly, parse_poly
 
 
 class TestCriticalityResidual:
@@ -751,6 +751,40 @@ class TestPhaseLattice:
         calls = _count_minimize(monkeypatch)
         verdict = dg.local_tameness_check(f, {1}, budget=12, seed=0)
         assert calls and all(fr.certified_by != "phase-lattice" for fr in verdict.faces)
+
+    def test_phase_product_is_a_positive_multiple_of_rho(self):
+        rng = np.random.default_rng(353)
+        for _ in range(100):
+            coeffs = [
+                GaussianRational(*(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) for _ in "ri"))
+                for _ in range(3)
+            ]
+            if not all(c.re or c.im for c in coeffs):
+                continue
+            lam = [int(x) for x in rng.integers(-5, 6, size=3)]
+            rho = GaussianRational.of(1)
+            for c, l in zip(coeffs, lam):
+                rho = repeated_power(c.conjugate() if l > 0 else c, abs(l), rho)
+            ratio = GaussianRational.of(*dg._phase_product(coeffs, lam)) / rho
+            assert ratio.im == 0 and ratio.re > 0, (coeffs, lam)
+
+    def test_phase_product_at_its_cap_is_fast(self):
+        # 3/2 - 4/3i is 9 - 8i over 6: five bits a factor
+        c = GaussianRational.of(Fraction(3, 2), Fraction(-4, 3))
+        start = time.perf_counter()
+        assert dg._phase_product([c], [MAX_POWER_BITS // 5]) is not None
+        assert time.perf_counter() - start < 0.5
+        assert dg._phase_product([c], [MAX_POWER_BITS // 5 + 1]) is None
+
+    def test_witness_past_the_recheck_cap_goes_to_the_search(self):
+        # z1^2 |z2|^E is critical at every point with z1 frozen; the witness
+        # (1, 1) rechecks in numbers of E + 2 bits
+        E = dg.MAX_RECHECK_BITS - 2
+        assert dg.phase_lattice(parse_poly(f"z1^2*|z2|^{E}"), [2])[0]
+        start = time.perf_counter()
+        assert dg.phase_lattice(parse_poly(f"z1^2*|z2|^{E + 2}"), [2]) is None
+        assert dg.phase_lattice(parse_poly("z1^2*|z2|^20000000"), [2]) is None
+        assert time.perf_counter() - start < 0.1
 
     def test_covered_pool_requests_run_no_search(self, monkeypatch):
         def refuse(*args):

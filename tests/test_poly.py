@@ -202,6 +202,11 @@ class TestPower:
         # a literal is one term, and variables fold into the monomial
         with pytest.raises(BadRequestError, match="65536"):
             parse_poly("(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9")
+        # a zero base counts as one term, whatever its power
+        for zero in ["0^0*", "(z1-z1)^0*", "0*"]:
+            with pytest.raises(BadRequestError, match="65536"):
+                parse_poly(zero + "(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9*(z1+z2+z3+z4)^9")
+        assert len(parse_poly("0^0*(z1+z2)^255*(z1+z2)").terms) == 257
         assert parse_poly("2*(z1+z2)*z3*(1/2)*zb3") == parse_poly("z1*|z3|^2 + z2*|z3|^2")
 
     def test_parser_serves_unit_and_variable_powers(self):

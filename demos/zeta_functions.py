@@ -10,9 +10,9 @@ signed normalized lattice volume.
 """
 
 from mixedmilnor import zeta
+from mixedmilnor.arcs import series_to_text
 from mixedmilnor.constructors import PullbackSpec, corpus, pullback_cyclic
 from mixedmilnor.poly import MixedPoly
-from mixedmilnor.zeta import poly_text
 
 # A curve with two mixed faces, each contributing (1 - t^20).
 b = corpus("brieskorn_curve")
@@ -25,7 +25,7 @@ for factor in z.factors:
     )
 print("zeta(t) =", z.product_text())
 num, den = zeta.expand_zeta(z)
-print("expanded:", poly_text(num), "/", poly_text(den))
+print("expanded:", " / ".join(series_to_text({i: c for i, c in enumerate(p) if c}) for p in (num, den)))
 
 # A simple singularity and its double-cover pullback: the covering
 # substitution z -> z^2 zbar multiplies each covering degree by one, so the

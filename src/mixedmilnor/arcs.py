@@ -120,7 +120,7 @@ def series_to_text(s) -> str:
             parts.append(c)
         else:
             tk = "t" if k == 1 else f"t^{k}"
-            parts.append(tk if c == "1" else f"{c}*{tk}")
+            parts.append({"1": tk, "-1": f"-{tk}"}.get(c, f"{c}*{tk}"))
     return join_signed(parts)
 
 

@@ -98,7 +98,7 @@ class FaceTameness:
     witness: tuple | None  # (frozen z_I values, full critical point)
     criterion_polynomials: dict  # j -> T_j as exact MixedPoly
     certified_by: str | None  # "sign-definite-T[j]", "support[k]", "phase-lattice" or None
-    stats: ResidualStats | None
+    stats: ResidualStats | None  # the frozen search's, None when certified_by is set
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,6 @@ class TamenessVerdict:
     witness: tuple | None
     criterion_polynomials: list
     faces: tuple
-
-
-@dataclass(frozen=True)
-class TamenessRadii:
-    """Aggregated tameness radii: per face, per direction set, and global."""
-
-    r_delta: dict
-    r_I: dict
-    r_nc: float
-    rho_0: float
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +179,15 @@ def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
     terms = [item for d in derivs for item in d.terms.items()]
     top = max((m.total_degree() for m, _ in terms), default=0)
     scale = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
+    bases = pts + [(re, -im) for re, im in pts]
 
     def eval_scaled(poly):
         # scale * 2^(k top) * poly(p), every term a Gaussian integer
         re = im = 0
         for m, c in poly.terms.items():
             shift = k * (top - m.total_degree())
-            value = (int(c.re * scale) << shift, int(c.im * scale) << shift)
-            for x, a, b in zip(pts, m.nu, m.mu):
-                value = _power((x[0], -x[1]), b, _power(x, a, value, _gaussian_mul), _gaussian_mul)
+            one = (int(c.re * scale) << shift, int(c.im * scale) << shift)
+            value = _gaussian_product(bases, m.nu + m.mu, one)
             re, im = re + value[0], im + value[1]
         return re, im
 
@@ -226,6 +216,13 @@ def _gaussian_ints(p):
 
 def _gaussian_mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gaussian_product(bases, exps, one):
+    """one * prod base^e over Gaussian integers (re, im)."""
+    for b, e in zip(bases, exps):
+        one = _power(b, e, one, _gaussian_mul)
+    return one
 
 
 def real_span_residual(target, b1, b2):
@@ -454,10 +451,7 @@ def _phase_product(coeffs, lam):
         bases.append((re, -im if l > 0 else im))
     if sum(abs(l) * (max(map(abs, b)).bit_length() + 1) for b, l in zip(bases, lam)) > MAX_POWER_BITS:
         return None
-    rho = (1, 0)
-    for b, l in zip(bases, lam):
-        rho = _power(b, abs(l), rho, _gaussian_mul)
-    return rho
+    return _gaussian_product(bases, map(abs, lam), (1, 0))
 
 
 def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
@@ -581,11 +575,11 @@ def _settle_face(fpoly, budget, seed, index):
     return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, certified
 
 
-def _point_stats(fpoly, point, free=None):
-    """The stats of a verdict settled without a search: the residual at one
-    point, which may overflow there (a NotTame witness at --radius 1e200)."""
+def _point_stats(fpoly, point):
+    """The stats of a face function that falsify_nondegeneracy settles
+    without a search: the residual at one torus point, which may overflow."""
     with np.errstate(all="ignore"):
-        return ResidualStats(1, criticality_residual(fpoly, point, free), 0)
+        return ResidualStats(1, criticality_residual(fpoly, point), 0)
 
 
 def require_budget(budget):
@@ -702,10 +696,6 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
         if decided[0]:
             point = decided[1]
             status, witness = TameStatus.NOT_TAME, (point[[i - 1 for i in I]], point)
-            # tame prints no stats: this float residual is evaluated only so
-            # that a coefficient beyond float range still raises
-            # NonFiniteValuesError here, as the frozen search does
-            stats = _point_stats(fd, point, free)
     if certified is None:
         # freeze z_I at four random directions on each of three shells of
         # decreasing radius and search the rest of the torus
@@ -795,25 +785,6 @@ def local_tameness_check(
         criterion_polynomials=criterion,
         faces=tuple(results),
     )
-
-
-def tameness_radii(verdicts: dict, r0: float = math.inf) -> TamenessRadii:
-    """Aggregate per-subspace verdicts into the radius hierarchy.
-
-    verdicts maps each vanishing subset I to its TamenessVerdict; r0 is the
-    user-supplied stable radius.  For convenient polynomials (no vanishing
-    subsets) r_nc is infinite.
-    """
-    r_delta = {}
-    r_I = {}
-    for I, verdict in verdicts.items():
-        for fr in verdict.faces:
-            r_delta[fr.face] = fr.certified_radius
-        r_I[frozenset(I)] = min(
-            (fr.certified_radius for fr in verdict.faces), default=math.inf
-        )
-    r_nc = min(r_I.values(), default=math.inf)
-    return TamenessRadii(r_delta=r_delta, r_I=r_I, r_nc=r_nc, rho_0=min(r_nc, r0))
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ class MixedPoly:
     are equal.
     """
 
-    __slots__ = ("n", "terms", "_eval_cache", "_wirt_cache", "_boundary")
+    __slots__ = ("n", "terms", "_eval_cache", "_boundary")
 
     def __init__(self, n, terms=()):
         if n < 1:
@@ -242,7 +242,6 @@ class MixedPoly:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", merged)
         object.__setattr__(self, "_eval_cache", None)
-        object.__setattr__(self, "_wirt_cache", {})
         # Newton boundary, filled in on first use by newton.newton_boundary
         object.__setattr__(self, "_boundary", None)
 
@@ -348,10 +347,6 @@ class MixedPoly:
             raise IndexError(f"variable index {j} out of range 1..{self.n}")
         if kind not in ("z", "zbar"):
             raise ValueError("kind must be 'z' or 'zbar'")
-        key = (j, kind)
-        cached = self._wirt_cache.get(key)
-        if cached is not None:
-            return cached
         idx, by_z = j - 1, kind == "z"
         pairs = []
         for m, c in self.terms.items():
@@ -360,9 +355,7 @@ class MixedPoly:
                 low = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
                 mono = MixedMonomial(low, m.mu) if by_z else MixedMonomial(m.nu, low)
                 pairs.append((mono, c * GaussianRational.of(exps[idx])))
-        result = MixedPoly(self.n, pairs)
-        self._wirt_cache[key] = result
-        return result
+        return MixedPoly(self.n, pairs)
 
     def real_imag_parts(self):
         """Exact split f = g + i h with g, h real-valued.

@@ -230,26 +230,6 @@ def expand_zeta(z: ZetaFunction):
     return num, den
 
 
-def poly_text(coeffs) -> str:
-    """Human-readable form of an integer-coefficient polynomial in t."""
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-            continue
-        mag = abs(c)
-        term = ("t" if i == 1 else f"t^{i}") if mag == 1 else (
-            f"{mag}*t" if i == 1 else f"{mag}*t^{i}"
-        )
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
-
-
 def zeta_to_json(z: ZetaFunction) -> dict:
     num, den = expand_zeta(z)
     return {

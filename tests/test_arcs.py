@@ -44,6 +44,7 @@ class TestArcParsing:
         arc = parse_arc("z1 = 1 + 2*t; z2 = (1-1i)*t^2")
         again = parse_arc(arc.to_text())
         assert again == arc
+        assert parse_arc("z1 = -t - 2*t^2").to_text() == "z1 = -t - 2*t^2"
 
     def test_rational_exponent_normalization(self):
         arc = parse_arc("z1 = t^(3/2); z2 = t")
@@ -104,6 +105,7 @@ def arcs(draw):
 @settings(max_examples=80, deadline=None)
 @given(arcs())
 @example(parse_arc("z1 = 1 - 2*t; z2 = -i*t^(3/2)"))
+@example(parse_arc("z1 = -t - 2*t^2; z2 = 1 - t^(1/2)"))
 def test_arc_text_round_trip_property(arc):
     assert parse_arc(arc.to_text()) == arc
 

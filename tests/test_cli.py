@@ -130,6 +130,15 @@ class TestReports:
         assert abs(point[2]) > 20
         assert degeneracy.criticality_residual_exact(fd, point, {2, 3}) < 1e-25
 
+    def test_tame_serves_a_coefficient_beyond_float_range_decided_exactly(self, capsys):
+        # the face z1*|z2|^2 is decided by the phase lattice, which never
+        # evaluates the coefficient as a float
+        code, report = run_json(capsys, "tame", "--poly", BIG + "*z1*|z2|^2")
+        assert code == 0
+        entry = next(e for e in report["result"]["subspaces"] if e["I"] == [1])
+        assert entry["status"] == "NotTame"
+        assert [fr["certified_by"] for fr in entry["faces"]] == ["phase-lattice"]
+
     @pytest.mark.parametrize("argv", [
         ["tame", "--poly", "z1^2*|z2|^20000000", "--subset", "1"],
         ["nondeg", "--budget", "1", "--poly",
@@ -350,7 +359,8 @@ class TestErrors:
              "NonFiniteValuesError"),
             (["transversality", "--samples", "5", "--poly", BIG + "*z1^2 + z2^2"],
              "NonFiniteValuesError"),
-            (["tame", "--poly", BIG + "*z1*|z2|^2"], "NonFiniteValuesError"),
+            # A_J rows (2), (2) are dependent, so the face is searched
+            (["tame", "--poly", BIG + "*z1*|z2|^2 + z1*z2^2"], "NonFiniteValuesError"),
             (["arc-limit", "--arc", "z1 = 1; z2 = t", "--poly", BIG + "*z1*|z2|^2"],
              "NonFiniteValuesError"),
             (["openness", "--point", "1, 0", "--poly", BIG + "*z1*z2"], "NonFiniteValuesError"),

@@ -456,20 +456,18 @@ class TestLocalTameness:
             assert fr.stats is not None
             assert fr.certified_radius > 0
 
-    def test_radii_aggregation(self):
-        f = corpus("tibar_a", (1,))
-        verdicts = {
-            I: dg.local_tameness_check(f, I, budget=8, seed=0)
-            for I in newton.vanishing_subsets(f).vanishing
-        }
-        radii = dg.tameness_radii(verdicts, r0=0.5)
-        assert radii.r_I[frozenset({2})] == math.inf
-        assert radii.r_nc == radii.r_I[frozenset({1})]
-        assert radii.rho_0 == min(radii.r_nc, 0.5)
-
-    def test_convenient_radii_infinite(self):
-        radii = dg.tameness_radii({}, r0=math.inf)
-        assert radii.r_nc == math.inf and radii.rho_0 == math.inf
+    def test_stats_exactly_when_searched(self):
+        # a face carries search stats exactly when no certificate decided it
+        cases = [("tibar", ()), ("tibar_a", (2,)), ("parusinski", ()), ("cone", (1, 3, 1, 2, 1)),
+                 ("cyclic", (2, 2, 3)), ("brieskorn_curve", ()), ("d_n", (4,)), ("fig1", ())]
+        searched = 0
+        for name, params in cases:
+            f = corpus(name, params)
+            for I in newton.vanishing_subsets(f).vanishing:
+                for fr in dg.local_tameness_check(f, I, budget=8, seed=0).faces:
+                    assert (fr.stats is None) == (fr.certified_by is not None), (name, sorted(I))
+                    searched += fr.stats is not None
+        assert searched
 
 
 def _count_minimize(monkeypatch):

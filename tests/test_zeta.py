@@ -7,6 +7,7 @@ import pytest
 
 from helpers import expand_zeta_oracle, normalized_volume_oracle
 from mixedmilnor import newton, zeta
+from mixedmilnor.arcs import series_to_text
 from mixedmilnor.constructors import PullbackSpec, corpus, pullback_cyclic
 from mixedmilnor.errors import (
     NegativeReducedExponentError,
@@ -200,6 +201,8 @@ class TestZetaFunction:
         assert sorted((f.d, f.e) for f in z.factors) == [(20, 1), (20, 1)]
         assert {f.chi for f in z.factors} == {-20}
         assert z.product_text() == "(1-t^20)^2"
+        num, _ = expand_zeta(z)
+        assert series_to_text({i: c for i, c in enumerate(num) if c}) == "1 - 2*t^20 + t^40"
 
     def test_single_mixed_monomial(self):
         for a, b in [(2, 1), (5, 2), (4, 0)]:

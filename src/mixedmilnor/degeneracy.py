@@ -6,35 +6,31 @@ complex factor.  The residual implemented here is a scale- and
 phase-invariant measure of that alignment; the falsifier drives it to zero
 by multistart local minimization over the torus in log coordinates.
 
-Before any search, a face is tried against the exact support certificate
-(`support_certificate`): with u_k = c_k z^nu_k zbar^mu_k, a torus critical
+Before any search, a face is tried against one exact decision
+(`exact_decision`): with u_k = c_k z^nu_k zbar^mu_k, a torus critical
 point on the free variables J gives a unit phase w = e^{i phi} u = x + i y
-with (nu - mu)_J^T x = 0 and (nu + mu)_J^T y = 0; when both left
-nullspaces vanish at some term k, u_k = 0 is forced and the face has no
-critical point.  A face it settles is never searched, and its verdict
-names the forced term as "support[k]".
-
-A face the support certificate leaves open is next tried against the
-phase-lattice decision (`phase_lattice`), which is exact both ways on a
-covered face, one whose rows of A_J are independent: then y = 0, and a
-critical point exists iff some sign vector of x passes a Fourier-Motzkin
-test on ker B_J^T and a phase test against a Z-basis of the lattice
-{lambda : lambda^T [B_J | B_I | 1] = 0}.  A critical point it finds is
-built from exact data and rechecked with `criticality_residual_exact`
-before it is emitted; its verdict names "phase-lattice", as does a proof
-that there is none.  Faces with dependent rows, or past the decision's
-caps, are searched.
+with B_J^T x = 0 and A_J^T y = 0, where A_J = (nu + mu)_J and
+B_J = (nu - mu)_J.  When both left nullspaces vanish at some term k,
+u_k = 0 is forced and the face has no critical point; the verdict names
+the forced term as "support[k]".  On a covered face, one whose rows of A_J
+are independent, y = 0, and a critical point exists iff some sign vector
+of x passes a Fourier-Motzkin test on ker B_J^T and a phase test against
+a Z-basis of the lattice {lambda : lambda^T [B_J | B_I | 1] = 0}.  A
+critical point found so is built from exact data and rechecked with
+`criticality_residual_exact` before it is emitted; its verdict names
+"phase-lattice", as does a proof that there is none.  Faces with
+dependent rows, or past the decision's caps, are searched.
 
 Local tameness along a vanishing coordinate subspace C^I is decided in
 stages: an exact symbolic criterion (a sign-definite diagonal witness
-polynomial T_j, then the support certificate on the complement of I, then
-the phase-lattice decision, whose witness puts |z_I| at the probe radius),
-then a sampling falsifier that freezes small nonzero values on the I
-coordinates and searches the remaining torus for critical points of the
-face function.  A NotTame witness is always a critical point at a nonzero
-z_I.  Both float searches, the falsifier and the frozen one, are the same
-bounded multistart minimization: log-magnitudes start in [-2, 2] and stay
-in [-2.5, 2.5].  Certification by sampling alone is never claimed: without
+polynomial T_j, then the exact decision on the complement of I, whose
+witness puts |z_I| at the probe radius), then a sampling falsifier that
+freezes small nonzero values on the I coordinates and searches the
+remaining torus for critical points of the face function.  A NotTame
+witness is always a critical point at a nonzero z_I.  Both float
+searches, the falsifier and the frozen one, are the same bounded
+multistart minimization: log-magnitudes start in [-2, 2] and stay in
+[-2.5, 2.5].  Certification by sampling alone is never claimed: without
 an exact certificate the best possible verdict is Inconclusive.
 """
 
@@ -87,7 +83,7 @@ class NondegeneracyVerdict:
     residual_stats: ResidualStats
     face: FaceDescriptor
     face_function: MixedPoly
-    certified_by: str | None = None  # "support[k]", "phase-lattice" or None
+    certified_by: str | None = None  # exact_decision's "support[k]" or "phase-lattice", or None
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class FaceTameness:
     certified_radius: float
     witness: tuple | None  # (frozen z_I values, full critical point)
     criterion_polynomials: dict  # j -> T_j as exact MixedPoly
-    certified_by: str | None  # "sign-definite-T[j]", "support[k]", "phase-lattice" or None
+    certified_by: str | None  # "sign-definite-T[j]", or exact_decision's "support[k]" or "phase-lattice"
     stats: ResidualStats | None  # the frozen search's, None when certified_by is set
 
 
@@ -336,18 +332,25 @@ def _critical_search(fpoly, free, frozen, budget, rng):
     Returns (best residual over the starts, best point, stats).
     """
     free = sorted(free)
-    k = len(free)
+    k, idx = len(free), [j - 1 for j in free]
     template = np.zeros(fpoly.n, dtype=np.complex128)
     for j, val in frozen.items():
         template[j - 1] = val
 
     def point(x):
         p = template.copy()
-        p[[j - 1 for j in free]] = _torus_point(x[:k], x[k:])
+        p[idx] = _torus_point(x[:k], x[k:])
         return p
 
     def objective(x):
-        return criticality_residual(fpoly, point(x), free=free)
+        p = point(x)
+        value = criticality_residual(fpoly, p, free=free)
+        if value == 0.0:
+            # free gradients that all underflow to 0 score 0 too, and witness nothing
+            grads = fpoly.gradients(p)
+            if not (grads.d_z[idx].any() or grads.d_zbar[idx].any()):
+                return math.inf
+        return value
 
     value, x, evals = _multistart(objective, k, budget, rng)
     witness = None if x is None else point(x)
@@ -369,29 +372,6 @@ def _unit_phase_real(f: MixedPoly) -> bool:
     if norm != 1:
         return False
     return fbar == f * alpha
-
-
-def support_certificate(fpoly: MixedPoly, free) -> int | None:
-    """A term that no torus critical point on the free variables allows.
-
-    With A = nu + mu and B = nu - mu the exponent matrices of the terms
-    (one row per term, the columns of the 1-based indices in free), a
-    critical point gives x, y with B^T x = 0, A^T y = 0 and x_k + i y_k
-    nonzero for every term k.  Returns the 1-based position k, in printed
-    term order, of the first term at which every vector of both left
-    nullspaces vanishes, which proves fpoly has no critical point on the
-    torus of the free variables for any nonzero values of the others;
-    None when there is no such term.  Exact, from the exponents alone.
-    """
-    monos = [m for m, _ in fpoly._sorted_terms()]
-    cols = [j - 1 for j in sorted(free)]
-    a_t = [[m.nu[j] + m.mu[j] for m in monos] for j in cols]
-    b_t = [[m.nu[j] - m.mu[j] for m in monos] for j in cols]
-    kernel = lattice.nullspace(a_t, len(monos)) + lattice.nullspace(b_t, len(monos))
-    for k in range(len(monos)):
-        if all(v[k] == 0 for v in kernel):
-            return k + 1
-    return None
 
 
 # sign vectors one phase-lattice decision tests before it leaves the face to the search
@@ -454,13 +434,20 @@ def _phase_product(coeffs, lam):
     return _gaussian_product(bases, map(abs, lam), (1, 0))
 
 
-def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
-    """Exact decision of torus critical points on the free variables J for a
-    face whose exponent rows A_J = (nu + mu)_J are independent ("covered").
+def exact_decision(fpoly: MixedPoly, free, radius: float = 1.0):
+    """Exact decision of torus critical points on the free variables J.
 
-    A critical point gives w = e^{i phi} u = x + i y with B_J^T x = 0 and
-    A_J^T y = 0 (see support_certificate); independent rows force y = 0, and
-    leave the term moduli free.  So one exists iff some sign vector sigma
+    With u_k = c_k z^nu_k zbar^mu_k and the exponent matrices A = nu + mu and
+    B = nu - mu (one row per term in printed order, the columns of J), a
+    critical point gives w = e^{i phi} u = x + i y with B_J^T x = 0,
+    A_J^T y = 0 and w_k nonzero for every term k.  So when every vector of
+    both kernels vanishes at a term k, u_k = 0 is forced and there is no
+    critical point at any nonzero z_I: returns ("support[k]", None) for the
+    first such k, 1-based.
+
+    Otherwise a face whose rows A_J are dependent returns None, for the
+    search.  Independent rows ("covered") force y = 0 and leave the term
+    moduli free, so a critical point exists iff some sign vector sigma
     passes two tests: (i) some x in ker B_J^T has signs sigma, decided by
     Fourier-Motzkin (lattice.strict_point); (ii) the unit phases
     sigma_k conj(c_k)/|c_k| are e^{i(B_J theta_J + B_I theta_I + phi)} for
@@ -469,26 +456,28 @@ def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
     a real rho_lambda (_phase_product) of sign prod sigma_k^lambda_k.  A
     non-real rho proves there is none; the signs filter sigma by parity.
 
-    Returns None when the face is not covered or a cap stops the decision
-    (MAX_SIGN_VECTORS sign vectors, lattice.MAX_FM_ROWS, a rho past
-    MAX_POWER_BITS bits, a recheck past MAX_RECHECK_BITS), (False, None)
-    when there is no critical point at any nonzero z_I, and (True, point)
-    for a critical point built from the Fourier-Motzkin x: log-magnitudes by
-    back-substitution on the Hermite form of A_J, phases on that of
-    [B_J | B_I | 1], and |z_I| = radius.  The point is rechecked with
-    criticality_residual_exact; one that does not come below
-    WITNESS_THRESHOLD, or leaves float range, gives None.
+    Returns ("phase-lattice", None) when there is no critical point,
+    ("phase-lattice", point) for one built from the Fourier-Motzkin x:
+    log-magnitudes by back-substitution on the Hermite form of A_J, phases
+    on that of [B_J | B_I | 1], and |z_I| = radius; and None when a cap
+    stops the decision (MAX_SIGN_VECTORS sign vectors, lattice.MAX_FM_ROWS,
+    a rho past MAX_POWER_BITS bits, a recheck past MAX_RECHECK_BITS).  The
+    point is rechecked with criticality_residual_exact; one that does not
+    come below WITNESS_THRESHOLD, or leaves float range, gives None.
     """
     items = fpoly._sorted_terms()
     monos, coeffs = [m for m, _ in items], [c for _, c in items]
     T = len(monos)
     J = sorted(free)
     I = [j for j in range(1, fpoly.n + 1) if j not in J]
-    h_a, u_a, piv_a = lattice.hermite_rows([[m.nu[j - 1] + m.mu[j - 1] for j in J] for m in monos], len(J))
-    if len(piv_a) < T:
-        return None
+    a = [[m.nu[j - 1] + m.mu[j - 1] for j in J] for m in monos]
     b = [[m.nu[j - 1] - m.mu[j - 1] for j in J + I] + [1] for m in monos]
-    kernel = lattice.nullspace([[row[c] for row in b] for c in range(len(J))], T)
+    ker_a, ker_b = (lattice.nullspace([[r[c] for r in rows] for c in range(len(J))], T) for rows in (a, b))
+    for k in range(T):
+        if all(v[k] == 0 for v in ker_a + ker_b):
+            return f"support[{k + 1}]", None
+    if ker_a:
+        return None
     h, u, piv = lattice.hermite_rows(b, len(J) + len(I) + 1)
     equations = []
     for lam in u[len(piv):]:
@@ -496,24 +485,24 @@ def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
         if rho is None:
             return None
         if rho[1]:
-            return False, None
+            return PHASE_LATTICE, None
         equations.append((sum(1 << k for k, l in enumerate(lam) if l % 2), int(rho[0] < 0)))
     for tried, s in enumerate(_parity_solutions(equations, T)):
         if tried == MAX_SIGN_VECTORS:
             return None
         sigma = [-1 if s >> k & 1 else 1 for k in range(T)]
         try:
-            t = lattice.strict_point([[sg * v[k] for v in kernel] for k, sg in enumerate(sigma)], len(kernel))
+            t = lattice.strict_point([[sg * v[k] for v in ker_b] for k, sg in enumerate(sigma)], len(ker_b))
         except lattice.CapExceeded:
             return None
         if t is not None:
             break
     else:
-        return False, None
+        return PHASE_LATTICE, None
     # the witness: |c_k| e^{(A_J s)_k + (A_I log|z_I|)_k} = |x_k| for the moduli,
     # and arg c_k + (B theta)_k + phi = arg sigma_k for the phases, both
     # solved exactly from the float logs and arguments
-    x = [sum((ti * v[k] for ti, v in zip(t, kernel)), Fraction(0)) for k in range(T)]
+    x = [sum((ti * v[k] for ti, v in zip(t, ker_b)), Fraction(0)) for k in range(T)]
     log_zi = math.log(radius) - 0.5 * math.log(len(I)) if I else 0.0
     moduli = [
         Fraction(_log_abs(xk) - 0.5 * _log_abs(c.re * c.re + c.im * c.im)
@@ -521,6 +510,7 @@ def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
         for xk, c, m in zip(x, coeffs, monos)
     ]
     phases = [Fraction((math.pi if sg < 0 else 0.0) - _arg(c)) for c, sg in zip(coeffs, sigma)]
+    h_a, u_a, piv_a = lattice.hermite_rows(a, len(J))
     s = lattice.echelon_solve(h_a, piv_a, [sum(map(mul, row, moduli)) for row in u_a])
     theta = lattice.echelon_solve(h, piv, [sum(map(mul, row, phases)) for row in u])
     point = np.zeros(fpoly.n, dtype=np.complex128)
@@ -539,31 +529,26 @@ def phase_lattice(fpoly: MixedPoly, free, radius: float = 1.0):
         return None
     if criticality_residual_exact(fpoly, point, J) >= WITNESS_THRESHOLD:
         return None
-    return True, point
+    return PHASE_LATTICE, point
 
 
 def _settle_face(fpoly, budget, seed, index):
     """(status, witness, stats, certified_by) of one face function: a unit
-    phase times a real polynomial is Degenerate, a support certificate
-    proves it has no critical point, the phase-lattice decision settles a
-    covered face both ways, and anything else is searched."""
+    phase times a real polynomial is Degenerate, the exact decision settles
+    what it can, and anything else is searched."""
     all_vars = list(range(1, fpoly.n + 1))
     rng = np.random.default_rng([seed, index])
     certified = None
     if not _unit_phase_real(fpoly):
-        k = support_certificate(fpoly, all_vars)
-        if k is not None:
-            certified = f"support[{k}]"
-        elif (decided := phase_lattice(fpoly, all_vars)) is not None:
-            certified = PHASE_LATTICE
-            if decided[0]:
-                point = decided[1]
-                return NondegStatus.CRITICAL_POINT_WITNESS, point, _point_stats(fpoly, point), certified
-        else:
+        decided = exact_decision(fpoly, all_vars)
+        if decided is None:
             value, point, stats = _critical_search(fpoly, all_vars, {}, budget, rng)
             if value < WITNESS_THRESHOLD:
                 return NondegStatus.CRITICAL_POINT_WITNESS, point, stats, None
             return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, None
+        certified, point = decided
+        if point is not None:
+            return NondegStatus.CRITICAL_POINT_WITNESS, point, _point_stats(fpoly, point), certified
     # settled without a search: the residual at one torus point fills the
     # stats, and that point witnesses a Degenerate face
     point = _torus_point(
@@ -594,7 +579,7 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
 
     Covers all compact faces of the Newton boundary and the compact part of
     every essential non-compact face.  A verdict of NoCriticalPointFound is
-    a proof when it carries a support certificate, and otherwise a
+    a proof when it carries exact_decision's label, and otherwise a
     statistics-backed failure to falsify.  Deterministic for a fixed seed.
     """
     require_budget(budget)
@@ -687,14 +672,10 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
     I = sorted(face.noncompact_directions)
     free = [j for j in range(1, f.n + 1) if j not in I]
     certified = _certify_symbolically(T_polys)
-    if certified is None:
-        k = support_certificate(fd, free)
-        certified = None if k is None else f"support[{k}]"
     status, radius, witness, stats = TameStatus.TAME_CERTIFIED, math.inf, None, None
-    if certified is None and (decided := phase_lattice(fd, free, probe_radius)) is not None:
-        certified = PHASE_LATTICE
-        if decided[0]:
-            point = decided[1]
+    if certified is None and (decided := exact_decision(fd, free, probe_radius)) is not None:
+        certified, point = decided
+        if point is not None:
             status, witness = TameStatus.NOT_TAME, (point[[i - 1 for i in I]], point)
     if certified is None:
         # freeze z_I at four random directions on each of three shells of
@@ -797,13 +778,15 @@ def _radius_json(r):
 
 
 def nondeg_verdict_to_json(v: NondegeneracyVerdict) -> dict:
+    low = v.residual_stats.min_residual
     out = {
         "face": newton.face_to_json(v.face),
         "face_function": v.face_function.to_text(),
         "status": v.status.value,
         "stats": {
             "samples": v.residual_stats.evaluations,
-            "min_residual": v.residual_stats.min_residual,
+            # null where the residual overflowed to nan or every start scored inf
+            "min_residual": low if math.isfinite(low) else None,
             "restarts": v.residual_stats.restarts,
         },
     }

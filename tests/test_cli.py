@@ -43,6 +43,8 @@ def equal_degree_sum(n, size, seed=17):
 BIG = "1" + "0" * 400
 NINES = "9" * 3000
 HUGE_EXP = "9" * 20
+# a face whose float gradients underflow to 0 at every point of the search box
+UNDERFLOW = "z1^1000*zb2^1000 + 2*z1^1001*zb2^999 + 3i*z1^999*zb2^1001"
 # powers above poly.MAX_POWER_TERMS terms or poly.MAX_POWER_BITS bits of growth
 POWER_REFUSALS = [
     ["faces", "--poly", "2^99999999999999999999*z1 + z2^2"],
@@ -61,9 +63,18 @@ def run(capsys, *argv):
     return code, out
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not standard JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not standard JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--json")
-    report = json.loads(out)
+    report = strict_json(out)
     jsonschema.validate(report, SCHEMA)
     return code, report
 
@@ -147,15 +158,34 @@ class TestReports:
     def test_exact_decision_on_huge_exponents_is_bounded(self, capsys, argv):
         # the exact recheck of a witness in |z2|^20000000, and a rho with
         # exponents of 10^5 on a face of degree 100002: each is capped, and
-        # ran for minutes without its cap
+        # ran for minutes without its cap.  Past the cap the frozen search
+        # finds no witness: its gradients underflow to 0, which proves nothing
         start = time.perf_counter()
         code, report = run_json(capsys, *argv)
         assert time.perf_counter() - start < 2
         assert code == 0
         if argv[0] == "tame":
             (entry,) = report["result"]["subspaces"]
-            assert entry["status"] == "NotTame"
+            assert entry["status"] == "Inconclusive"
             assert all("certified_by" not in fr for fr in entry["faces"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--poly", UNDERFLOW, "--budget", "2", "--seed", "0"],
+        ["--poly", UNDERFLOW, "--budget", "2", "--seed", "2"],
+        ["--poly", "z1^1000000000*zb2", "--budget", "1", "--seed", "0"],
+        ["--poly", "|z1|^2000 + (1+i)*z1^1001*zb1^999 + (2-i)*z1^999*zb1^1001 + z2^2000*zb2",
+         "--budget", "2", "--seed", "2"],
+    ], ids=["underflow-seed0", "underflow-seed2", "nan-residual", "inf-residual"])
+    def test_nondeg_at_huge_exponents(self, capsys, argv):
+        # every search point of the UNDERFLOW face has all gradients 0 in
+        # floats, which once scored residual 0 and came out as a witness;
+        # a residual that overflows, or a search scoring inf at every start,
+        # once printed NaN or Infinity
+        code, report = run_json(capsys, "nondeg", *argv)
+        assert code == 0
+        verdicts = report["result"]["verdicts"]
+        assert all(v["status"] == "NoCriticalPointFound" for v in verdicts)
+        assert None in [v["stats"]["min_residual"] for v in verdicts]
 
     def test_tame_strict_exit(self, capsys):
         code, report = run_json(
@@ -289,7 +319,7 @@ class TestErrors:
     def test_error_report_validates(self, capsys):
         code, out = run(capsys, "zeta", "--corpus", "nonesuch", "--json")
         assert code == 1
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == "UnknownCorpusNameError"
 
@@ -380,7 +410,7 @@ class TestErrors:
     def test_typed_json_error(self, capsys, argv, error):
         code, out = run(capsys, *argv, "--json")
         assert code == 1
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == error
 
@@ -413,7 +443,7 @@ class TestErrors:
     def test_non_positive_argument(self, capsys, argv):
         code, out = run(capsys, *argv, "--json")
         assert code == 1
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == "NonPositiveArgumentError"
 
@@ -424,7 +454,7 @@ class TestErrors:
             code = main(["tame", "--corpus", "tibar", "--radius", radius, "--budget", "1", "--json"])
         out, err = capfd.readouterr()
         assert code == 0 and err == ""
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         return report["result"]["subspaces"][0]
 
@@ -455,7 +485,7 @@ class TestErrors:
                          "--samples", "5", "--json"])
         out, err = capfd.readouterr()
         assert code == 1 and err == ""
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == error
 
@@ -464,11 +494,7 @@ class TestErrors:
         argv = ["transversality", "--corpus", "tibar", "--delta", "1e-300", "--samples", "5"]
         code, out = run(capsys, *argv, "--json")
         assert code == 0
-
-        def no_constant(name):
-            raise ValueError(f"{name} is not JSON")
-
-        report = json.loads(out, parse_constant=no_constant)
+        report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         result = report["result"]
         assert result["accepted"] == 0
@@ -650,7 +676,7 @@ class TestBatch:
     def test_unreadable_batch_file(self, capsys, tmp_path):
         code, out = run(capsys, "zeta", "--json", "--batch", str(tmp_path / "missing.jsonl"))
         assert code == 1
-        report = json.loads(out)
+        report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == "BadRequestError"
 
@@ -739,7 +765,7 @@ class TestBatch:
         code, out = run(capsys, "zeta", "--corpus", "d_n", "--params", "2000001", "--json")
         assert time.perf_counter() - start < 0.1
         assert code == 1
-        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        assert strict_json(out)["error"]["type"] == "BadRequestError"
         batch = tmp_path / "requests.jsonl"
         lines = [
             {"command": "zeta", "corpus": "d_n", "params": "2000001", "json": True},
@@ -765,7 +791,7 @@ class TestBatch:
         code, out = run(capsys, *argv, "--json")
         assert time.perf_counter() - start < 0.1
         assert code == 1
-        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        assert strict_json(out)["error"]["type"] == "BadRequestError"
         request = {key[2:]: value for key, value in zip(argv[1::2], argv[2::2])}
         lines = [
             {"command": argv[0], **request, "json": True},
@@ -805,7 +831,7 @@ class TestBatch:
         # 10**8 starts per face would run for months; they are refused before any face
         code, out = run(capsys, command, "--corpus", "tibar", "--budget", str(10**8), "--json")
         assert code == 1
-        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        assert strict_json(out)["error"]["type"] == "BadRequestError"
         batch = tmp_path / "requests.jsonl"
         lines = [
             {"command": command, "corpus": "tibar", "budget": 10**8, "json": True},
@@ -834,7 +860,7 @@ class TestBatch:
         code, out = run(capsys, "openness", "--corpus", "tibar", "--point", "1, 0",
                         "--epsilon", "0.1", "--samples", str(10**15), "--json")
         assert code == 1
-        assert json.loads(out)["error"]["type"] == "BadRequestError"
+        assert strict_json(out)["error"]["type"] == "BadRequestError"
         batch = tmp_path / "requests.jsonl"
         lines = [request, {"command": "vanishing", "corpus": "fig1", "json": True}]
         batch.write_text("\n".join(json.dumps(x) for x in lines))

@@ -192,6 +192,11 @@ def _planted_critical_face(rng, n, T, free):
     return MixedPoly(n, dict(zip(monos, c)))
 
 
+def _proves_none(decided):
+    """True when an exact_decision result says there is no critical point."""
+    return decided is not None and decided[1] is None
+
+
 class TestSupportCertificate:
     def test_never_fires_on_a_planted_critical_point(self):
         rng = np.random.default_rng(811)
@@ -210,7 +215,7 @@ class TestSupportCertificate:
                 continue
             planted[kind] += 1
             assert dg.criticality_residual_exact(f, [1.0] * n, free=free) == 0, f
-            assert dg.support_certificate(f, free) is None, (f, free)
+            assert not _proves_none(dg.exact_decision(f, free)), (f, free)
         assert planted["all"] >= 150 and planted["proper"] >= 150, planted
 
     def test_never_fires_on_a_unit_phase_real_polynomial(self):
@@ -222,7 +227,7 @@ class TestSupportCertificate:
                 continue
             for size in range(1, f.n + 1):
                 free = sorted(int(j) for j in rng.choice(np.arange(1, f.n + 1), size, replace=False))
-                assert dg.support_certificate(f, free) is None, (f, free)
+                assert not _proves_none(dg.exact_decision(f, free)), (f, free)
 
     @pytest.mark.parametrize(
         "params", [(1, 2, a1, a2) for a1 in (1, 2, 3) for a2 in (1, 2, 3)] + [(1, 3, 1, 1, 1)]
@@ -232,7 +237,7 @@ class TestSupportCertificate:
         # the compact face that carries the planted critical points
         f = corpus("cone", params)
         (face,) = [fc for fc in newton.all_faces(f) if fc.generators == f.support()]
-        assert dg.support_certificate(newton.face_function(f, face), range(1, f.n + 1)) is None
+        assert not _proves_none(dg.exact_decision(newton.face_function(f, face), range(1, f.n + 1)))
 
     def test_fires_on_every_single_monomial_face_of_the_corpus(self):
         checked = 0
@@ -259,7 +264,7 @@ class TestSupportCertificate:
         # written first but printed second
         f = parse_poly("(-2+1/2i)*z1^2*zb1*z2^2*zb2*zb3 + (1-1/3i)*|z3|^2")
         assert f.to_text().startswith("(1-1/3i)*|z3|^2 + ")
-        assert dg.support_certificate(f, [1, 2, 3]) == 2
+        assert dg.exact_decision(f, [1, 2, 3]) == ("support[2]", None)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_no_corner_witness_on_a_certified_face(self, seed):
@@ -665,8 +670,8 @@ class TestPhaseLattice:
             f, z0 = draw
             assert dg.criticality_residual_exact(f, z0, free) < 1e-25, (f, free)
             radius = float(rng.choice([1.0, 0.1, 1e-3]))
-            decided = dg.phase_lattice(f, free, radius)
-            assert decided is not None and decided[0], (f, free)
+            decided = dg.exact_decision(f, free, radius)
+            assert decided is not None and decided[0] == "phase-lattice" and decided[1] is not None, (f, free)
             point = decided[1]
             assert dg.criticality_residual_exact(f, point, free) < dg.WITNESS_THRESHOLD
             others = [j - 1 for j in range(1, n + 1) if j not in free]
@@ -689,8 +694,8 @@ class TestPhaseLattice:
             f = _planted_critical_face(rng, n, T, free)
             if f is None:
                 continue
-            decided = dg.phase_lattice(f, free)
-            assert decided is None or decided[0], (f, free)
+            decided = dg.exact_decision(f, free)
+            assert not _proves_none(decided), (f, free)
             dependent += decided is None
         assert dependent >= 200, dependent
 
@@ -712,7 +717,20 @@ class TestPhaseLattice:
         # |z1|^4 (1 + |z1|^2) z2^3 has no critical point: ker B^T asks for
         # x2 = -x1, while rho = 1 > 0 asks for two terms of one sign
         f = parse_poly("|z1|^4*z2^3 + |z1|^6*z2^3")
-        assert dg.phase_lattice(f, [1, 2]) == (False, None)
+        assert dg.exact_decision(f, [1, 2]) == ("phase-lattice", None)
+
+    def test_one_decision_takes_each_kernel_once(self, monkeypatch):
+        # the phase test rejects this face, so no witness is built and the
+        # Hermite form of A_J is never taken
+        calls = {"nullspace": [], "hermite_rows": []}
+        for name, log in calls.items():
+            real = getattr(lattice, name)
+            monkeypatch.setattr(lattice, name, lambda *args, real=real, log=log: log.append(args) or real(*args))
+        f = parse_poly("|z1|^4*z2^3 + |z1|^6*z2^3")
+        assert dg.exact_decision(f, [1, 2]) == ("phase-lattice", None)
+        assert len(calls["nullspace"]) == 2
+        # the one Hermite form taken is that of [B_J | 1], with 3 columns
+        assert [args[1] for args in calls["hermite_rows"]] == [3]
 
     def test_z_basis_of_a_lattice_the_rref_vectors_miss(self):
         f = parse_poly(
@@ -725,7 +743,7 @@ class TestPhaseLattice:
         # the primitive RREF vectors span a sublattice of index 4 of L: their
         # test misses the parity of a vector of L outside it
         assert _gram_det(rref) == 16 * _gram_det(u[len(pivots):])
-        assert dg.phase_lattice(f, range(1, 5)) == (False, None)
+        assert dg.exact_decision(f, range(1, 5)) == ("phase-lattice", None)
 
     @pytest.mark.parametrize("radius", [1e200, 1e-200])
     def test_not_tame_at_every_radius(self, radius):
@@ -743,9 +761,9 @@ class TestPhaseLattice:
 
     def test_witness_that_fails_the_recheck_goes_to_the_search(self, monkeypatch):
         f = corpus("tibar_a", (1,))
-        assert dg.phase_lattice(f, [2])[0]
+        assert dg.exact_decision(f, [2])[1] is not None
         monkeypatch.setattr(dg, "criticality_residual_exact", lambda *args: Fraction(1))
-        assert dg.phase_lattice(f, [2]) is None
+        assert dg.exact_decision(f, [2]) is None
         calls = _count_minimize(monkeypatch)
         verdict = dg.local_tameness_check(f, {1}, budget=12, seed=0)
         assert calls and all(fr.certified_by != "phase-lattice" for fr in verdict.faces)
@@ -778,10 +796,10 @@ class TestPhaseLattice:
         # z1^2 |z2|^E is critical at every point with z1 frozen; the witness
         # (1, 1) rechecks in numbers of E + 2 bits
         E = dg.MAX_RECHECK_BITS - 2
-        assert dg.phase_lattice(parse_poly(f"z1^2*|z2|^{E}"), [2])[0]
+        assert dg.exact_decision(parse_poly(f"z1^2*|z2|^{E}"), [2])[1] is not None
         start = time.perf_counter()
-        assert dg.phase_lattice(parse_poly(f"z1^2*|z2|^{E + 2}"), [2]) is None
-        assert dg.phase_lattice(parse_poly("z1^2*|z2|^20000000"), [2]) is None
+        assert dg.exact_decision(parse_poly(f"z1^2*|z2|^{E + 2}"), [2]) is None
+        assert dg.exact_decision(parse_poly("z1^2*|z2|^20000000"), [2]) is None
         assert time.perf_counter() - start < 0.1
 
     def test_covered_pool_requests_run_no_search(self, monkeypatch):
@@ -808,7 +826,7 @@ class TestPhaseLattice:
         monos = list(f.terms)
         assert lattice.rank([[Fraction(a - b) for a, b in zip(m.nu, m.mu)] for m in monos]) == 7
         start = time.perf_counter()
-        decided = dg.phase_lattice(f, range(1, 15))
+        decided = dg.exact_decision(f, range(1, 15))
         assert time.perf_counter() - start < 0.5
-        if decided is not None and decided[0]:
+        if decided is not None and decided[1] is not None:
             assert dg.criticality_residual_exact(f, decided[1]) < dg.WITNESS_THRESHOLD

@@ -27,11 +27,16 @@ polynomial T_j, then the exact decision on the complement of I, whose
 witness puts |z_I| at the probe radius), then a sampling falsifier that
 freezes small nonzero values on the I coordinates and searches the
 remaining torus for critical points of the face function.  A NotTame
-witness is always a critical point at a nonzero z_I.  Both float
-searches, the falsifier and the frozen one, are the same bounded
-multistart minimization: log-magnitudes start in [-2, 2] and stay in
-[-2.5, 2.5].  Certification by sampling alone is never claimed: without
-an exact certificate the best possible verdict is Inconclusive.
+witness is always a critical point at a nonzero z_I.  One float search,
+_critical_search, serves both: the falsifier is the frozen search with
+nothing frozen (I empty, one shell).  It is a bounded multistart
+minimization: log-magnitudes start in [-2, 2] and stay in [-2.5, 2.5].
+A point where every free gradient is exactly 0 in floats scores inf, as
+the residual there says nothing.  A face settled without a search takes
+its stats from the same guarded residual at one torus point, so there
+it reports no minimum.  Certification by sampling alone is never
+claimed: without an exact certificate the best possible verdict is
+Inconclusive.
 """
 
 from __future__ import annotations
@@ -102,18 +107,12 @@ class TamenessVerdict:
     status: TameStatus
     certified_radius: float
     witness: tuple | None
-    criterion_polynomials: list
     faces: tuple
 
 
 # ---------------------------------------------------------------------------
 # Criticality residual
 # ---------------------------------------------------------------------------
-
-
-def _unit_scale(top) -> float:
-    """The power of two taking top > 0 into [1/2, 1), or as near as a float allows."""
-    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
 def _aligned_residual_float(v, w):
@@ -324,37 +323,49 @@ def _multistart(objective, k, budget, rng):
     return best, best_x, evals
 
 
-def _critical_search(fpoly, free, frozen, budget, rng):
-    """Multistart minimization of the restricted criticality residual.
+def _guarded_residual(fpoly, p, free):
+    """criticality_residual on the free variables, but inf where every free
+    gradient is exactly 0 in floats: there the residual reads 0 whatever its
+    exact value, so such a point witnesses nothing and bounds nothing."""
+    value = criticality_residual(fpoly, p, free=free)
+    if value == 0.0:
+        grads = fpoly.gradients(p)
+        idx = [j - 1 for j in free]
+        if not (grads.d_z[idx].any() or grads.d_zbar[idx].any()):
+            return math.inf
+    return value
 
-    free is a sorted list of 1-based variable indices parameterized on the
-    torus; frozen maps the remaining indices to fixed complex values.
-    Returns (best residual over the starts, best point, stats).
+
+def _critical_search(fpoly, I, shells, budget, rng):
+    """Multistart minimization of the criticality residual on the variables
+    outside I, with z_I frozen at each shell radius in turn.
+
+    Each shell draws a unit direction for z_I (nothing when I is empty) and
+    runs max(1, budget // len(shells)) starts on the rest of the torus; the
+    search ends at the first shell whose best residual is below
+    WITNESS_THRESHOLD.  Returns ((z_I, point) or None, stats summed over the
+    shells searched).
     """
-    free = sorted(free)
+    free = [j for j in range(1, fpoly.n + 1) if j not in I]
     k, idx = len(free), [j - 1 for j in free]
-    template = np.zeros(fpoly.n, dtype=np.complex128)
-    for j, val in frozen.items():
-        template[j - 1] = val
+    restarts = max(1, budget // len(shells))
+    evals, low = 0, math.inf
+    for searched, shell in enumerate(shells, 1):
+        direction = rng.normal(size=len(I)) + 1j * rng.normal(size=len(I))
+        direction /= np.linalg.norm(direction)
+        template = np.zeros(fpoly.n, dtype=np.complex128)
+        template[[i - 1 for i in I]] = zi = shell * direction
 
-    def point(x):
-        p = template.copy()
-        p[idx] = _torus_point(x[:k], x[k:])
-        return p
+        def point(x):
+            p = template.copy()
+            p[idx] = _torus_point(x[:k], x[k:])
+            return p
 
-    def objective(x):
-        p = point(x)
-        value = criticality_residual(fpoly, p, free=free)
-        if value == 0.0:
-            # free gradients that all underflow to 0 score 0 too, and witness nothing
-            grads = fpoly.gradients(p)
-            if not (grads.d_z[idx].any() or grads.d_zbar[idx].any()):
-                return math.inf
-        return value
-
-    value, x, evals = _multistart(objective, k, budget, rng)
-    witness = None if x is None else point(x)
-    return value, witness, ResidualStats(evals, float(value), budget)
+        value, x, n = _multistart(lambda x: _guarded_residual(fpoly, point(x), free), k, restarts, rng)
+        evals, low = evals + n, min(low, float(value))
+        if value < WITNESS_THRESHOLD:
+            return (zi, point(x)), ResidualStats(evals, low, searched * restarts)
+    return None, ResidualStats(evals, low, len(shells) * restarts)
 
 
 def _unit_phase_real(f: MixedPoly) -> bool:
@@ -536,16 +547,15 @@ def _settle_face(fpoly, budget, seed, index):
     """(status, witness, stats, certified_by) of one face function: a unit
     phase times a real polynomial is Degenerate, the exact decision settles
     what it can, and anything else is searched."""
-    all_vars = list(range(1, fpoly.n + 1))
     rng = np.random.default_rng([seed, index])
     certified = None
     if not _unit_phase_real(fpoly):
-        decided = exact_decision(fpoly, all_vars)
+        decided = exact_decision(fpoly, range(1, fpoly.n + 1))
         if decided is None:
-            value, point, stats = _critical_search(fpoly, all_vars, {}, budget, rng)
-            if value < WITNESS_THRESHOLD:
-                return NondegStatus.CRITICAL_POINT_WITNESS, point, stats, None
-            return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, None
+            found, stats = _critical_search(fpoly, [], [1.0], budget, rng)
+            if found is None:
+                return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, None
+            return NondegStatus.CRITICAL_POINT_WITNESS, found[1], stats, None
         certified, point = decided
         if point is not None:
             return NondegStatus.CRITICAL_POINT_WITNESS, point, _point_stats(fpoly, point), certified
@@ -562,9 +572,10 @@ def _settle_face(fpoly, budget, seed, index):
 
 def _point_stats(fpoly, point):
     """The stats of a face function that falsify_nondegeneracy settles
-    without a search: the residual at one torus point, which may overflow."""
+    without a search: the guarded residual at one torus point, which may
+    overflow to nan, or read inf where every gradient there is 0 in floats."""
     with np.errstate(all="ignore"):
-        return ResidualStats(1, criticality_residual(fpoly, point), 0)
+        return ResidualStats(1, _guarded_residual(fpoly, point, range(1, fpoly.n + 1)), 0)
 
 
 def require_budget(budget):
@@ -679,32 +690,16 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
             status, witness = TameStatus.NOT_TAME, (point[[i - 1 for i in I]], point)
     if certified is None:
         # freeze z_I at four random directions on each of three shells of
-        # decreasing radius and search the rest of the torus
-        rng = np.random.default_rng([seed, face_index])
+        # decreasing radius and search the rest of the torus; without a
+        # witness the outer shell is the clean radius
         shells = [probe_radius] * 4 + [probe_radius / 2] * 4 + [probe_radius / 4] * 4
-        restarts = max(1, budget // len(shells))
-        runs = []
-        status = TameStatus.INCONCLUSIVE
-        for shell in shells:
-            direction = rng.normal(size=len(I)) + 1j * rng.normal(size=len(I))
-            direction /= np.linalg.norm(direction)
-            zi = shell * direction
-            value, point, run = _critical_search(fd, free, dict(zip(I, zi)), restarts, rng)
-            runs.append(run)
-            if value < WITNESS_THRESHOLD:
-                status, witness = TameStatus.NOT_TAME, (zi, point)
-                break
-        # without a witness the outer shell is the clean radius
+        witness, stats = _critical_search(fd, I, shells, budget, np.random.default_rng([seed, face_index]))
+        status = TameStatus.INCONCLUSIVE if witness is None else TameStatus.NOT_TAME
         radius = probe_radius
-        stats = ResidualStats(
-            sum(r.evaluations for r in runs),
-            min(r.min_residual for r in runs),
-            len(runs) * restarts,
-        )
     if witness is not None:
         # |z_I| is taken at unit scale, so it neither underflows nor overflows
-        scale = _unit_scale(np.max(np.abs(witness[0])))
-        radius = float(np.linalg.norm(witness[0] * scale)) / scale
+        rows, scale = _unit_rows(witness[0])
+        radius = float(np.linalg.norm(rows.view(np.complex128))) / float(scale[0])
     return FaceTameness(
         face=face,
         status=status,
@@ -756,16 +751,7 @@ def local_tameness_check(
             (r.certified_radius for r in results if r.status is not TameStatus.TAME_CERTIFIED),
             default=0.0,
         )
-    criterion = []
-    for r in results:
-        criterion.extend(r.criterion_polynomials.values())
-    return TamenessVerdict(
-        status=status,
-        certified_radius=radius,
-        witness=witness,
-        criterion_polynomials=criterion,
-        faces=tuple(results),
-    )
+    return TamenessVerdict(status=status, certified_radius=radius, witness=witness, faces=tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,9 @@ class TestReports:
         verdicts = report["result"]["verdicts"]
         assert all(v["status"] == "NoCriticalPointFound" for v in verdicts)
         assert None in [v["stats"]["min_residual"] for v in verdicts]
+        # no face without a critical point reports residual 0: a settled
+        # face's stats point whose gradients all underflow reports null
+        assert 0.0 not in [v["stats"]["min_residual"] for v in verdicts]
 
     def test_tame_strict_exit(self, capsys):
         code, report = run_json(

@@ -540,6 +540,47 @@ class TestBoundedSearch:
         restarts = [fr.stats.restarts for fr in verdict.faces if fr.stats is not None]
         assert restarts and len(calls) == sum(restarts)
 
+    def test_witness_shell_ends_the_tameness_search(self, monkeypatch):
+        # the search finds this face NotTame on its first shell; with the four
+        # outer shells made clean it ends at the fifth, the first to hold a
+        # witness.  Its restarts count the five shells searched, and each
+        # clean shell ran one Nelder-Mead pass per restart (the witness shell
+        # stops at the start that found it)
+        f = parse_poly("-4/3i*|z1|^2*|z2|^2*z3^3*zb3^2 + (4-2/3i)*z1^2*z2^3*|z3|^6")
+        radius, budget = 0.1, 24
+        per_shell = max(1, budget // 12)
+        residual, multistart = dg._guarded_residual, dg._multistart
+
+        def outer_clean(fpoly, p, free):
+            return 1.0 if np.linalg.norm(p[1:]) > 0.75 * radius else residual(fpoly, p, free)
+
+        calls, shells = _count_minimize(monkeypatch), []
+
+        def counted(*args):
+            before = len(calls)
+            out = multistart(*args)
+            shells.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(dg, "_guarded_residual", outer_clean)
+        monkeypatch.setattr(dg, "_multistart", counted)
+        verdict = dg.local_tameness_check(f, {2, 3}, probe_radius=radius, budget=budget, seed=1)
+        assert verdict.status is TameStatus.NOT_TAME
+        (fr,) = [fr for fr in verdict.faces if fr.stats is not None]
+        assert fr.status is TameStatus.NOT_TAME and fr.certified_by is None
+        assert len(shells) == 5 and shells[:4] == [per_shell] * 4 and 1 <= shells[4] <= per_shell
+        assert fr.stats.restarts == len(shells) * per_shell
+        assert fr.certified_radius == pytest.approx(radius / 2)
+
+    def test_searched_nondeg_face_counts_the_budget(self, monkeypatch):
+        # the falsifier is the same search with nothing frozen and one shell
+        calls = _count_minimize(monkeypatch)
+        f = parse_poly("(-2+2i)*|z1|^2 + (2+i)*zb1*z2^2 + (-1+i)*z2^3*zb2")
+        verdicts = dg.falsify_nondegeneracy(f, budget=5, seed=0)
+        (searched,) = [v for v in verdicts if v.certified_by is None and v.status is not NondegStatus.DEGENERATE]
+        assert searched.residual_stats.restarts == 5
+        assert 1 <= len(calls) <= 5
+
     @pytest.mark.parametrize("radius", [0.1, 1e-5])
     def test_small_shell_gives_no_witness(self, radius):
         # |f| is O(radius^4) on the shell, so at 1e-5 every point has a tiny

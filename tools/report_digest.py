@@ -1,0 +1,77 @@
+"""Digest of the CLI's JSON reports, one line per request.
+
+Prints ``label seed sha256`` for each request, the hash taken over its exit
+code and its ``--json`` stdout:
+
+- every request of the three perfbench pools (``workloads.build``) at seeds
+  7 and 11, in pool order;
+- a sweep over the random mixed polynomials
+  ``helpers.random_mixed_poly(default_rng(s), n=2 + s % 2, max_terms=3)``
+  for s < 150: one ``nondeg`` report and one ``tame`` report per vanishing
+  coordinate subspace, each at budget 8 and seed s.
+
+Requests run in-process through ``mixedmilnor.cli.main`` with BLAS on one
+thread, from the ``src/`` beside this file.  To check that a change leaves
+every report byte-identical, run it in both checkouts and diff the outputs:
+
+    python3 tools/report_digest.py > after.txt
+"""
+
+import hashlib
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[var] = "1"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+from helpers import random_mixed_poly  # noqa: E402
+from mixedmilnor import cli, newton  # noqa: E402
+
+POOL_SEEDS = (7, 11)
+SWEEP = 150
+SWEEP_BUDGET = "8"
+
+
+def digest(argv):
+    """sha256 of the exit code and stdout of one --json request."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main([*argv, "--json"])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is this request's digest, not the run's end
+            code = f"crash {type(exc).__name__}"
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def sweep(s):
+    """(label, argv) of the sweep's requests on its s-th polynomial."""
+    f = random_mixed_poly(np.random.default_rng(s), n=2 + s % 2, max_terms=3)
+    common = ["--poly", f.to_text(), "--budget", SWEEP_BUDGET, "--seed", str(s)]
+    yield "sweep:nondeg", ["nondeg", *common]
+    for I in sorted(newton.vanishing_subsets(f).vanishing, key=sorted):
+        subset = ",".join(map(str, sorted(I)))
+        yield f"sweep:tame[{subset}]", ["tame", *common, "--subset", subset]
+
+
+def main():
+    for workload in workloads.WORKLOADS:
+        for seed in POOL_SEEDS:
+            for req in workloads.build(workload, seed):
+                print(req.label, seed, digest(req.argv), flush=True)
+    for s in range(SWEEP):
+        for label, argv in sweep(s):
+            print(label, s, digest(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -22,21 +22,32 @@ critical point found so is built from exact data and rechecked with
 dependent rows, or past the decision's caps, are searched.
 
 Local tameness along a vanishing coordinate subspace C^I is decided in
-stages: an exact symbolic criterion (a sign-definite diagonal witness
-polynomial T_j, then the exact decision on the complement of I, whose
-witness puts |z_I| at the probe radius), then a sampling falsifier that
-freezes small nonzero values on the I coordinates and searches the
-remaining torus for critical points of the face function.  A NotTame
-witness is always a critical point at a nonzero z_I.  One float search,
-_critical_search, serves both: the falsifier is the frozen search with
-nothing frozen (I empty, one shell).  It is a bounded multistart
-minimization: log-magnitudes start in [-2, 2] and stay in [-2.5, 2.5].
+stages, each face in turn:
+
+1. an exact symbolic criterion, a sign-definite diagonal witness
+   polynomial T_j ("sign-definite-T[j]");
+2. the exact decision on the complement of I, whose witness puts |z_I| at
+   the probe radius ("support[k]", "phase-lattice");
+3. a frozen search: z_I is frozen at 12 small nonzero points, four random
+   directions on each of three shells, and each shell in turn is searched
+   for critical points of the face function on the remaining torus.  With
+   one free variable w = z_j the face is r^D h(theta) in w = r e^{i theta},
+   so a shell has a critical point iff F(theta) = Im(conj(h) h') has a
+   zero; a Sturm count decides that exactly, and a zero gives a witness at
+   |w| = 1, rechecked with `criticality_residual_exact` ("sign-change-F").
+   A shell past that decision's caps, whose witness fails the recheck, or
+   with more free variables runs a multistart minimization.
+
+A NotTame witness is always a critical point at a nonzero z_I.  One float
+search, _critical_search, serves both verdicts: the falsifier is the
+frozen search with nothing frozen (I empty, one shell).  Its minimization
+is bounded: log-magnitudes start in [-2, 2] and stay in [-2.5, 2.5].
 A point where every free gradient is exactly 0 in floats scores inf, as
 the residual there says nothing.  A face settled without a search takes
 its stats from the same guarded residual at one torus point, so there
 it reports no minimum.  Certification by sampling alone is never
-claimed: without an exact certificate the best possible verdict is
-Inconclusive.
+claimed: twelve clean shells are not a proof, so without an exact
+certificate the best possible verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -53,9 +64,11 @@ from scipy.optimize import minimize
 from . import lattice, newton
 from .errors import BadRequestError, NotEssentialFaceError, NotVanishingError, require_positive
 from .newton import FaceDescriptor, FaceKind
-from .poly import MAX_POWER_BITS, MixedPoly, _power
+from .poly import MAX_POWER_BITS, MixedMonomial, MixedPoly, _power
 
 WITNESS_THRESHOLD = 1e-10
+# bits of the exact numbers in the recheck of a witness the library builds
+MAX_RECHECK_BITS = 1 << 15
 # search starts per face, 16 times the default budget of 64
 MAX_BUDGET = 1024
 # float searches start at log-magnitudes in [-LOG_RANGE, LOG_RANGE]
@@ -88,7 +101,7 @@ class NondegeneracyVerdict:
     residual_stats: ResidualStats
     face: FaceDescriptor
     face_function: MixedPoly
-    certified_by: str | None = None  # exact_decision's "support[k]" or "phase-lattice", or None
+    certified_by: str | None = None  # exact_decision's "support[k]" or "phase-lattice", "sign-change-F", or None
 
 
 @dataclass(frozen=True)
@@ -98,8 +111,10 @@ class FaceTameness:
     certified_radius: float
     witness: tuple | None  # (frozen z_I values, full critical point)
     criterion_polynomials: dict  # j -> T_j as exact MixedPoly
-    certified_by: str | None  # "sign-definite-T[j]", or exact_decision's "support[k]" or "phase-lattice"
-    stats: ResidualStats | None  # the frozen search's, None when certified_by is set
+    # "sign-definite-T[j]", exact_decision's "support[k]" or "phase-lattice", or
+    # the frozen search's "sign-change-F"
+    certified_by: str | None
+    stats: ResidualStats | None  # the frozen search's, None when a certificate came first
 
 
 @dataclass(frozen=True)
@@ -168,25 +183,9 @@ def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
     is unchanged when every derivative is scaled by one positive number, so
     each is evaluated times a common denominator, in Gaussian integers.
     """
-    pts, k = _gaussian_ints(p)
     indices = sorted(free) if free is not None else range(1, f.n + 1)
     derivs = [f.wirtinger(j, "z") for j in indices] + [f.wirtinger(j, "zbar") for j in indices]
-    terms = [item for d in derivs for item in d.terms.items()]
-    top = max((m.total_degree() for m, _ in terms), default=0)
-    scale = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
-    bases = pts + [(re, -im) for re, im in pts]
-
-    def eval_scaled(poly):
-        # scale * 2^(k top) * poly(p), every term a Gaussian integer
-        re = im = 0
-        for m, c in poly.terms.items():
-            shift = k * (top - m.total_degree())
-            one = (int(c.re * scale) << shift, int(c.im * scale) << shift)
-            value = _gaussian_product(bases, m.nu + m.mu, one)
-            re, im = re + value[0], im + value[1]
-        return re, im
-
-    values = [eval_scaled(d) for d in derivs]
+    values = _gaussian_values(derivs, p)
     v = [(a, -b) for a, b in values[: len(indices)]]
     w = values[len(indices) :]
     nv = sum(a * a + b * b for a, b in v)
@@ -218,6 +217,48 @@ def _gaussian_product(bases, exps, one):
     for b, e in zip(bases, exps):
         one = _power(b, e, one, _gaussian_mul)
     return one
+
+
+def _gaussian_values(polys, p):
+    """Each of polys at the float point p, times one positive integer common
+    to all of them, as Gaussian integers (re, im).
+
+    With p = pts / 2^k and scale the lcm of the coefficients' denominators,
+    each value is scale * 2^(k top) * poly(p), top the largest total degree.
+    """
+    pts, k = _gaussian_ints(p)
+    terms = [item for poly in polys for item in poly.terms.items()]
+    top = max((m.total_degree() for m, _ in terms), default=0)
+    scale = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
+    bases = pts + [(re, -im) for re, im in pts]
+    values = []
+    for poly in polys:
+        re = im = 0
+        for m, c in poly.terms.items():
+            shift = k * (top - m.total_degree())
+            one = (int(c.re * scale) << shift, int(c.im * scale) << shift)
+            value = _gaussian_product(bases, m.nu + m.mu, one)
+            re, im = re + value[0], im + value[1]
+        values.append((re, im))
+    return values
+
+
+def _exact_bits(degree, p):
+    """The bits of the Gaussian integers that an exact evaluation of the given
+    degree at the float point p multiplies: the degree times the bits of p's
+    largest exact coordinate."""
+    pts, _ = _gaussian_ints(p)
+    return degree * max(max(map(abs, x)).bit_length() for x in pts)
+
+
+def _rechecks(fpoly, point, free) -> bool:
+    """True when point is a critical point on the free variables by
+    criticality_residual_exact (below WITNESS_THRESHOLD), in numbers of at
+    most MAX_RECHECK_BITS bits; the gcd of the residual's numerator and
+    denominator grows as their square."""
+    if _exact_bits(fpoly.total_degree(), point) > MAX_RECHECK_BITS:
+        return False
+    return criticality_residual_exact(fpoly, point, free) < WITNESS_THRESHOLD
 
 
 def real_span_residual(target, b1, b2):
@@ -273,7 +314,8 @@ def _multistart(objective, k, budget, rng):
     Each start is one bounded Nelder-Mead pass from log-magnitudes drawn in
     [-LOG_RANGE, LOG_RANGE] and phases in [0, 2 pi); the search stops early
     once a start gets far below the witness threshold.  Returns (best value,
-    its x, evaluations); x is None only when no start gave a finite value.
+    its x, evaluations, starts run); x is None only when no start gave a
+    finite value.
 
     Log magnitudes are kept inside a box slightly wider than the sampling
     range.  Residuals of quasi-homogeneous face functions can tend to zero
@@ -286,7 +328,7 @@ def _multistart(objective, k, budget, rng):
     bounds = [(-box, box)] * k + [(-8 * np.pi, 8 * np.pi)] * k
     options = {"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * k}
     best, best_x = np.inf, None
-    evals = 0
+    evals = starts = 0
     simplex = []  # scores of the current start's initial simplex, 2k + 1 points
 
     def scored(x):
@@ -301,7 +343,7 @@ def _multistart(objective, k, budget, rng):
                 raise _InfiniteSimplex
         return value
 
-    for _ in range(budget):
+    for starts in range(1, budget + 1):
         x0 = np.concatenate(
             [rng.uniform(-LOG_RANGE, LOG_RANGE, size=k), rng.uniform(0, 2 * np.pi, size=k)]
         )
@@ -320,7 +362,7 @@ def _multistart(objective, k, budget, rng):
             best, best_x = res.fun, res.x
         if best < WITNESS_THRESHOLD * 1e-2:
             break
-    return best, best_x, evals
+    return best, best_x, evals, starts
 
 
 def _guarded_residual(fpoly, p, free):
@@ -336,36 +378,214 @@ def _guarded_residual(fpoly, p, free):
     return value
 
 
-def _critical_search(fpoly, I, shells, budget, rng):
-    """Multistart minimization of the criticality residual on the variables
-    outside I, with z_I frozen at each shell radius in turn.
+# caps on the polynomial whose real roots one exact shell decision counts:
+# its degree 2M (_frequencies), and (2M)^2 times the bits of the largest
+# c_b(z_I), which bounds the size of its Sturm sequence (a decision of dense
+# F at both caps took up to 0.07 s on a 2-core host)
+MAX_SHELL_DEGREE = 16
+MAX_SHELL_BITS = 1 << 16
+SIGN_CHANGE_F = "sign-change-F"
 
-    Each shell draws a unit direction for z_I (nothing when I is empty) and
-    runs max(1, budget // len(shells)) starts on the rest of the torus; the
-    search ends at the first shell whose best residual is below
-    WITNESS_THRESHOLD.  Returns ((z_I, point) or None, stats summed over the
-    shells searched).
+
+def _angular_groups(fpoly, j):
+    """The terms of fpoly grouped by b = nu_j - mu_j, for w = z_j the only
+    free variable: the sorted b values and, per b, the group's polynomial
+    c_b in the other variables (z_j's exponents dropped).
+
+    When every term has one degree D = nu_j + mu_j in w,
+    fpoly(z_I, r e^{i theta}) = r^D h(theta) with
+    h = sum_b c_b(z_I) e^{i b theta}.  None when the degrees differ, or when
+    2M passes MAX_SHELL_DEGREE.
+    """
+    groups, degrees = {}, set()
+    for m, c in fpoly.terms.items():
+        nu, mu = list(m.nu), list(m.mu)
+        degrees.add(nu[j - 1] + mu[j - 1])
+        b = nu[j - 1] - mu[j - 1]
+        nu[j - 1] = mu[j - 1] = 0
+        groups.setdefault(b, {})[MixedMonomial(tuple(nu), tuple(mu))] = c
+    bs = sorted(groups)
+    if len(degrees) > 1 or 2 * _frequencies(bs)[1] > MAX_SHELL_DEGREE:
+        return None
+    return bs, [MixedPoly(fpoly.n, groups[b]) for b in bs]
+
+
+def _frequencies(bs):
+    """(g, M): the gcd g of the differences of the b_k (1 for one b), and
+    their spread M in units of g.  F's frequencies are those differences, so
+    F(theta) = G(g theta) for a trigonometric polynomial G of degree M."""
+    g = math.gcd(*(b - bs[0] for b in bs)) or 1
+    return g, (bs[-1] - bs[0]) // g
+
+
+def _angular_values(groups, template):
+    """The c_b of _angular_groups at the shell point template, as Gaussian
+    integers times one positive integer; None past a cap: a c_b that could
+    pass MAX_POWER_BITS bits, or (2M)^2 times the bits of the largest past
+    MAX_SHELL_BITS."""
+    bs, polys = groups
+    if _exact_bits(max(c.total_degree() for c in polys), template) > MAX_POWER_BITS:
+        return None
+    cs = _gaussian_values(polys, template)
+    bits = max(max(map(abs, c)).bit_length() for c in cs)
+    return cs if (2 * _frequencies(bs)[1]) ** 2 * bits <= MAX_SHELL_BITS else None
+
+
+def _unit_zero(bs, cs):
+    """A unit w = e^{i theta} where F(theta) = Im(conj(h) h') vanishes, for
+    h(theta) = sum_k c_k e^{i b_k theta} with Gaussian integers c_k (re, im)
+    and increasing b_k; None when F has no zero.
+
+    F = Re(sum_d E_d e^{i d theta}) with E_0 = sum_k b_k |c_k|^2 and
+    E_d = sum_{b_l - b_k = d} (b_k + b_l) conj(c_k) c_l, so F(theta) = G(g theta)
+    with g and M from _frequencies.  With u = 1 + i t, t = tan(phi / 2),
+    e^{i n phi} (1 + t^2)^M = u^(M + n) conj(u)^(M - n), so P = (1 + t^2)^M G
+    is an integer polynomial of degree at most 2M whose t^2M coefficient is
+    G(pi).  G has a zero iff P is 0, G(pi) = 0, or the Sturm sequence of P
+    counts a real root (_root_angle).
+    """
+    g, M = _frequencies(bs)
+    E = [(0, 0)] * (M + 1)
+    for k, (bk, (a, b)) in enumerate(zip(bs, cs)):
+        E[0] = (E[0][0] + bk * (a * a + b * b), 0)
+        for bl, (c, d) in zip(bs[k + 1 :], cs[k + 1 :]):
+            re, im = E[(bl - bk) // g]
+            E[(bl - bk) // g] = (re + (bk + bl) * (a * c + b * d), im + (bk + bl) * (a * d - b * c))
+    # Horner in u and conj(u): sum_n E_n u^n conj(u)^(M - n), then times u^M
+    acc, bar = [E[M]], [(1, 0)]
+    for n in range(M - 1, -1, -1):
+        acc, bar = _times_line(acc, 1), _times_line(bar, -1)
+        e0, e1 = E[n]
+        acc = [(a + e0 * x - e1 * y, b + e0 * y + e1 * x) for (a, b), (x, y) in zip(acc, bar)]
+    for _ in range(M):
+        acc = _times_line(acc, 1)
+    P = [re for re, _ in acc]
+    phi = 0.0 if not any(P) else math.pi if P[-1] == 0 else _root_angle(_sturm(P))
+    return None if phi is None else complex(math.cos(phi / g), math.sin(phi / g))
+
+
+def _root_angle(chain):
+    """An angle phi in (-pi, pi) with tan(phi / 2) within float precision of
+    a real root of chain[0], by bisection on the sign changes along its
+    Sturm sequence chain; None when it has no real root."""
+    lo, hi = -math.pi, math.pi
+    v_lo = _changes([p[-1] * (-1) ** (len(p) - 1) for p in chain])
+    if v_lo == _changes([p[-1] for p in chain]):
+        return None
+    # the roots in (tan(lo / 2), tan(hi / 2)] number v_lo minus the changes at hi
+    while hi - lo > 1e-15:
+        mid = (lo + hi) / 2
+        t = Fraction(math.tan(mid / 2))
+        values = [_value(p, t.numerator, t.denominator) for p in chain]
+        if values[0] == 0:
+            return mid
+        v = _changes(values)
+        if v < v_lo:
+            hi = mid
+        else:
+            lo, v_lo = mid, v
+    return (lo + hi) / 2
+
+
+def _times_line(u, s):
+    """The polynomial u(t) (1 + s i t), u's coefficients Gaussian integers
+    (re, im) from degree 0 up, s = 1 or -1."""
+    out = u + [(0, 0)]
+    for r, (re, im) in enumerate(u):
+        a, b = out[r + 1]
+        out[r + 1] = (a - s * im, b + s * re)
+    return out
+
+
+def _sturm(p):
+    """The Sturm sequence of the integer polynomial p (coefficients from
+    degree 0 up): p, p', then each negated remainder, every member after p
+    scaled by a positive rational to primitive integers."""
+    chain, nxt = [p], [r * c for r, c in enumerate(p)][1:]
+    while nxt:
+        chain.append(lattice.primitive(nxt))
+        nxt = [-c for c in _remainder(chain[-2], chain[-1])]
+    return chain
+
+
+def _remainder(a, b):
+    """A positive multiple of a mod b for integer polynomials (coefficients
+    from degree 0 up); [] when b divides a."""
+    r, lead = list(a), b[-1]
+    while len(r) >= len(b):
+        q, shift = (r[-1] if lead > 0 else -r[-1]), len(r) - len(b)
+        r = [abs(lead) * x for x in r]
+        for i, x in enumerate(b):
+            r[shift + i] -= q * x
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _value(p, num, den):
+    """p(num / den) times den^deg p, for integers num and den > 0."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc, scale = acc * num + c * scale, scale * den
+    return acc
+
+
+def _changes(values):
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _critical_search(fpoly, I, shells, budget, rng):
+    """The critical points of fpoly on the variables outside I, with z_I
+    frozen at each shell radius in turn.
+
+    Each shell draws a unit direction for z_I (nothing when I is empty).
+    When one variable w is free and the face is homogeneous in it, the shell
+    is decided exactly (_unit_zero on the c_b(z_I) of _angular_groups): a
+    zero of F is a witness at |w| = 1 once criticality_residual_exact
+    rechecks it, and no zero means no critical point on the shell.  A shell
+    past a cap of _angular_groups or _angular_values, or whose witness fails
+    the recheck, and every shell with more free variables, runs
+    max(1, budget // len(shells)) starts of _multistart on the rest of the
+    torus.  The search ends at the first witness, or at the first shell
+    whose best residual is below WITNESS_THRESHOLD.  Returns
+    ((z_I, point) or None, SIGN_CHANGE_F for an exact witness or None,
+    stats summed over the shells: the starts run, their evaluations, and
+    the best residual, an exact witness adding its float residual).
     """
     free = [j for j in range(1, fpoly.n + 1) if j not in I]
     k, idx = len(free), [j - 1 for j in free]
-    restarts = max(1, budget // len(shells))
-    evals, low = 0, math.inf
-    for searched, shell in enumerate(shells, 1):
+    groups = _angular_groups(fpoly, free[0]) if k == 1 else None
+    per_shell = max(1, budget // len(shells))
+    evals, low, restarts = 0, math.inf, 0
+    for shell in shells:
         direction = rng.normal(size=len(I)) + 1j * rng.normal(size=len(I))
         direction /= np.linalg.norm(direction)
         template = np.zeros(fpoly.n, dtype=np.complex128)
         template[[i - 1 for i in I]] = zi = shell * direction
+        cs = groups and _angular_values(groups, template)
+        if cs:
+            w = _unit_zero(groups[0], cs)
+            if w is None:
+                continue
+            p = template.copy()
+            p[idx] = w
+            if _rechecks(fpoly, p, free):
+                with np.errstate(all="ignore"):
+                    low = min(low, _guarded_residual(fpoly, p, free))
+                return (zi, p), SIGN_CHANGE_F, ResidualStats(evals + 1, low, restarts)
 
         def point(x):
             p = template.copy()
             p[idx] = _torus_point(x[:k], x[k:])
             return p
 
-        value, x, n = _multistart(lambda x: _guarded_residual(fpoly, point(x), free), k, restarts, rng)
-        evals, low = evals + n, min(low, float(value))
+        value, x, n, ran = _multistart(lambda x: _guarded_residual(fpoly, point(x), free), k, per_shell, rng)
+        evals, low, restarts = evals + n, min(low, float(value)), restarts + ran
         if value < WITNESS_THRESHOLD:
-            return (zi, point(x)), ResidualStats(evals, low, searched * restarts)
-    return None, ResidualStats(evals, low, len(shells) * restarts)
+            return (zi, point(x)), None, ResidualStats(evals, low, restarts)
+    return None, None, ResidualStats(evals, low, restarts)
 
 
 def _unit_phase_real(f: MixedPoly) -> bool:
@@ -387,9 +607,6 @@ def _unit_phase_real(f: MixedPoly) -> bool:
 
 # sign vectors one phase-lattice decision tests before it leaves the face to the search
 MAX_SIGN_VECTORS = 32
-# bits of the exact numbers in the recheck of a phase-lattice witness; the
-# gcd of the residual's numerator and denominator grows as their square
-MAX_RECHECK_BITS = 1 << 15
 PHASE_LATTICE = "phase-lattice"
 
 
@@ -531,14 +748,7 @@ def exact_decision(fpoly: MixedPoly, free, radius: float = 1.0):
             point[j - 1] = modulus * complex(math.cos(theta[col]), math.sin(theta[col]))
     except OverflowError:
         return None
-    if not (np.isfinite(point).all() and point.all()):
-        return None
-    # the recheck multiplies Gaussian integers of up to deg f times the bits
-    # of one exact coordinate
-    pts, _ = _gaussian_ints(point)
-    if fpoly.total_degree() * max(max(map(abs, x)).bit_length() for x in pts) > MAX_RECHECK_BITS:
-        return None
-    if criticality_residual_exact(fpoly, point, J) >= WITNESS_THRESHOLD:
+    if not (np.isfinite(point).all() and point.all()) or not _rechecks(fpoly, point, J):
         return None
     return PHASE_LATTICE, point
 
@@ -552,10 +762,10 @@ def _settle_face(fpoly, budget, seed, index):
     if not _unit_phase_real(fpoly):
         decided = exact_decision(fpoly, range(1, fpoly.n + 1))
         if decided is None:
-            found, stats = _critical_search(fpoly, [], [1.0], budget, rng)
+            found, certified, stats = _critical_search(fpoly, [], [1.0], budget, rng)
             if found is None:
                 return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, None
-            return NondegStatus.CRITICAL_POINT_WITNESS, found[1], stats, None
+            return NondegStatus.CRITICAL_POINT_WITNESS, found[1], stats, certified
         certified, point = decided
         if point is not None:
             return NondegStatus.CRITICAL_POINT_WITNESS, point, _point_stats(fpoly, point), certified
@@ -693,7 +903,7 @@ def _check_face_tameness(f, face, probe_radius, budget, seed, face_index):
         # decreasing radius and search the rest of the torus; without a
         # witness the outer shell is the clean radius
         shells = [probe_radius] * 4 + [probe_radius / 2] * 4 + [probe_radius / 4] * 4
-        witness, stats = _critical_search(fd, I, shells, budget, np.random.default_rng([seed, face_index]))
+        witness, certified, stats = _critical_search(fd, I, shells, budget, np.random.default_rng([seed, face_index]))
         status = TameStatus.INCONCLUSIVE if witness is None else TameStatus.NOT_TAME
         radius = probe_radius
     if witness is not None:

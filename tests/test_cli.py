@@ -150,16 +150,37 @@ class TestReports:
         assert entry["status"] == "NotTame"
         assert [fr["certified_by"] for fr in entry["faces"]] == ["phase-lattice"]
 
+    def test_one_free_variable_witness_is_labelled(self, capsys):
+        # on I = [2, 3] this face has one free variable, z1: the F of its
+        # first shell has a zero, whose witness at |z1| = 1 rechecks exactly
+        text = "-4/3i*|z1|^2*|z2|^2*z3^3*zb3^2 + (4-2/3i)*z1^2*z2^3*|z3|^6"
+        code, report = run_json(capsys, "tame", "--poly", text, "--subset", "2,3", "--budget", "8",
+                                "--seed", "1")
+        assert code == 0
+        (entry,) = report["result"]["subspaces"]
+        assert entry["status"] == "NotTame"
+        assert [fr.get("certified_by") for fr in entry["faces"]] == ["sign-change-F"]
+        point = [complex(*x) for x in entry["witness"]["point"]]
+        assert abs(point[0]) == pytest.approx(1)
+        assert degeneracy.criticality_residual_exact(parse_poly(text), point, {1}) < degeneracy.WITNESS_THRESHOLD
+        # the falsifier on one variable: |1 + e^{2i theta}| = 1 at theta = pi/3
+        code, report = run_json(capsys, "nondeg", "--poly", "|z1|^2 + 1/2*z1^2")
+        assert code == 0
+        assert [v.get("certified_by") for v in report["result"]["verdicts"]] == ["sign-change-F"]
+
     @pytest.mark.parametrize("argv", [
         ["tame", "--poly", "z1^2*|z2|^20000000", "--subset", "1"],
+        ["tame", "--poly", "z1^2*|z2|^20000000*|z3|^2", "--subset", "1"],
         ["nondeg", "--budget", "1", "--poly",
          "(3/2-4/3i)*|z1|^2 + (3/2-4/3i)*|z2|^2*z4 + (3/2-4/3i)*|z3|^2*z4^100000"],
-    ], ids=["recheck", "rho"])
+    ], ids=["recheck", "recheck-two-free", "rho"])
     def test_exact_decision_on_huge_exponents_is_bounded(self, capsys, argv):
         # the exact recheck of a witness in |z2|^20000000, and a rho with
         # exponents of 10^5 on a face of degree 100002: each is capped, and
         # ran for minutes without its cap.  Past the cap the frozen search
-        # finds no witness: its gradients underflow to 0, which proves nothing
+        # finds no witness: its gradients underflow to 0, which proves nothing.
+        # With z2 the only free variable the face's F is 0, so each shell
+        # decides a witness exactly, and that witness's recheck is capped too
         start = time.perf_counter()
         code, report = run_json(capsys, *argv)
         assert time.perf_counter() - start < 2

@@ -8,13 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import _det, random_mixed_poly, random_point, random_real_valued_poly, repeated_power
+from helpers import _det, random_gaussian, random_mixed_poly, random_point, random_real_valued_poly, repeated_power
 from mixedmilnor import degeneracy as dg
 from mixedmilnor import lattice, newton
+from mixedmilnor.cli import main
 from mixedmilnor.constructors import corpus, join
 from mixedmilnor.degeneracy import NondegStatus, TameStatus
 from mixedmilnor.errors import NotEssentialFaceError, NotVanishingError
-from mixedmilnor.poly import MAX_POWER_BITS, GaussianRational, MixedPoly, parse_poly
+from mixedmilnor.poly import MAX_POWER_BITS, GaussianRational, MixedMonomial, MixedPoly, parse_poly
 
 
 class TestCriticalityResidual:
@@ -448,11 +449,13 @@ class TestLocalTameness:
             assert verdict.status is TameStatus.TAME_CERTIFIED, sorted(I)
 
     def test_inconclusive_reports_the_search(self):
-        # T_2 = |z1|^2 (8|z2|^2 + 2 z2^2 + 2 zb2^2) is strictly positive on
-        # the torus but not a same-sign diagonal combination, so the
-        # symbolic certificate cannot fire; the frozen search finds no
-        # witness either, leaving Inconclusive with the search reported
-        f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
+        # on the face z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2, T_2 =
+        # |z1|^2 (8|z2|^2 + 2 z2^2 + 2 zb2^2) is strictly positive on the
+        # torus but not a same-sign diagonal combination, so the symbolic
+        # certificate cannot fire; the frozen search on its two free
+        # variables (z1*z2*z3 brings in z3) finds no witness either, leaving
+        # Inconclusive with the search reported
+        f = parse_poly(TWO_FREE_CLEAN)
         verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
         assert verdict.status is TameStatus.INCONCLUSIVE
         searched = [fr for fr in verdict.faces if fr.status is TameStatus.INCONCLUSIVE]
@@ -473,6 +476,12 @@ class TestLocalTameness:
                     assert (fr.stats is None) == (fr.certified_by is not None), (name, sorted(I))
                     searched += fr.stats is not None
         assert searched
+
+
+# the face z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2 has no critical point, and
+# with I = {1} its frozen search has two free variables, z2 and z3: a search
+# with one free variable is decided exactly at each shell instead
+TWO_FREE_CLEAN = "z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2 + z1*z2*z3"
 
 
 def _count_minimize(monkeypatch):
@@ -511,18 +520,18 @@ class TestBoundedSearch:
     def test_one_nelder_mead_pass_per_start(self, monkeypatch):
         calls = _count_minimize(monkeypatch)
         # a positive minimum: every start runs, and nothing runs after them
-        dg._multistart(lambda x: 1.0 + float(np.sum(x**2)), 2, 5, np.random.default_rng(3))
-        assert len(calls) == 5
+        *_, starts = dg._multistart(lambda x: 1.0 + float(np.sum(x**2)), 2, 5, np.random.default_rng(3))
+        assert len(calls) == starts == 5
         # a zero minimum: the first start converges below the early stop
         calls.clear()
-        value, _, _ = dg._multistart(lambda x: float(np.sum(x**2)), 2, 5, np.random.default_rng(3))
+        value, _, _, starts = dg._multistart(lambda x: float(np.sum(x**2)), 2, 5, np.random.default_rng(3))
         assert value < dg.WITNESS_THRESHOLD * 1e-2
-        assert len(calls) == 1
+        assert len(calls) == starts == 1
 
     def test_positive_minimum_search_stays_cheap(self):
         # the minimum is positive, so no start reaches the early stop and
         # every search must end at its passes' own tolerances
-        f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
+        f = parse_poly(TWO_FREE_CLEAN)
         verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
         assert verdict.status is TameStatus.INCONCLUSIVE
         searched = [fr for fr in verdict.faces if fr.stats is not None]
@@ -534,25 +543,26 @@ class TestBoundedSearch:
         # when every frozen shell comes back clean, nothing else is searched:
         # one Nelder-Mead pass per counted restart, and no more
         calls = _count_minimize(monkeypatch)
-        f = parse_poly("z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2")
+        f = parse_poly(TWO_FREE_CLEAN)
         verdict = dg.local_tameness_check(f, {1}, budget=8, seed=0)
         assert verdict.status is TameStatus.INCONCLUSIVE
         restarts = [fr.stats.restarts for fr in verdict.faces if fr.stats is not None]
         assert restarts and len(calls) == sum(restarts)
 
     def test_witness_shell_ends_the_tameness_search(self, monkeypatch):
-        # the search finds this face NotTame on its first shell; with the four
+        # the search finds the face of the first two terms (a sweep face)
+        # NotTame on its first shell, with z1 and z4 free; with the four
         # outer shells made clean it ends at the fifth, the first to hold a
-        # witness.  Its restarts count the five shells searched, and each
-        # clean shell ran one Nelder-Mead pass per restart (the witness shell
-        # stops at the start that found it)
-        f = parse_poly("-4/3i*|z1|^2*|z2|^2*z3^3*zb3^2 + (4-2/3i)*z1^2*z2^3*|z3|^6")
+        # witness.  Its restarts count the Nelder-Mead passes it ran: one per
+        # restart on each clean shell, and on the witness shell those up to
+        # the start that found it
+        f = parse_poly("-4/3i*|z1|^2*|z2|^2*z3^3*zb3^2 + (4-2/3i)*z1^2*z2^3*|z3|^6 + z1^2*z2^3*|z3|^6*z4")
         radius, budget = 0.1, 24
         per_shell = max(1, budget // 12)
         residual, multistart = dg._guarded_residual, dg._multistart
 
         def outer_clean(fpoly, p, free):
-            return 1.0 if np.linalg.norm(p[1:]) > 0.75 * radius else residual(fpoly, p, free)
+            return 1.0 if np.linalg.norm(p[1:3]) > 0.75 * radius else residual(fpoly, p, free)
 
         calls, shells = _count_minimize(monkeypatch), []
 
@@ -569,7 +579,7 @@ class TestBoundedSearch:
         (fr,) = [fr for fr in verdict.faces if fr.stats is not None]
         assert fr.status is TameStatus.NOT_TAME and fr.certified_by is None
         assert len(shells) == 5 and shells[:4] == [per_shell] * 4 and 1 <= shells[4] <= per_shell
-        assert fr.stats.restarts == len(shells) * per_shell
+        assert fr.stats.restarts == len(calls) == sum(shells)
         assert fr.certified_radius == pytest.approx(radius / 2)
 
     def test_searched_nondeg_face_counts_the_budget(self, monkeypatch):
@@ -578,21 +588,23 @@ class TestBoundedSearch:
         f = parse_poly("(-2+2i)*|z1|^2 + (2+i)*zb1*z2^2 + (-1+i)*z2^3*zb2")
         verdicts = dg.falsify_nondegeneracy(f, budget=5, seed=0)
         (searched,) = [v for v in verdicts if v.certified_by is None and v.status is not NondegStatus.DEGENERATE]
-        assert searched.residual_stats.restarts == 5
+        assert searched.residual_stats.restarts == len(calls)
         assert 1 <= len(calls) <= 5
 
     @pytest.mark.parametrize("radius", [0.1, 1e-5])
     def test_small_shell_gives_no_witness(self, radius):
         # |f| is O(radius^4) on the shell, so at 1e-5 every point has a tiny
-        # value; no terms cancel, and a small value is no witness
-        f = parse_poly("(1-1/3i)*z1^2*|z2|^2 + (2+2i)*z1^2*z2*zb2^3")
+        # value; no terms cancel, and a small value is no witness.  The last
+        # term is off the face and makes z3 a second free variable
+        f = parse_poly("(1-1/3i)*z1^2*|z2|^2 + (2+2i)*z1^2*z2*zb2^3 + z1^2*z2*z3")
         verdict = dg.local_tameness_check(f, {2}, probe_radius=radius, budget=8, seed=56)
         assert verdict.status is TameStatus.INCONCLUSIVE
 
     def test_infinite_simplex_ends_the_start(self):
         # the gradients overflow at every point, so every objective scores inf;
-        # the face's A_J rows (2, 2) are dependent, so it is searched
-        f = parse_poly("z1^2*|z2|^2 + z1^2*z2^2")
+        # the face of the first two terms has dependent A_J rows (2, 0), (2, 0)
+        # on its free variables z2 and z3, so it is searched
+        f = parse_poly("z1^2*|z2|^2 + z1^2*z2^2 + z1^2*z2*z3")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = dg.local_tameness_check(f, {1}, probe_radius=1e200, budget=1)
@@ -603,8 +615,8 @@ class TestBoundedSearch:
     def test_infinite_simplex_keeps_the_draws(self):
         k, budget = 2, 3
         rng = np.random.default_rng(5)
-        value, x, evals = dg._multistart(lambda x: math.inf, k, budget, rng)
-        assert (value, x, evals) == (math.inf, None, budget * (2 * k + 1))
+        value, x, evals, starts = dg._multistart(lambda x: math.inf, k, budget, rng)
+        assert (value, x, evals, starts) == (math.inf, None, budget * (2 * k + 1), budget)
         # each start drew its k log-magnitudes and k phases, and nothing else
         twin = np.random.default_rng(5)
         for _ in range(budget):
@@ -801,10 +813,11 @@ class TestPhaseLattice:
         assert dg.criticality_residual_exact(f, point, {2}) == 0
 
     def test_witness_that_fails_the_recheck_goes_to_the_search(self, monkeypatch):
-        f = corpus("tibar_a", (1,))
-        assert dg.exact_decision(f, [2])[1] is not None
+        # a covered face with two free variables, z2 and z3
+        f = parse_poly("z1*|z2|^2 - z1*|z3|^2")
+        assert dg.exact_decision(f, [2, 3])[1] is not None
         monkeypatch.setattr(dg, "criticality_residual_exact", lambda *args: Fraction(1))
-        assert dg.exact_decision(f, [2]) is None
+        assert dg.exact_decision(f, [2, 3]) is None
         calls = _count_minimize(monkeypatch)
         verdict = dg.local_tameness_check(f, {1}, budget=12, seed=0)
         assert calls and all(fr.certified_by != "phase-lattice" for fr in verdict.faces)
@@ -871,3 +884,187 @@ class TestPhaseLattice:
         assert time.perf_counter() - start < 0.5
         if decided is not None and decided[1] is not None:
             assert dg.criticality_residual_exact(f, decided[1]) < dg.WITNESS_THRESHOLD
+
+
+def _one_free_face(rng, groups, per_group=2):
+    """(f, j, I): a random polynomial in n = 2 or 3 variables whose terms all
+    have one degree D >= 1 in w = z_j, in `groups` groups of distinct
+    b = nu_j - mu_j with 1 to per_group terms each; f vanishes on C^I, I the
+    other variables, and its face of weight e_j is all of f."""
+    n = int(rng.integers(2, 4))
+    j = int(rng.integers(1, n + 1))
+    D = int(rng.integers(max(1, groups - 1), groups + 3))
+    terms = {}
+    for mu_j in rng.choice(D + 1, size=groups, replace=False):
+        for _ in range(int(rng.integers(1, per_group + 1))):
+            nu, mu = (list(map(int, rng.integers(0, 3, size=n))) for _ in "nm")
+            nu[j - 1], mu[j - 1] = D - int(mu_j), int(mu_j)
+            terms[MixedMonomial(tuple(nu), tuple(mu))] = random_gaussian(rng)
+    return MixedPoly(n, terms), j, [i for i in range(1, n + 1) if i != j]
+
+
+def _shell(rng, f, I):
+    """A frozen point: z_I of log-uniform moduli in [e^-1.5, e^1.5], z_j = 0."""
+    p = np.zeros(f.n, dtype=complex)
+    for i in I:
+        p[i - 1] = np.exp(rng.uniform(-1.5, 1.5) + 1j * rng.uniform(0, 2 * np.pi))
+    return p
+
+
+def _exact_groups(f, j, p):
+    """{b: c_b(z_I)} at the float point p, as exact Gaussian rationals."""
+    z = [GaussianRational(Fraction(x.real), Fraction(x.imag)) for x in p]
+    out = {}
+    for m, c in f.terms.items():
+        value = c
+        for i, (zi, a, b) in enumerate(zip(z, m.nu, m.mu), 1):
+            if i != j:
+                value = repeated_power(zi, a, value)
+                value = repeated_power(zi.conjugate(), b, value)
+        b = m.nu[j - 1] - m.mu[j - 1]
+        out[b] = out[b] + value if b in out else value
+    return out
+
+
+def _stage_a(f, j, p):
+    """The exact decision at one shell: a unit w where F vanishes, or None."""
+    groups = dg._angular_groups(f, j)
+    cs = dg._angular_values(groups, p)
+    assert groups is not None and cs is not None
+    return dg._unit_zero(groups[0], cs)
+
+
+class TestShellDecision:
+    def test_two_single_term_groups_match_the_closed_form(self):
+        # F = b1|c1|^2 + b2|c2|^2 + (b1 + b2)|c1||c2| cos(...) has a zero iff
+        # |b1 + b2 rho^2| <= |b1 + b2| rho, rho = |c2 / c1|
+        rng = np.random.default_rng(1201)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            f, j, I = _one_free_face(rng, 2, per_group=1)
+            p = _shell(rng, f, I)
+            (b1, c1), (b2, c2) = sorted(_exact_groups(f, j, p).items())
+            rho2 = (c2.re**2 + c2.im**2) / (c1.re**2 + c1.im**2)
+            closed = (b1 + b2 * rho2) ** 2 <= (b1 + b2) ** 2 * rho2
+            w = _stage_a(f, j, p)
+            assert (w is not None) == closed, (f, j, p)
+            outcomes[closed] += 1
+            if w is not None:
+                p[j - 1] = w
+                assert dg.criticality_residual_exact(f, p, [j]) < dg.WITNESS_THRESHOLD
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_matches_a_root_count_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t", real=True)
+        u, ubar = sympy.Poly(1 + sympy.I * t, t), sympy.Poly(1 - sympy.I * t, t)
+        rng = np.random.default_rng(1202)
+        outcomes = {True: 0, False: 0}
+        for _ in range(30):
+            f, j, I = _one_free_face(rng, int(rng.integers(1, 5)))
+            # z_I on a coarse dyadic grid keeps the oracle's numbers small
+            p = np.round(_shell(rng, f, I) * 16) / 16
+            groups = {b: sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+                      for b, c in _exact_groups(f, j, p).items()}
+            # with e^{i theta} = u / conj(u), t = tan(theta / 2):
+            # F (1 + t^2)^2N = Im(conj(H) H') for H = h (u conj(u))^N
+            N = max(map(abs, groups))
+            terms = [(b, c, u ** (N + b) * ubar ** (N - b), ubar ** (N + b) * u ** (N - b))
+                     for b, c in groups.items()]
+            H = sum((c * e for b, c, e, _ in terms), sympy.Poly(0, t))
+            slope = sum((sympy.I * b * c * e for b, c, e, _ in terms), sympy.Poly(0, t))
+            H_bar = sum((sympy.conjugate(c) * e for b, c, _, e in terms), sympy.Poly(0, t))
+            slope_bar = sum((-sympy.I * b * sympy.conjugate(c) * e for b, c, _, e in terms), sympy.Poly(0, t))
+            F = sympy.Poly(sympy.expand(((H_bar * slope - H * slope_bar) * (-sympy.I / 2)).as_expr()), t)
+            at_pi = sum(c * (-1) ** b for b, c in groups.items())
+            slope_at_pi = sum(sympy.I * b * c * (-1) ** b for b, c in groups.items())
+            oracle = (F.is_zero or F.count_roots() > 0
+                      or sympy.im(sympy.conjugate(at_pi) * slope_at_pi) == 0)
+            assert (_stage_a(f, j, p) is not None) == oracle, (f, j, p)
+            outcomes[bool(oracle)] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_every_witness_rechecks_and_carries_the_label(self, monkeypatch):
+        calls = _count_minimize(monkeypatch)
+        rng = np.random.default_rng(1203)
+        witnesses = 0
+        for _ in range(60):
+            f, j, I = _one_free_face(rng, int(rng.integers(1, 4)))
+            verdict = dg.local_tameness_check(f, I, budget=1, seed=int(rng.integers(1000)))
+            for fr in verdict.faces:
+                if fr.status is TameStatus.NOT_TAME:
+                    assert fr.certified_by in (dg.SIGN_CHANGE_F, "phase-lattice"), f
+                if fr.certified_by == dg.SIGN_CHANGE_F:
+                    zi, point = fr.witness
+                    assert list(zi) == [point[i - 1] for i in I]
+                    assert abs(point[j - 1]) == pytest.approx(1)
+                    fd = newton.face_function(f, fr.face)
+                    assert dg.criticality_residual_exact(fd, point, [j]) < dg.WITNESS_THRESHOLD
+                    witnesses += 1
+        # every shell was decided exactly
+        assert not calls
+        assert witnesses >= 10, witnesses
+
+    def test_one_variable_falsifier_is_decided_exactly(self, monkeypatch):
+        # nothing is frozen: |1 + 4 e^{2i theta}| = 1 has no solution, and
+        # |1 + e^{2i theta}| = 1 has one at theta = pi/3
+        calls = _count_minimize(monkeypatch)
+        (v,) = dg.falsify_nondegeneracy(parse_poly("|z1|^2 + 2*z1^2"), budget=4)
+        assert v.status is NondegStatus.NO_CRITICAL_POINT_FOUND and v.certified_by is None
+        assert v.residual_stats.restarts == 0
+        (v,) = dg.falsify_nondegeneracy(parse_poly("|z1|^2 + 1/2*z1^2"), budget=4)
+        assert v.status is NondegStatus.CRITICAL_POINT_WITNESS and v.certified_by == dg.SIGN_CHANGE_F
+        assert dg.criticality_residual_exact(v.face_function, v.witness) < dg.WITNESS_THRESHOLD
+        assert dg.nondeg_verdict_to_json(v)["certified_by"] == dg.SIGN_CHANGE_F
+        assert not calls
+
+    def test_tangent_zero_at_pi_and_zero_F(self, monkeypatch):
+        calls = _count_minimize(monkeypatch)
+        # |z1|^2 + z1^2: F = 2 + 2 cos 2 theta has only double zeros, at
+        # theta = pi/2, where G(phi) = 2 + 2 cos phi of phi = 2 theta has
+        # its zero at pi
+        (v,) = dg.falsify_nondegeneracy(parse_poly("|z1|^2 + z1^2"), budget=4)
+        assert v.certified_by == dg.SIGN_CHANGE_F
+        assert v.witness[0] == pytest.approx(1j)
+        assert dg.criticality_residual_exact(v.face_function, v.witness) < dg.WITNESS_THRESHOLD
+        # one group of b = 0: F = 0 at every angle, and the witness takes w = 1
+        verdict = dg.local_tameness_check(parse_poly("z1^2*|z2|^2 + z1^3*|z2|^2"), {1}, budget=1)
+        assert verdict.status is TameStatus.NOT_TAME
+        assert [fr.certified_by for fr in verdict.faces if fr.stats is not None] == [dg.SIGN_CHANGE_F]
+        assert verdict.witness[1][1] == 1
+        assert not calls
+
+    @pytest.mark.parametrize("argv", [
+        ["--corpus", "cone", "--params", "2,3,1,2,1"],
+        ["--corpus", "parusinski"],
+    ])
+    @pytest.mark.parametrize("budget", [[], ["--budget", "1"]], ids=["default", "budget1"])
+    def test_pool_tameness_requests_run_no_search(self, monkeypatch, capsys, argv, budget):
+        calls = _count_minimize(monkeypatch)
+        assert main(["tame", *argv, *budget, "--json"]) == 0
+        assert not calls
+
+    def test_caps_send_the_shell_to_the_search(self):
+        # terms of two degrees in w, and b = 9, 7, -9: 2M = 18 in units of 2
+        # passes MAX_SHELL_DEGREE
+        assert dg._angular_groups(parse_poly("z1*z2 + z1*|z2|^2"), 2) is None
+        assert dg._angular_groups(parse_poly("z1*z2^9 + z1*z2^8*zb2 + z1*zb2^9"), 2) is None
+        # c_b of about 400 * 53 bits: (2M)^2 = 4 times that passes MAX_SHELL_BITS
+        f = parse_poly("z1^400*z2 + z1*zb2")
+        groups = dg._angular_groups(f, 2)
+        assert groups is not None
+        assert dg._angular_values(groups, np.array([0.3 + 0.1j, 0])) is None
+        # and a c_b that could pass MAX_POWER_BITS is never evaluated
+        f = parse_poly(f"z1^{MAX_POWER_BITS}*z2")
+        assert dg._angular_values(dg._angular_groups(f, 2), np.array([0.3 + 0.1j, 0])) is None
+
+    def test_decision_at_its_caps_is_bounded(self):
+        # a dense F of degree MAX_SHELL_DEGREE whose c_b fill MAX_SHELL_BITS
+        rng = np.random.default_rng(1204)
+        bits = dg.MAX_SHELL_BITS // dg.MAX_SHELL_DEGREE**2
+        bs = list(range(dg.MAX_SHELL_DEGREE // 2 + 1))
+        for _ in range(3):
+            cs = [tuple(int(x) << (bits - 31) for x in rng.integers(-2**30, 2**30, size=2)) for _ in bs]
+            start = time.perf_counter()
+            dg._unit_zero(bs, cs)
+            assert time.perf_counter() - start < 1.0

@@ -221,8 +221,11 @@ class TestBoundaryBuiltOnce:
         assert len(face_calls) == 1
 
     def test_cli_tame_over_all_vanishing_subsets(self, face_calls, capsys):
-        assert len(newton.vanishing_subsets(corpus("parusinski")).vanishing) == 5
-        main(["tame", "--corpus", "parusinski", "--budget", "1"])
+        # the face z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2 of I = {1} is searched
+        # with two free variables
+        text = "z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2 + z1*z2*z3"
+        assert len(newton.vanishing_subsets(parse_poly(text)).vanishing) == 5
+        main(["tame", "--poly", text, "--budget", "1"])
         assert len(face_calls) == 1
 
     def test_zeta_reads_the_boundary_once(self, face_calls):

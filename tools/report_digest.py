@@ -15,10 +15,20 @@ thread, from the ``src/`` beside this file.  To check that a change leaves
 every report byte-identical, run it in both checkouts and diff the outputs:
 
     python3 tools/report_digest.py > after.txt
+
+With ``--verdicts``, each line gives the request's exit code and verdicts
+instead of the hash: per face status of a ``nondeg`` report, and per
+subspace status with its per face statuses of a ``tame`` report (a
+``certified_by`` label after each status that has one); any other report
+keeps its hash.  Where a change legitimately moves a report's bytes (a new
+witness, a new label), diffing these lines shows whether a verdict moved:
+
+    python3 tools/report_digest.py --verdicts > after.txt
 """
 
 import hashlib
 import io
+import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -40,8 +50,9 @@ SWEEP = 150
 SWEEP_BUDGET = "8"
 
 
-def digest(argv):
-    """sha256 of the exit code and stdout of one --json request."""
+def digest(argv, verdicts=False):
+    """sha256 of the exit code and stdout of one --json request, or with
+    verdicts, the exit code and the statuses its report holds."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
@@ -50,7 +61,21 @@ def digest(argv):
             code = exc.code
         except Exception as exc:  # a crash is this request's digest, not the run's end
             code = f"crash {type(exc).__name__}"
+    if verdicts and code == 0:
+        result = json.loads(out.getvalue())["result"]
+        if "verdicts" in result:
+            return f"{code} " + " ".join(map(_status, result["verdicts"]))
+        if "subspaces" in result:
+            return f"{code} " + " ".join(
+                f"{entry['I']}:{_status(entry)}({','.join(map(_status, entry['faces']))})"
+                for entry in result["subspaces"]
+            ).replace(" ", "")
     return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def _status(entry):
+    label = entry.get("certified_by")
+    return entry["status"] + (f"[{label}]" if label else "")
 
 
 def sweep(s):
@@ -63,15 +88,18 @@ def sweep(s):
         yield f"sweep:tame[{subset}]", ["tame", *common, "--subset", subset]
 
 
-def main():
+def main(argv):
+    verdicts = argv == ["--verdicts"]
+    if argv and not verdicts:
+        sys.exit("usage: report_digest.py [--verdicts]")
     for workload in workloads.WORKLOADS:
         for seed in POOL_SEEDS:
             for req in workloads.build(workload, seed):
-                print(req.label, seed, digest(req.argv), flush=True)
+                print(req.label, seed, digest(req.argv, verdicts), flush=True)
     for s in range(SWEEP):
         for label, argv in sweep(s):
-            print(label, s, digest(argv), flush=True)
+            print(label, s, digest(argv, verdicts), flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -40,14 +40,14 @@ stages, each face in turn:
 
 A NotTame witness is always a critical point at a nonzero z_I.  One float
 search, _critical_search, serves both verdicts: the falsifier is the
-frozen search with nothing frozen (I empty, one shell).  Its minimization
-is bounded: log-magnitudes start in [-2, 2] and stay in [-2.5, 2.5].
-A point where every free gradient is exactly 0 in floats scores inf, as
-the residual there says nothing.  A face settled without a search takes
-its stats from the same guarded residual at one torus point, so there
-it reports no minimum.  Certification by sampling alone is never
-claimed: twelve clean shells are not a proof, so without an exact
-certificate the best possible verdict is Inconclusive.
+frozen search with nothing frozen (I empty, one shell), where a clean
+exact shell is a proof.  Its minimization is bounded: log-magnitudes
+start in [-2, 2] and stay in [-2.5, 2.5].  A point where every free
+gradient is exactly 0 in floats scores inf, as the residual there says
+nothing.  Floats reach a verdict only through a search start or a
+printed witness; one that ran no start reports NO_SEARCH.  Certification
+by sampling alone is never claimed: twelve clean shells are not a proof,
+so without an exact certificate the best possible verdict is Inconclusive.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ class ResidualStats:
     evaluations: int
     min_residual: float
     restarts: int
+
+
+NO_SEARCH = ResidualStats(0, math.inf, 0)  # the stats of a verdict that ran no search start
 
 
 @dataclass(frozen=True)
@@ -366,9 +369,10 @@ def _multistart(objective, k, budget, rng):
 
 
 def _guarded_residual(fpoly, p, free):
-    """criticality_residual on the free variables, but inf where every free
-    gradient is exactly 0 in floats: there the residual reads 0 whatever its
-    exact value, so such a point witnesses nothing and bounds nothing."""
+    """The search objective: criticality_residual on the free variables, but
+    inf where every free gradient is exactly 0 in floats: there the residual
+    reads 0 whatever its exact value, so such a point witnesses nothing and
+    bounds nothing."""
     value = criticality_residual(fpoly, p, free=free)
     if value == 0.0:
         grads = fpoly.gradients(p)
@@ -550,9 +554,10 @@ def _critical_search(fpoly, I, shells, budget, rng):
     max(1, budget // len(shells)) starts of _multistart on the rest of the
     torus.  The search ends at the first witness, or at the first shell
     whose best residual is below WITNESS_THRESHOLD.  Returns
-    ((z_I, point) or None, SIGN_CHANGE_F for an exact witness or None,
-    stats summed over the shells: the starts run, their evaluations, and
-    the best residual, an exact witness adding its float residual).
+    ((z_I, point) or None, a label or None, stats summed over the shells:
+    the starts run, their evaluations, and their best residual).  The label
+    is SIGN_CHANGE_F for an exact witness, and for a clean exact decision
+    of the one shell when nothing is frozen, which is then a proof.
     """
     free = [j for j in range(1, fpoly.n + 1) if j not in I]
     k, idx = len(free), [j - 1 for j in free]
@@ -572,9 +577,7 @@ def _critical_search(fpoly, I, shells, budget, rng):
             p = template.copy()
             p[idx] = w
             if _rechecks(fpoly, p, free):
-                with np.errstate(all="ignore"):
-                    low = min(low, _guarded_residual(fpoly, p, free))
-                return (zi, p), SIGN_CHANGE_F, ResidualStats(evals + 1, low, restarts)
+                return (zi, p), SIGN_CHANGE_F, ResidualStats(evals, low, restarts)
 
         def point(x):
             p = template.copy()
@@ -585,7 +588,9 @@ def _critical_search(fpoly, I, shells, budget, rng):
         evals, low, restarts = evals + n, min(low, float(value)), restarts + ran
         if value < WITNESS_THRESHOLD:
             return (zi, point(x)), None, ResidualStats(evals, low, restarts)
-    return None, None, ResidualStats(evals, low, restarts)
+    # with nothing frozen, a shell decided exactly (no start ran) is a proof
+    proof = SIGN_CHANGE_F if not (I or restarts) else None
+    return None, proof, ResidualStats(evals, low, restarts)
 
 
 def _unit_phase_real(f: MixedPoly) -> bool:
@@ -755,37 +760,20 @@ def exact_decision(fpoly: MixedPoly, free, radius: float = 1.0):
 
 def _settle_face(fpoly, budget, seed, index):
     """(status, witness, stats, certified_by) of one face function: a unit
-    phase times a real polynomial is Degenerate, the exact decision settles
-    what it can, and anything else is searched."""
+    phase times a real polynomial is Degenerate, witnessed at a random torus
+    point; otherwise the exact decision settles what it can, and anything
+    else is searched.  A verdict that ran no start has the stats NO_SEARCH."""
     rng = np.random.default_rng([seed, index])
-    certified = None
-    if not _unit_phase_real(fpoly):
-        decided = exact_decision(fpoly, range(1, fpoly.n + 1))
-        if decided is None:
-            found, certified, stats = _critical_search(fpoly, [], [1.0], budget, rng)
-            if found is None:
-                return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, None
-            return NondegStatus.CRITICAL_POINT_WITNESS, found[1], stats, certified
-        certified, point = decided
-        if point is not None:
-            return NondegStatus.CRITICAL_POINT_WITNESS, point, _point_stats(fpoly, point), certified
-    # settled without a search: the residual at one torus point fills the
-    # stats, and that point witnesses a Degenerate face
-    point = _torus_point(
-        rng.uniform(-1, 1, size=fpoly.n), rng.uniform(0, 2 * np.pi, size=fpoly.n)
-    )
-    stats = _point_stats(fpoly, point)
-    if certified is None:
-        return NondegStatus.DEGENERATE, point, stats, None
-    return NondegStatus.NO_CRITICAL_POINT_FOUND, None, stats, certified
-
-
-def _point_stats(fpoly, point):
-    """The stats of a face function that falsify_nondegeneracy settles
-    without a search: the guarded residual at one torus point, which may
-    overflow to nan, or read inf where every gradient there is 0 in floats."""
-    with np.errstate(all="ignore"):
-        return ResidualStats(1, _guarded_residual(fpoly, point, range(1, fpoly.n + 1)), 0)
+    if _unit_phase_real(fpoly):
+        point = _torus_point(rng.uniform(-1, 1, size=fpoly.n), rng.uniform(0, 2 * np.pi, size=fpoly.n))
+        return NondegStatus.DEGENERATE, point, NO_SEARCH, None
+    stats, decided = NO_SEARCH, exact_decision(fpoly, range(1, fpoly.n + 1))
+    if decided is None:
+        found, certified, stats = _critical_search(fpoly, [], [1.0], budget, rng)
+        decided = certified, found[1] if found else None
+    certified, point = decided
+    status = NondegStatus.NO_CRITICAL_POINT_FOUND if point is None else NondegStatus.CRITICAL_POINT_WITNESS
+    return status, point, stats, certified
 
 
 def require_budget(budget):
@@ -800,8 +788,9 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
 
     Covers all compact faces of the Newton boundary and the compact part of
     every essential non-compact face.  A verdict of NoCriticalPointFound is
-    a proof when it carries exact_decision's label, and otherwise a
-    statistics-backed failure to falsify.  Deterministic for a fixed seed.
+    a proof when it carries a label (exact_decision's, or SIGN_CHANGE_F on
+    one free variable), and otherwise a statistics-backed failure to
+    falsify.  Deterministic for a fixed seed.
     """
     require_budget(budget)
     faces = newton.all_faces(f)
@@ -981,7 +970,7 @@ def nondeg_verdict_to_json(v: NondegeneracyVerdict) -> dict:
         "status": v.status.value,
         "stats": {
             "samples": v.residual_stats.evaluations,
-            # null where the residual overflowed to nan or every start scored inf
+            # null where no start ran or every start scored inf
             "min_residual": low if math.isfinite(low) else None,
             "restarts": v.residual_stats.restarts,
         },

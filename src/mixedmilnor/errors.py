@@ -88,8 +88,9 @@ class AllValuesZeroError(MixedMilnorError, ValueError):
 class NonFiniteValuesError(MixedMilnorError, ArithmeticError):
     """f's values at the probe samples overflow or are not numbers, or an
     exact coefficient is beyond float range, or an exponent beyond the int64
-    range of the float term table.  Not an OverflowError, which the searches
-    score as an infinite objective."""
+    range of the float term table, met by a probe or a search start (an
+    exact verdict evaluates nothing in floats).  Not an OverflowError, which
+    the searches score as an infinite objective."""
 
 
 class NotStronglyPolarError(MixedMilnorError, ValueError):

@@ -43,6 +43,8 @@ def equal_degree_sum(n, size, seed=17):
 BIG = "1" + "0" * 400
 NINES = "9" * 3000
 HUGE_EXP = "9" * 20
+# the face of all three terms has dependent A_J rows, so nondeg searches it
+HUGE_EXP_SEARCHED = f"z1^2*zb2*z3^{HUGE_EXP} + z1*z2^2*z3^{HUGE_EXP} + 3*|z1|^2*z2*z3^{HUGE_EXP}"
 # a face whose float gradients underflow to 0 at every point of the search box
 UNDERFLOW = "z1^1000*zb2^1000 + 2*z1^1001*zb2^999 + 3i*z1^999*zb2^1001"
 # powers above poly.MAX_POWER_TERMS terms or poly.MAX_POWER_BITS bits of growth
@@ -208,8 +210,11 @@ class TestReports:
         assert all(v["status"] == "NoCriticalPointFound" for v in verdicts)
         assert None in [v["stats"]["min_residual"] for v in verdicts]
         # no face without a critical point reports residual 0: a settled
-        # face's stats point whose gradients all underflow reports null
+        # face evaluates nothing and reports null, and so does a search
+        # that scored inf at every start
         assert 0.0 not in [v["stats"]["min_residual"] for v in verdicts]
+        searched = [v["stats"] for v in verdicts if v["stats"]["restarts"]]
+        assert all(stats["min_residual"] is None for stats in searched)
 
     def test_tame_strict_exit(self, capsys):
         code, report = run_json(
@@ -406,23 +411,24 @@ class TestErrors:
              "PolySyntaxError"),
             (["openness", "--corpus", "tibar", "--point", "1" + "0" * 5000 + ", 0"],
              "BadRequestError"),
-            # a coefficient beyond float range, and one too long to write as text
-            (["nondeg", "--budget", "1", "--poly", BIG + "*z1^2 + z2^2"], "NonFiniteValuesError"),
+            # a coefficient beyond float range, and one too long to write as text;
+            # the float step is a search, on a face whose A_J rows are dependent
+            (["nondeg", "--budget", "1", "--poly", BIG + "*|z1|^2*z2 + z1^2*zb2 + z1*z2^2"],
+             "NonFiniteValuesError"),
             # first met inside the search, which scores an OverflowError as inf
             (["nondeg", "--budget", "1", "--poly", BIG + "*z1^2*zb2 + z1*z2^2 + 3*|z1|^2*z2"],
              "NonFiniteValuesError"),
             (["transversality", "--samples", "5", "--poly", BIG + "*z1^2 + z2^2"],
              "NonFiniteValuesError"),
-            # A_J rows (2), (2) are dependent, so the face is searched
-            (["tame", "--poly", BIG + "*z1*|z2|^2 + z1*z2^2"], "NonFiniteValuesError"),
+            # z1*z2*z3 leaves z1 and z3 free on I = [2], so the face is searched
+            (["tame", "--poly", BIG + "*z1*|z2|^2 + z1*z2^2 + z1*z2*z3"], "NonFiniteValuesError"),
             (["arc-limit", "--arc", "z1 = 1; z2 = t", "--poly", BIG + "*z1*|z2|^2"],
              "NonFiniteValuesError"),
             (["openness", "--point", "1, 0", "--poly", BIG + "*z1*z2"], "NonFiniteValuesError"),
             (["join", "--poly", f"{NINES}*{NINES}*z1^2 + z2^2", "--poly2", "z1"],
              "BadRequestError"),
             # an exponent beyond int64, which the float term table cannot hold
-            (["nondeg", "--budget", "1", "--poly", f"z1^{HUGE_EXP}*|z2|^2 + z2^3"],
-             "NonFiniteValuesError"),
+            (["nondeg", "--budget", "1", "--poly", HUGE_EXP_SEARCHED], "NonFiniteValuesError"),
             (["transversality", "--samples", "5", "--poly", f"z1^{HUGE_EXP}+z2^3"],
              "NonFiniteValuesError"),
             (["openness", "--point", "0,0", "--poly", f"z1^{HUGE_EXP}+z2"],
@@ -437,6 +443,29 @@ class TestErrors:
         report = strict_json(out)
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nondeg", "--budget", "1", "--poly", BIG + "*z1^2 + z2^2"],
+            ["nondeg", "--budget", "1", "--poly", f"z1^{HUGE_EXP}*|z2|^2 + z2^3"],
+            ["tame", "--poly", BIG + "*z1*|z2|^2 + z1*z2^2"],
+        ],
+        ids=["nondeg-big-coefficient", "nondeg-huge-exponent", "tame-big-coefficient"],
+    )
+    def test_exact_verdicts_serve_inputs_beyond_float_range(self, capsys, argv):
+        # every face is decided exactly, so nothing is evaluated in floats
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        jsonschema.validate(report, SCHEMA)
+        result = report["result"]
+        for v in result.get("verdicts", []):
+            assert v["certified_by"] and v["stats"] == {"samples": 0, "min_residual": None, "restarts": 0}
+        for entry in result.get("subspaces", []):
+            # on I = [1] a one-variable shell has a zero of F; on I = [2] the
+            # twelve shells are decided clean, which is not a proof
+            labels = [fr.get("certified_by") for fr in entry["faces"]]
+            assert (entry["status"], labels) in [("NotTame", ["sign-change-F"]), ("Inconclusive", [None])]
 
     def test_point_coordinates_are_coefficient_literals(self, capsys):
         results = [
@@ -741,11 +770,14 @@ class TestBatch:
     def test_huge_coefficients_do_not_stop_the_batch(self, capsys, tmp_path):
         batch = tmp_path / "requests.jsonl"
         lines = [
-            {"command": "nondeg", "poly": BIG + "*z1^2 + z2^2", "budget": 1, "json": True},
+            {"command": "nondeg", "poly": BIG + "*|z1|^2*z2 + z1^2*zb2 + z1*z2^2", "budget": 1,
+             "json": True},
             {"command": "join", "poly": f"{NINES}*{NINES}*z1^2 + z2^2", "poly2": "z1",
              "json": True},
-            # exact commands still serve the polynomial whose float search overflows
+            # exact commands still serve a polynomial beyond float range, and
+            # so does nondeg where every face is decided exactly
             {"command": "zeta", "poly": BIG + "*z1^2 + z2^2", "json": True},
+            {"command": "nondeg", "poly": BIG + "*z1^2 + z2^2", "budget": 1, "json": True},
         ]
         batch.write_text("\n".join(json.dumps(x) for x in lines))
         code = main(["zeta", "--json", "--batch", str(batch)])
@@ -761,26 +793,33 @@ class TestBatch:
         assert [r["error"]["type"] for r in reports[:2]] == [
             "NonFiniteValuesError", "BadRequestError"]
         assert reports[2]["result"] == run_json(capsys, "zeta", "z1^2 + z2^2")[1]["result"]
+        assert all(v["certified_by"] for v in reports[3]["result"]["verdicts"])
 
     def test_huge_exponent_does_not_stop_the_batch(self, capsys, tmp_path):
-        text = f"z1^{HUGE_EXP}*|z2|^2 + z2^3"
+        exact = f"z1^{HUGE_EXP}*|z2|^2 + z2^3"
         batch = tmp_path / "requests.jsonl"
         lines = [
-            {"command": "nondeg", "poly": text, "budget": 1, "json": True},
-            # exact commands still serve the polynomial
-            {"command": "faces", "poly": text, "json": True},
+            {"command": "nondeg", "poly": HUGE_EXP_SEARCHED, "budget": 1, "json": True},
+            # exact commands still serve the polynomial, and so does nondeg
+            # where every face is decided exactly
+            {"command": "faces", "poly": HUGE_EXP_SEARCHED, "json": True},
+            {"command": "nondeg", "poly": exact, "budget": 1, "json": True},
         ]
         batch.write_text("\n".join(json.dumps(x) for x in lines))
         code = main(["zeta", "--json", "--batch", str(batch)])
-        out = capsys.readouterr().out
+        out = capsys.readouterr().out.strip()
         assert code == 1
         decoder = json.JSONDecoder()
-        first, idx = decoder.raw_decode(out.strip())
-        second, _ = decoder.raw_decode(out.strip()[idx:].strip())
-        jsonschema.validate(first, SCHEMA)
-        jsonschema.validate(second, SCHEMA)
+        reports = []
+        while out:
+            report, idx = decoder.raw_decode(out)
+            jsonschema.validate(report, SCHEMA)
+            reports.append(report)
+            out = out[idx:].strip()
+        first, second, third = reports
         assert first["error"]["type"] == "NonFiniteValuesError"
         assert second["result"]["faces"]
+        assert all(v["certified_by"] for v in third["result"]["verdicts"])
 
     def test_dense_zeta_expansion_does_not_stop_the_batch(self, capsys, tmp_path):
         # the expansion would hold millions of coefficients; it is refused

@@ -132,7 +132,11 @@ class TestFalsifier:
         verdicts = dg.falsify_nondegeneracy(corpus("tibar"), budget=24, seed=0)
         assert verdicts
         assert all(v.status is NondegStatus.NO_CRITICAL_POINT_FOUND for v in verdicts)
-        assert all(v.residual_stats.min_residual > 0 for v in verdicts)
+        # every face is settled exactly, so none reports a search
+        assert all(v.residual_stats == dg.NO_SEARCH for v in verdicts)
+        assert dg.NO_SEARCH == dg.ResidualStats(0, math.inf, 0)
+        assert dg.nondeg_verdict_to_json(verdicts[0])["stats"] == {
+            "samples": 0, "min_residual": None, "restarts": 0}
 
     def test_cone_witness_on_k_face(self):
         verdicts = dg.falsify_nondegeneracy(corpus("cone", (1, 2, 1, 1)), budget=24, seed=0)
@@ -161,6 +165,27 @@ class TestFalsifier:
             assert all(
                 v.status is NondegStatus.NO_CRITICAL_POINT_FOUND for v in verdicts
             ), name
+
+    def test_exact_verdicts_do_no_float_work(self, monkeypatch):
+        # floats reach a verdict only through a search start or a printed
+        # witness, so faces settled without a search evaluate nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("float evaluation outside a search")
+
+        monkeypatch.setattr(MixedPoly, "gradients", refuse)
+        monkeypatch.setattr(MixedPoly, "evaluate_many", refuse)
+        for f, label in [
+            (corpus("tibar"), "support[1]"),
+            (corpus("cone", (1, 2, 1, 1)), dg.PHASE_LATTICE),
+            (parse_poly("i*|z1|^2 - i*|z2|^2"), None),
+            (parse_poly("|z1|^2 + 1/2*z1^2"), dg.SIGN_CHANGE_F),
+        ]:
+            verdicts = dg.falsify_nondegeneracy(f, budget=4)
+            assert label in [v.certified_by for v in verdicts], f.to_text()
+            assert all(v.residual_stats == dg.NO_SEARCH for v in verdicts)
+        for f, I in [(corpus("tibar_a", (1,)), [1]), (corpus("cone", (2, 3, 1, 2, 1)), [2, 3]),
+                     (corpus("parusinski"), [2, 3])]:
+            assert dg.local_tameness_check(f, I, budget=4).faces
 
 
 def _planted_critical_face(rng, n, T, free):
@@ -255,8 +280,7 @@ class TestSupportCertificate:
                 else:
                     assert v.certified_by == "support[1]", (name, v.face_function)
                     assert v.status is NondegStatus.NO_CRITICAL_POINT_FOUND
-                    assert v.residual_stats.restarts == 0
-                    assert v.residual_stats.min_residual > 0
+                    assert v.residual_stats == dg.NO_SEARCH
                 checked += 1
         assert checked > 20
 
@@ -1010,8 +1034,9 @@ class TestShellDecision:
         # |1 + e^{2i theta}| = 1 has one at theta = pi/3
         calls = _count_minimize(monkeypatch)
         (v,) = dg.falsify_nondegeneracy(parse_poly("|z1|^2 + 2*z1^2"), budget=4)
-        assert v.status is NondegStatus.NO_CRITICAL_POINT_FOUND and v.certified_by is None
-        assert v.residual_stats.restarts == 0
+        assert v.status is NondegStatus.NO_CRITICAL_POINT_FOUND and v.certified_by == dg.SIGN_CHANGE_F
+        assert v.residual_stats == dg.NO_SEARCH
+        assert dg.nondeg_verdict_to_json(v)["certified_by"] == dg.SIGN_CHANGE_F
         (v,) = dg.falsify_nondegeneracy(parse_poly("|z1|^2 + 1/2*z1^2"), budget=4)
         assert v.status is NondegStatus.CRITICAL_POINT_WITNESS and v.certified_by == dg.SIGN_CHANGE_F
         assert dg.criticality_residual_exact(v.face_function, v.witness) < dg.WITNESS_THRESHOLD

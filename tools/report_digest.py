@@ -1,7 +1,8 @@
 """Digest of the CLI's JSON reports, one line per request.
 
 Prints ``label seed sha256`` for each request, the hash taken over its exit
-code and its ``--json`` stdout:
+code and its ``--json`` stdout, or ``label seed crash <ExceptionType>`` for a
+request that raised an untyped exception:
 
 - every request of the three perfbench pools (``workloads.build``) at seeds
   7 and 11, in pool order;
@@ -52,7 +53,8 @@ SWEEP_BUDGET = "8"
 
 def digest(argv, verdicts=False):
     """sha256 of the exit code and stdout of one --json request, or with
-    verdicts, the exit code and the statuses its report holds."""
+    verdicts, the exit code and the statuses its report holds; "crash" and
+    the exception's type for a request that raised."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
@@ -60,7 +62,7 @@ def digest(argv, verdicts=False):
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a crash is this request's digest, not the run's end
-            code = f"crash {type(exc).__name__}"
+            return f"crash {type(exc).__name__}"
     if verdicts and code == 0:
         result = json.loads(out.getvalue())["result"]
         if "verdicts" in result:

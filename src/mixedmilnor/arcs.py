@@ -74,6 +74,10 @@ MAX_REDUCTION_STEPS = 10_000
 # doubling to MAX_BLOCK; a batch it scores has at most SCORE_ENTRIES gradient-table entries
 MAX_DRAWS = 40_000_000
 FIRST_BLOCK, MAX_BLOCK, SCORE_ENTRIES = 4_096, 200_000, 2**20
+# a short first block is followed by projection rounds (transversality_scan) of at least
+# PROJECTION_ROUND draws, PROJECTION_STEPS Gauss-Newton steps each; a projected draw
+# costs about PROJECTION_COST rejection draws
+PROJECTION_ROUND, PROJECTION_STEPS, PROJECTION_COST, PROJECTION_EVIDENCE = 64, 6, 100, 512
 # boundary_openness_probe sorts arg f into this many equal sectors
 OPENNESS_BINS = 256
 
@@ -583,6 +587,44 @@ class TransversalityReport:
     mean_residual: float | None
 
 
+def _sphere(rng, size, n, radius):
+    """size uniform points on the radius sphere in C^n."""
+    block = rng.normal(size=(size, 2 * n))
+    pts = block[:, :n] + 1j * block[:, n:]
+    return pts * (radius / np.linalg.norm(pts, axis=1))[:, None]
+
+
+def _project(f: MixedPoly, u, radius, eta):
+    """Points of the radius sphere near f = eta: PROJECTION_STEPS minimum-norm Gauss-Newton
+    steps from the unit-sphere points u on (Re, Im f(radius u) - eta, |u|^2 - 1), then
+    renormalized.  Unit rows (each Jacobian row scaled with its residual) keep every
+    square in float range; a point with dependent nonzero rows or a non-finite step is dropped."""
+    x = np.concatenate([u.real, u.imag], axis=1)
+    with np.errstate(all="ignore"):
+        for _ in range(PROJECTION_STEPS):
+            z = radius * (x[:, : f.n] + 1j * x[:, f.n :])
+            grads = f.gradients(z)
+            jac = np.concatenate([grads.d_z + grads.d_zbar, 1j * (grads.d_z - grads.d_zbar)], axis=1)
+            res = (f.evaluate_many(z) - eta) / radius
+            aug = np.concatenate([np.stack([jac.real, jac.imag, 2 * x]),
+                                  np.stack([res.real, res.imag, (x * x).sum(axis=1) - 1])[..., None]], axis=2)
+            # a row that is exactly 0 (Im f of a real f) cannot be met: left out, as by pinv
+            scale = np.max(np.abs(aug[..., :-1]), axis=2, keepdims=True)
+            aug /= np.where(scale > 0, scale, np.inf)
+            aug /= np.maximum(np.linalg.norm(aug[..., :-1], axis=2, keepdims=True), 1)
+            rows = aug[..., :-1]
+            a, b, c = ((rows[i] * rows[j]).sum(axis=1) for i, j in ((0, 1), (0, 2), (1, 2)))
+            # adjugate and determinant of the Gram matrix [[1, a, b], [a, 1, c], [b, c, 1]]
+            adj = np.array([[1 - c * c, b * c - a, a * c - b], [b * c - a, 1 - b * b, a * b - c],
+                            [a * c - b, a * b - c, 1 - a * a]])
+            det = 1 + 2 * a * b * c - a * a - b * b - c * c
+            step = np.einsum("in,ink->nk", np.einsum("ijn,jn->in", adj, aug[..., -1]) / det, rows)
+            ok = (det > REGULARITY_THRESHOLD) & np.isfinite(step).all(axis=1)
+            x, eta = x[ok] - step[ok], eta[ok]
+    u = x[:, : f.n] + 1j * x[:, f.n :]
+    return u * (radius / np.linalg.norm(u, axis=1))[:, None]
+
+
 def transversality_scan(
     f: MixedPoly,
     radius: float = 1.0,
@@ -596,22 +638,41 @@ def transversality_scan(
     (rejection sampling), and reports residual statistics over the accepted
     points, skipping numerically singular ones.  A block of draws on which f
     has no finite nonzero value is an error (see _screened_values).
+
+    When the first block of FIRST_BLOCK draws falls short, later draws are projected onto
+    the band (_project) in rounds sized from their yield, until that yield per draw is below
+    PROJECTION_COST times the first block's rate or a round loses every point; rejection blocks
+    then run to the end.  After an empty first block, PROJECTION_EVIDENCE misses stop the scan.
     """
     require_positive(radius=radius, delta=delta, samples=samples)
     rng = np.random.default_rng(seed)
-    accepted = 0
-    drawn = 0
-    skipped = 0
+    accepted = drawn = skipped = projected = survived = hits = 0
+    first_rate, projecting = None, False
     min_res = math.inf
     total = 0.0
     batch = max(1, SCORE_ENTRIES // (4 * f.n**2 * max(1, len(f.terms))))
     while accepted < samples and drawn < MAX_DRAWS:
-        block = rng.normal(size=(min(drawn + FIRST_BLOCK, MAX_BLOCK, MAX_DRAWS - drawn), 2 * f.n))
-        drawn += len(block)
-        pts = block[:, : f.n] + 1j * block[:, f.n :]
-        norms = np.linalg.norm(pts, axis=1)
-        pts = pts * (radius / norms)[:, None]
-        _, mags, _ = _screened_values(f, pts, "sphere")
+        if not projecting:
+            size = min(drawn + FIRST_BLOCK, MAX_BLOCK, MAX_DRAWS - drawn)
+            pts = _sphere(rng, size, f.n, radius)
+            _, mags, _ = _screened_values(f, pts, "sphere")
+        else:
+            # 5/4 of the draws the yield so far predicts (all of them land, until one does)
+            need = math.ceil(1.25 * (samples - accepted) / (hits / projected if hits else 1.0))
+            size = min(max(PROJECTION_ROUND, need), MAX_BLOCK, MAX_DRAWS - drawn)
+            eta = delta * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+            u = _sphere(rng, size, f.n, 1.0)
+            # projected in scoring batches, which bound the gradient tables
+            pts = np.concatenate([_project(f, u[i : i + batch], radius, eta[i : i + batch])
+                                  for i in range(0, size, batch)])
+            # f == 0 is a hit here, not a sign of underflow, but only a point that
+            # stays in the band with each term off by REGULARITY_THRESHOLD of its size
+            nu, mu, coeff = f._arrays()
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = (np.abs(coeff) * np.prod(np.abs(pts)[:, None] ** (nu + mu), axis=2)).sum(axis=1)
+                mags = np.abs(f.evaluate_many(pts)) + REGULARITY_THRESHOLD * terms
+        drawn += size
+        before = accepted
         keep = pts[mags <= delta]
         # score the kept points in order, never more than are still needed,
         # so that no point after the samples-th regular one is scored
@@ -624,6 +685,14 @@ def transversality_scan(
                 accepted += 1
                 total += res
                 min_res = min(min_res, res)
+        if first_rate is None:
+            first_rate, projecting = accepted / size, True
+        elif projecting:
+            projected, survived, hits = projected + size, survived + len(pts), hits + accepted - before
+            if hits == 0 == first_rate and survived >= PROJECTION_EVIDENCE:
+                break
+            # a round whose points were all dropped says nothing of the band
+            projecting = len(pts) > 0 and hits >= PROJECTION_COST * first_rate * projected
     return TransversalityReport(
         samples_drawn=drawn,
         accepted=accepted,

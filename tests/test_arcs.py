@@ -404,26 +404,40 @@ class TestTransversality:
             ar.transversality_residual(k, [1.0, 1.0])
 
     def test_one_gradient_evaluation_per_block(self, monkeypatch):
-        # each block of draws that keeps a point scores its kept points with
-        # one batched gradients call, and only the points the report counts
-        calls, kept = [], []
-        gradients, evaluate_many = MixedPoly.gradients, MixedPoly.evaluate_many
+        # the first block keeps 3 points, so the scan goes on to projection
+        # rounds; each rejection block or round that keeps a point scores its
+        # kept points with one batched gradients call, and only the points the
+        # report counts, and each projection step takes one gradients call
+        scored, steps, kept, rounds, inside = [], [], [], [], []
+        gradients, evaluate_many, project = MixedPoly.gradients, MixedPoly.evaluate_many, ar._project
 
         def counted(poly, p):
-            calls.append(len(p))
+            (steps if inside else scored).append(len(p))
             return gradients(poly, p)
 
         def screened(poly, pts):
             vals = evaluate_many(poly, pts)
-            kept.append(np.count_nonzero(np.abs(vals) <= 1e-3))
+            if not inside:
+                kept.append(np.count_nonzero(np.abs(vals) <= 1e-3))
             return vals
+
+        def projected(f, u, radius, eta):
+            rounds.append(len(u))
+            inside.append(True)
+            try:
+                return project(f, u, radius, eta)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(MixedPoly, "gradients", counted)
         monkeypatch.setattr(MixedPoly, "evaluate_many", screened)
+        monkeypatch.setattr(ar, "_project", projected)
         report = ar.transversality_scan(corpus("tibar"), samples=20, delta=1e-3, seed=3)
-        assert len(kept) > 1
-        assert len(calls) == np.count_nonzero(kept)
-        assert sum(calls) == report.accepted + report.skipped_singular == 20
+        assert kept[0] == 3 and len(kept) == len(rounds) + 1
+        assert len(steps) == ar.PROJECTION_STEPS * len(rounds)
+        assert len(scored) == np.count_nonzero(kept)
+        assert sum(scored) == report.accepted + report.skipped_singular == 20
+        assert report.samples_drawn == ar.FIRST_BLOCK + sum(rounds)
 
     @staticmethod
     def one_block_scan(f, delta, samples, seed):
@@ -454,13 +468,27 @@ class TestTransversality:
         ],
     )
     @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_blocks_and_batches_match_one_block_point_by_point(self, f, delta, samples, seed):
+    def test_blocks_and_batches_match_one_block_point_by_point(self, monkeypatch, f, delta, samples, seed):
+        # a first block of 200,000 draws fills each of these scans, which
+        # then draws nothing else
+        monkeypatch.setattr(ar, "FIRST_BLOCK", 200_000)
         residuals, skipped = self.one_block_scan(f, delta, samples, seed)
         report = ar.transversality_scan(f, delta=delta, samples=samples, seed=seed)
         assert (report.accepted, report.skipped_singular) == (samples, skipped)
-        assert report.samples_drawn < 200_000
+        assert report.samples_drawn == 200_000
         assert report.min_residual == pytest.approx(min(residuals), rel=1e-12)
         assert report.mean_residual == pytest.approx(sum(residuals) / samples, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_projection_falls_back_to_rejection(self, seed):
+        # projection rarely lands on the regular part of this zero set, so
+        # after one round the scan goes back to rejection blocks, which
+        # accept the 40 samples in 12,288 draws
+        f = parse_poly("|z1|^2 - |z2|^2 + 2/1000000*z1", n=2)
+        report = ar.transversality_scan(f, delta=1e-2, samples=40, seed=seed)
+        assert report.accepted == 40
+        assert report.samples_drawn <= 2 * 12_288
+        assert report.skipped_singular > 0
 
     def test_batch_size_does_not_change_the_report(self, monkeypatch):
         f = parse_poly("|z1|^2 - |z2|^2 + 2/1000000*z1", n=2)
@@ -501,11 +529,61 @@ class TestTransversality:
             ar.transversality_scan(corpus("tibar"), radius=radius, samples=5)
 
     def test_nothing_accepted_has_no_statistics(self, monkeypatch):
-        monkeypatch.setattr(ar, "MAX_DRAWS", 200_000)
-        report = ar.transversality_scan(corpus("tibar"), delta=1e-300, samples=5)
-        # the last block is cut to the draw cap
-        assert (report.samples_drawn, report.accepted) == (200_000, 0)
+        # |f| >= 3/2 on the unit sphere: the first block accepts nothing, and
+        # the scan stops once PROJECTION_EVIDENCE projected points miss
+        rounds = []
+        project = ar._project
+        monkeypatch.setattr(ar, "_project", lambda *a: rounds.append(len(a[1])) or project(*a))
+        report = ar.transversality_scan(parse_poly("2 + z1*z2"), delta=1e-3, samples=5)
+        assert rounds == [ar.PROJECTION_ROUND] * (ar.PROJECTION_EVIDENCE // ar.PROJECTION_ROUND)
+        assert (report.samples_drawn, report.accepted) == (ar.FIRST_BLOCK + sum(rounds), 0)
         assert report.min_residual is None and report.mean_residual is None
+
+    @pytest.mark.parametrize("poly", ["|z1|^2 - |z2|^2", "i*|z1|^2 - i*|z2|^2"])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_real_valued_fibers_are_reached_and_all_singular(self, poly, seed):
+        # one of Re f, Im f is identically 0; its zero Jacobian row is left
+        # out of the projection step, so projected points land in the band,
+        # where every point is mixed-critical (rejection draws 40,000,000
+        # points and accepts none either)
+        report = ar.transversality_scan(parse_poly(poly), delta=1e-5, samples=5, seed=seed)
+        assert (report.accepted, report.min_residual) == (0, None)
+        assert report.skipped_singular > 0
+        assert report.samples_drawn <= ar.FIRST_BLOCK + ar.PROJECTION_EVIDENCE + ar.PROJECTION_ROUND
+
+    @pytest.mark.parametrize("delta, samples, seed", [(1e-3, 20, 3), (1e-4, 5, 2), (1e-4, 5, 9)])
+    def test_rounds_that_drop_every_point_fall_back_to_rejection(self, monkeypatch, delta, samples, seed):
+        # a round with no surviving point says nothing of the band: the scan
+        # draws rejection blocks, also after a first block that accepted
+        # nothing (delta 1e-4 at seeds 2 and 9), and fills the request
+        rounds = []
+        monkeypatch.setattr(ar, "_project", lambda f, u, radius, eta: rounds.append(len(u)) or u[:0])
+        report = ar.transversality_scan(corpus("tibar"), delta=delta, samples=samples, seed=seed)
+        assert report.accepted == samples and len(rounds) == 1
+        assert report.samples_drawn > ar.FIRST_BLOCK + sum(rounds)
+
+    def test_constant_modulus_falls_back_to_rejection(self, monkeypatch):
+        # f = 1 on the unit sphere: its Re row is the sphere row, so every
+        # projected point is dropped and the scan draws rejection blocks to
+        # the draw cap
+        monkeypatch.setattr(ar, "MAX_DRAWS", 100_000)
+        rounds = []
+        project = ar._project
+        monkeypatch.setattr(ar, "_project", lambda *a: rounds.append(len(a[1])) or project(*a))
+        report = ar.transversality_scan(parse_poly("|z1|^2 + |z2|^2"), delta=1e-3, samples=5)
+        assert rounds == [ar.PROJECTION_ROUND]
+        assert (report.samples_drawn, report.accepted) == (100_000, 0)
+
+    @pytest.mark.parametrize(
+        "radius, delta", [(1.0, 1e-300), (1e100, 1e-3), (1e100, 1e-300), (1e-100, 1e-310)]
+    )
+    def test_projection_reaches_bands_the_sphere_misses(self, radius, delta):
+        # no sphere draw has |f| <= delta; the projected points do, f == 0
+        # among them (which is no underflow), in one or two rounds
+        report = ar.transversality_scan(corpus("tibar"), radius=radius, delta=delta, samples=5)
+        assert (report.accepted, report.skipped_singular) == (5, 0)
+        assert report.samples_drawn <= ar.FIRST_BLOCK + 16 * ar.PROJECTION_ROUND
+        assert report.min_residual == pytest.approx(1.0, abs=1e-9)
 
     def test_scan_runs_deterministically(self):
         f = corpus("tibar")
@@ -514,6 +592,36 @@ class TestTransversality:
         assert a == b
         assert a.accepted == 50
         assert a.min_residual > 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([corpus("tibar"), corpus("fig1"), corpus("d_n", (5,)), corpus("cyclic", (2, 3))]),
+        st.integers(0, 10**6).map(lambda s: random_mixed_poly(np.random.default_rng(s), n=2 + s % 2, max_terms=3)),
+    ),
+    st.sampled_from([1e-1, 1e-3, 1e-300]),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.integers(0, 1000),
+)
+@example(corpus("tibar"), 1e-3, 1.0, 3)
+@example(corpus("tibar"), 1e-300, 2.0, 0)
+# terms that cancel below their rounding: f reads 0 or 2.7e-20i at one point
+@example(parse_poly("(2/3-3i)*z1^2*zb1 + (-4/3+4i)*|z1|^2*z2^3*zb2^2", n=2), 1e-300, 0.5, 42)
+def test_scored_points_lie_in_the_band_on_the_sphere_property(f, delta, radius, seed):
+    # rejection draws and projected points alike: every point the scan
+    # scores has |f| <= delta and lies on the radius sphere (the draw cap
+    # shortens scans on which projection drops every point, such as an f of
+    # |z1|^2 and |z2|^2 alone, whose band points are all singular)
+    points = []
+    residuals = ar._transversality_residuals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ar, "MAX_DRAWS", 50_000)
+        mp.setattr(ar, "_transversality_residuals", lambda f, pts: points.append(pts) or residuals(f, pts))
+        ar.transversality_scan(f, radius=radius, delta=delta, samples=8, seed=seed)
+    for pts in points:
+        assert np.all(np.abs(f.evaluate_many(pts)) <= delta)
+        assert np.all(np.abs(np.linalg.norm(pts, axis=1) - radius) <= 1e-12 * radius)
 
 
 class TestOpenness:

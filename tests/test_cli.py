@@ -286,6 +286,15 @@ class TestReports:
         assert code == 0
         assert (report["result"]["samples_drawn"], report["result"]["accepted"]) == (4096, 5)
 
+    @pytest.mark.parametrize("extra", [["--delta", "1e-300"], ["--radius", "1e100"]])
+    def test_transversality_projects_onto_bands_the_sphere_misses(self, capsys, extra):
+        # no sphere draw reaches these bands; projected points do, long
+        # before the draw cap (f == 0 on them is a hit, not an underflow)
+        code, report = run_json(capsys, "transversality", "--corpus", "tibar", "--samples", "5", *extra)
+        assert code == 0
+        assert report["result"]["accepted"] == 5
+        assert report["result"]["samples_drawn"] < 5_000
+
     def test_openness(self, capsys):
         code, report = run_json(
             capsys,
@@ -542,9 +551,9 @@ class TestErrors:
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == error
 
-    def test_transversality_accepting_nothing_reports_null(self, capsys, monkeypatch):
-        monkeypatch.setattr(arcs, "MAX_DRAWS", 200_000)
-        argv = ["transversality", "--corpus", "tibar", "--delta", "1e-300", "--samples", "5"]
+    def test_transversality_accepting_nothing_reports_null(self, capsys):
+        # |f| >= 3/2 on the unit sphere, so no draw and no projection accepts
+        argv = ["transversality", "--poly", "2 + z1*z2", "--delta", "1e-3", "--samples", "5"]
         code, out = run(capsys, *argv, "--json")
         assert code == 0
         report = strict_json(out)

@@ -59,7 +59,6 @@ from fractions import Fraction
 from operator import mul
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import lattice, newton
 from .errors import BadRequestError, NotEssentialFaceError, NotVanishingError, require_positive
@@ -305,6 +304,14 @@ def _unit_rows(x):
 
 def _torus_point(u, theta):
     return np.exp(u) * np.exp(1j * theta)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first float search and not at
+    package load: the import is most of a CLI process's start-up time and RSS."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class _InfiniteSimplex(Exception):

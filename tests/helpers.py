@@ -4,16 +4,36 @@ The oracles here deliberately avoid the package's own geometry code so that
 agreement is evidence, not tautology.
 """
 
+import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from mixedmilnor import lattice
 from mixedmilnor.newton import WeightVector
 from mixedmilnor.poly import GaussianRational, MixedMonomial, MixedPoly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# a circuit face of the benchmark's search pool that no exact decision
+# settles: its nondeg verdict runs one Nelder-Mead start at budget 1
+SEARCHED_NONDEG = ["nondeg", "--poly", "(2+1i)*zb1^1*z2^2 + (-1+1i)*z2^3*zb2^1 + (-2+2i)*z1^1*zb1^1",
+                   "--budget", "1", "--seed", "106"]
+
+
+def run_fresh(script, *args):
+    """The JSON last line printed by ``python -c script *args`` in a fresh
+    interpreter that imports the package from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def random_gaussian(rng, max_num=4, max_den=3, allow_zero=False):

@@ -9,7 +9,13 @@ request that raised an untyped exception:
 - a sweep over the random mixed polynomials
   ``helpers.random_mixed_poly(default_rng(s), n=2 + s % 2, max_terms=3)``
   for s < 150: one ``nondeg`` report and one ``tame`` report per vanishing
-  coordinate subspace, each at budget 8 and seed s.
+  coordinate subspace, each at budget 8 and seed s;
+- with ``--wide``, the wide sweep, the same requests on
+  ``helpers.random_mixed_poly(default_rng(1000 + s), n=2 + s % 3,
+  max_terms=5)`` for s < 150, and then one summary line starting with
+  ``#``: its wall time, and the ``minimize`` calls and objective
+  evaluations that its float searches made, counted through
+  ``degeneracy.minimize``.
 
 Requests run in-process through ``mixedmilnor.cli.main`` with BLAS on one
 thread, from the ``src/`` beside this file.  To check that a change leaves
@@ -25,6 +31,8 @@ keeps its hash.  Where a change legitimately moves a report's bytes (a new
 witness, a new label), diffing these lines shows whether a verdict moved:
 
     python3 tools/report_digest.py --verdicts > after.txt
+
+The flags combine: ``--wide --verdicts`` prints verdicts for both sweeps.
 """
 
 import hashlib
@@ -34,6 +42,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -44,11 +53,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from helpers import random_mixed_poly  # noqa: E402
-from mixedmilnor import cli, newton  # noqa: E402
+from mixedmilnor import cli, degeneracy, newton  # noqa: E402
 
 POOL_SEEDS = (7, 11)
 SWEEP = 150
 SWEEP_BUDGET = "8"
+# sweep name: (offset of the rng seed, n cycles through 2 .. 1 + this, max_terms)
+SWEEPS = {"sweep": (0, 2, 3), "wide": (1000, 3, 5)}
 
 
 def digest(argv, verdicts=False):
@@ -80,27 +91,50 @@ def _status(entry):
     return entry["status"] + (f"[{label}]" if label else "")
 
 
-def sweep(s):
-    """(label, argv) of the sweep's requests on its s-th polynomial."""
-    f = random_mixed_poly(np.random.default_rng(s), n=2 + s % 2, max_terms=3)
+def sweep(s, name="sweep"):
+    """(label, argv) of the named sweep's requests on its s-th polynomial."""
+    offset, spread, max_terms = SWEEPS[name]
+    f = random_mixed_poly(np.random.default_rng(offset + s), n=2 + s % spread, max_terms=max_terms)
     common = ["--poly", f.to_text(), "--budget", SWEEP_BUDGET, "--seed", str(s)]
-    yield "sweep:nondeg", ["nondeg", *common]
+    yield f"{name}:nondeg", ["nondeg", *common]
     for I in sorted(newton.vanishing_subsets(f).vanishing, key=sorted):
         subset = ",".join(map(str, sorted(I)))
-        yield f"sweep:tame[{subset}]", ["tame", *common, "--subset", subset]
+        yield f"{name}:tame[{subset}]", ["tame", *common, "--subset", subset]
+
+
+def counting_minimize(counts):
+    """degeneracy.minimize, adding one call and each result's nfev to counts."""
+    real = degeneracy.minimize
+
+    def counted(*args, **kwargs):
+        counts["calls"] += 1
+        result = real(*args, **kwargs)
+        counts["evals"] += int(result.nfev)
+        return result
+
+    return counted
 
 
 def main(argv):
-    verdicts = argv == ["--verdicts"]
-    if argv and not verdicts:
-        sys.exit("usage: report_digest.py [--verdicts]")
+    if not set(argv) <= {"--verdicts", "--wide"}:
+        sys.exit("usage: report_digest.py [--verdicts] [--wide]")
+    verdicts, wide = "--verdicts" in argv, "--wide" in argv
     for workload in workloads.WORKLOADS:
         for seed in POOL_SEEDS:
             for req in workloads.build(workload, seed):
                 print(req.label, seed, digest(req.argv, verdicts), flush=True)
     for s in range(SWEEP):
-        for label, argv in sweep(s):
-            print(label, s, digest(argv, verdicts), flush=True)
+        for label, request in sweep(s):
+            print(label, s, digest(request, verdicts), flush=True)
+    if wide:
+        counts = {"calls": 0, "evals": 0}
+        degeneracy.minimize = counting_minimize(counts)
+        start = perf_counter()
+        for s in range(SWEEP):
+            for label, request in sweep(s, "wide"):
+                print(label, s, digest(request, verdicts), flush=True)
+        print(f"# wide sweep: {perf_counter() - start:.1f} s, {counts['calls']} minimize calls, "
+              f"{counts['evals']} objective evaluations", flush=True)
 
 
 if __name__ == "__main__":

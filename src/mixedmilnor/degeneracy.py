@@ -307,8 +307,9 @@ def _torus_point(u, theta):
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first float search and not at
-    package load: the import is most of a CLI process's start-up time and RSS."""
+    """scipy.optimize.minimize, not imported at package load: the import is most
+    of a CLI process's start-up time and RSS.  Both search commands import it
+    on entry, so their memory does not hang on whether an input is decided exactly."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
@@ -800,6 +801,7 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
     falsify.  Deterministic for a fixed seed.
     """
     require_budget(budget)
+    import scipy.optimize  # noqa: F401  (see minimize)
     faces = newton.all_faces(f)
     targets = []
     for fc in faces:
@@ -933,6 +935,7 @@ def local_tameness_check(
     """
     require_positive(probe_radius=probe_radius)
     require_budget(budget)
+    import scipy.optimize  # noqa: F401  (see minimize)
     I = newton.coordinate_subset(I, f.n)
     if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")

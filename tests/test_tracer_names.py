@@ -50,8 +50,9 @@ print(json.dumps({"code": code, "spans": per_name.get("scipy.minimize", (0,))[0]
 
 
 def test_traced_search_reaches_the_lazy_minimize():
-    """The tracer wraps degeneracy.minimize, which imports scipy on its first
-    call; a traced search records the scipy.minimize span and its counters."""
+    """The tracer wraps degeneracy.minimize, which imports scipy in its body,
+    not at package load; a traced search records the scipy.minimize span and
+    its counters."""
     got = run_fresh(TRACED_SEARCH, str(TRACING), json.dumps(SEARCHED_NONDEG))
     assert got["code"] == 0
     assert got["spans"] >= 1

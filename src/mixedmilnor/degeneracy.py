@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -306,17 +307,85 @@ def _torus_point(u, theta):
     return np.exp(u) * np.exp(1j * theta)
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, not imported at package load: the import is most
-    of a CLI process's start-up time and RSS.  Both search commands import it
-    on entry, so their memory does not hang on whether an input is decided exactly."""
-    from scipy.optimize import minimize as scipy_minimize
+# Nelder and Mead's method (Comput. J. 7, 1965) as the bounded, non-adaptive path of scipy 1.17's
+# _minimize_neldermead runs it, expression for expression, so that a search takes the steps it took
+# through scipy.  That code is under scipy's license:
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers. All rights reserved.
+# Redistribution and use in source and binary forms, with or without modification, are permitted provided that
+# the following conditions are met:
+# 1. Redistributions of source code must retain the above copyright notice, this list of conditions and the
+#    following disclaimer.
+# 2. Redistributions in binary form must reproduce the above copyright notice, this list of conditions and the
+#    following disclaimer in the documentation and/or other materials provided with the distribution.
+# 3. Neither the name of the copyright holder nor the names of its contributors may be used to endorse or
+#    promote products derived from this software without specific prior written permission.
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS IS" AND ANY EXPRESS OR IMPLIED
+# WARRANTIES, INCLUDING, BUT NOT LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR A
+# PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT OWNER OR CONTRIBUTORS BE LIABLE FOR ANY
+# DIRECT, INDIRECT, INCIDENTAL, SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT LIMITED TO,
+# PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE, DATA, OR PROFITS; OR BUSINESS INTERRUPTION)
+# HOWEVER CAUSED AND ON ANY THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT (INCLUDING
+# NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE OF THIS SOFTWARE, EVEN IF ADVISED OF THE
+# POSSIBILITY OF SUCH DAMAGE.
 
-    return scipy_minimize(*args, **kwargs)
 
+def minimize(fun, x0, bounds, *, maxiter, xatol, fatol):
+    """Nelder-Mead from x0 in the box bounds, one (low, high) pair per coordinate,
+    clipping every trial point into it.  Returns the best value fun, its point x
+    and the evaluation count nfev.  A start whose initial simplex all scores inf
+    ends there, after len(x0) + 1 evaluations: the method would compare nan only."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    lower, upper = np.array(bounds, dtype=float).T
+    x0 = np.clip(x0, lower, upper)
+    N = len(x0)
+    sim = np.tile(x0, (N + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + 0.05) * x0, 0.00025))
+    # a vertex past an upper bound is reflected into the box, not clipped onto its face
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    nfev = 0
 
-class _InfiniteSimplex(Exception):
-    """Every point of a start's initial simplex scored inf."""
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x))
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    sim, fsim = ordered(*ordered(sim, fsim))  # sorted twice, as scipy does
+    for _ in range(1, maxiter):  # the initial simplex counts as iteration 1
+        if fsim[0] == np.inf or (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside the simplex
+                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # contract inside it
+                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                    fsim[j] = f(sim[j])
+        sim, fsim = ordered(sim, fsim)
+    return SimpleNamespace(fun=np.min(fsim), x=sim[0], nfev=nfev)
 
 
 def _multistart(objective, k, budget, rng):
@@ -337,37 +406,24 @@ def _multistart(objective, k, budget, rng):
     """
     box = LOG_RANGE + 0.5
     bounds = [(-box, box)] * k + [(-8 * np.pi, 8 * np.pi)] * k
-    options = {"fatol": 1e-14, "xatol": 1e-10, "maxiter": 400 * k}
     best, best_x = np.inf, None
     evals = starts = 0
-    simplex = []  # scores of the current start's initial simplex, 2k + 1 points
 
     def scored(x):
         try:
             value = objective(x)
         except OverflowError:
             value = math.inf
-        value = value if math.isfinite(value) else math.inf
-        if len(simplex) <= 2 * k:
-            simplex.append(value)
-            if len(simplex) > 2 * k and min(simplex) == math.inf:
-                raise _InfiniteSimplex
-        return value
+        return value if math.isfinite(value) else math.inf
 
     for starts in range(1, budget + 1):
         x0 = np.concatenate(
             [rng.uniform(-LOG_RANGE, LOG_RANGE, size=k), rng.uniform(0, 2 * np.pi, size=k)]
         )
-        simplex.clear()
         # a point where the objective overflows scores inf, without a warning
-        # from it or from the simplex arithmetic on inf; a start whose initial
-        # simplex all scores inf ends, as Nelder-Mead would compare nan only
-        try:
-            with np.errstate(all="ignore"):
-                res = minimize(scored, x0, method="Nelder-Mead", bounds=bounds, options=options)
-        except _InfiniteSimplex:
-            evals += len(simplex)
-            continue
+        # from it or from the simplex arithmetic on inf
+        with np.errstate(all="ignore"):
+            res = minimize(scored, x0, bounds, maxiter=400 * k, xatol=1e-10, fatol=1e-14)
         evals += res.nfev
         if res.fun < best:
             best, best_x = res.fun, res.x
@@ -801,7 +857,6 @@ def falsify_nondegeneracy(f: MixedPoly, budget: int = 64, seed: int = 0) -> list
     falsify.  Deterministic for a fixed seed.
     """
     require_budget(budget)
-    import scipy.optimize  # noqa: F401  (see minimize)
     faces = newton.all_faces(f)
     targets = []
     for fc in faces:
@@ -935,7 +990,6 @@ def local_tameness_check(
     """
     require_positive(probe_radius=probe_radius)
     require_budget(budget)
-    import scipy.optimize  # noqa: F401  (see minimize)
     I = newton.coordinate_subset(I, f.n)
     if not newton.vanishes_on(f, I):
         raise NotVanishingError(f"f does not vanish on the subspace of {set(I)}")

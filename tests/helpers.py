@@ -25,6 +25,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # settles: its nondeg verdict runs one Nelder-Mead start at budget 1
 SEARCHED_NONDEG = ["nondeg", "--poly", "(2+1i)*zb1^1*z2^2 + (-1+1i)*z2^3*zb2^1 + (-2+2i)*z1^1*zb1^1",
                    "--budget", "1", "--seed", "106"]
+# a tameness request whose frozen search has two free variables, z2 and z3,
+# so each of its shells runs Nelder-Mead starts
+SEARCHED_TAME = ["tame", "--poly", "z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2 + z1*z2*z3", "--subset", "1",
+                 "--budget", "1", "--seed", "3"]
 
 
 def run_fresh(script, *args):

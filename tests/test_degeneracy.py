@@ -8,7 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import _det, random_gaussian, random_mixed_poly, random_point, random_real_valued_poly, repeated_power
+from helpers import (
+    SEARCHED_NONDEG,
+    _det,
+    random_gaussian,
+    random_mixed_poly,
+    random_point,
+    random_real_valued_poly,
+    repeated_power,
+)
 from mixedmilnor import degeneracy as dg
 from mixedmilnor import lattice, newton
 from mixedmilnor.cli import main
@@ -509,7 +517,7 @@ TWO_FREE_CLEAN = "z1*z2^2 + 2*z1*|z2|^2 + 3*z1*zb2^2 + z1*z2*z3"
 
 
 def _count_minimize(monkeypatch):
-    """The list that gets one entry per scipy minimize call degeneracy makes."""
+    """The list that gets one entry per Nelder-Mead start degeneracy makes through minimize."""
     calls = []
     real_minimize = dg.minimize
 
@@ -1093,3 +1101,71 @@ class TestShellDecision:
             start = time.perf_counter()
             dg._unit_zero(bs, cs)
             assert time.perf_counter() - start < 1.0
+
+
+# the options _multistart passes at k = 4 (maxiter 400 k)
+SEARCH_OPTIONS = {"maxiter": 1600, "xatol": 1e-10, "fatol": 1e-14}
+
+
+def _oracle_check(fun, x0, bounds, options):
+    """degeneracy.minimize and the scipy code it ports agree bit for bit; returns
+    the points degeneracy.minimize evaluated, in order."""
+    optimize = pytest.importorskip("scipy.optimize")
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return fun(x)
+
+    with np.errstate(all="ignore"):
+        ours = dg.minimize(recorded, x0, bounds, **options)
+        theirs = optimize.minimize(fun, x0, method="Nelder-Mead", bounds=bounds, options=options)
+    assert ours.x.tobytes() == theirs.x.tobytes()
+    assert ours.fun == theirs.fun and ours.nfev == theirs.nfev == len(seen)
+    return seen
+
+
+class TestNelderMead:
+    def test_minimum_outside_the_box_is_clipped_to_it(self):
+        c = np.array([3.0, -4.0, 0.5])
+        seen = _oracle_check(lambda x: float(((x - c) ** 2).sum()), [0.2, 0.1, -0.3], [(-1, 1)] * 3, SEARCH_OPTIONS)
+        assert max(abs(x).max() for x in seen) == 1.0
+
+    def test_simplex_past_an_upper_bound_is_reflected(self):
+        def rosenbrock(x):
+            return float((100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2).sum())
+
+        x0 = [2 - 5e-4, 0.5, -0.3, 1.2]
+        seen = _oracle_check(rosenbrock, x0, [(-2, 2)] * 4, SEARCH_OPTIONS)
+        # 1.05 * x0[0] is past the bound 2, so that vertex starts at 4 - 1.05 * x0[0]
+        assert seen[1][0] == 2 * 2 - (1 + 0.05) * x0[0]
+
+    def test_objective_inf_on_half_the_box(self):
+        c = np.array([0.5, 0.3])
+
+        def half(x):
+            return math.inf if x[0] > 0 else float(((x - c) ** 2).sum())
+
+        seen = _oracle_check(half, [-0.6, 0.4], [(-1, 1)] * 2, SEARCH_OPTIONS)
+        assert any(half(x) == math.inf for x in seen)
+
+    def test_guarded_residual_on_the_searched_face(self, monkeypatch):
+        starts = []
+        real_minimize = dg.minimize
+
+        def recorded(fun, x0, bounds, **options):
+            starts.append((fun, x0, bounds, options))
+            return real_minimize(fun, x0, bounds, **options)
+
+        monkeypatch.setattr(dg, "minimize", recorded)
+        argv = dict(zip(SEARCHED_NONDEG[1::2], SEARCHED_NONDEG[2::2]))
+        dg.falsify_nondegeneracy(parse_poly(argv["--poly"]), budget=int(argv["--budget"]), seed=int(argv["--seed"]))
+        monkeypatch.undo()
+        assert starts
+        for fun, x0, bounds, options in starts:
+            _oracle_check(fun, x0, bounds, options)
+
+    def test_infinite_simplex_ends_the_start(self):
+        k = 3
+        res = dg.minimize(lambda x: math.inf, np.ones(2 * k), [(-2, 2)] * (2 * k), **SEARCH_OPTIONS)
+        assert res.fun == math.inf and res.nfev == 2 * k + 1

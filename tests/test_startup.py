@@ -1,15 +1,13 @@
-"""The package starts without scipy: the optimizer is imported when a search
-command (nondeg, tame) starts, not at package load.  Every exact or probe
-command leaves scipy unloaded; a search command loads it whether its input
-is decided exactly or searched, so a process's memory does not hang on which
-inputs it was sent."""
+"""No command loads scipy: the float search runs the package's own bounded
+Nelder-Mead on numpy, so every command, exact, probe or search, runs with
+scipy absent, and scipy, sympy and mpmath stay out of every module's load."""
 
 import ast
 import json
 
 import pytest
 
-from helpers import SEARCHED_NONDEG, SRC, run_fresh
+from helpers import SEARCHED_NONDEG, SEARCHED_TAME, SRC, run_fresh
 
 HEAVY = ("scipy", "sympy", "mpmath")
 
@@ -47,22 +45,53 @@ def run(argv):
 
 no_search, search = json.loads(sys.argv[1])
 codes = [run(argv)[0] for argv in no_search]
-before = "scipy" in sys.modules
 code, out = run(search)
 verdicts = json.loads(out)["result"].get("verdicts", [])
 restarts = sum((v.get("stats") or {}).get("restarts", 0) for v in verdicts)
-print(json.dumps({"codes": codes, "before": before, "code": code,
-                  "after": "scipy" in sys.modules, "restarts": restarts}))
+print(json.dumps({"codes": codes, "code": code, "scipy": "scipy" in sys.modules, "restarts": restarts}))
 """
 
 
 @pytest.mark.parametrize("search", SEARCHES, ids=["nondeg-exact", "tame-exact", "nondeg-searched"])
-def test_scipy_loads_with_the_first_search_command(search):
+def test_no_command_loads_scipy(search):
     got = run_fresh(SCRIPT, json.dumps([NO_SEARCH, search]))
     assert got["codes"] == [0] * len(NO_SEARCH)
-    assert not got["before"]
-    assert got["code"] == 0 and got["after"]
+    assert got["code"] == 0 and not got["scipy"]
     assert (got["restarts"] >= 1) == (search is SEARCHED_NONDEG)
+
+
+BLOCKABLE = """
+import io, json, sys
+from contextlib import redirect_stdout
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from mixedmilnor import cli, degeneracy
+
+starts = []
+real_minimize = degeneracy.minimize
+
+def counted(*args, **kwargs):
+    starts.append(1)
+    return real_minimize(*args, **kwargs)
+
+degeneracy.minimize = counted
+reports = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([*argv, "--json"])
+    reports.append([code, out.getvalue(), len(starts)])
+print(json.dumps(reports))
+"""
+
+
+def test_searches_run_with_scipy_blocked():
+    requests = json.dumps([SEARCHED_NONDEG, SEARCHED_TAME])
+    blocked = run_fresh(BLOCKABLE, "blocked", requests)
+    assert blocked == run_fresh(BLOCKABLE, "importable", requests)
+    (nondeg_code, _, nondeg_starts), (tame_code, _, all_starts) = blocked
+    assert nondeg_code == tame_code == 0
+    assert 0 < nondeg_starts < all_starts
 
 
 def _top_level_imports(tree):
@@ -82,3 +111,15 @@ def test_no_heavy_import_at_module_load():
             names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
             heavy = [name for name in names if name.split(".")[0] in HEAVY]
             assert not heavy, f"{path.name}:{node.lineno} imports {heavy} at module load"
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((SRC / "mixedmilnor").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [name for name in names if name.split(".")[0] == "scipy"], f"{path.name}:{node.lineno}"

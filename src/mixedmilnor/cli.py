@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import arcs, constructors, degeneracy, newton, zeta
 from .errors import BadRequestError, MixedMilnorError, require_positive
@@ -24,6 +26,38 @@ from .poly import MixedPoly, parse_coefficient, parse_poly
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
+
+
+def _json_text(obj, indent="\n") -> str:
+    """The bytes of json.dumps(obj, indent=2) without json's pure-Python
+    indenting encoder: strings go through its C encode_basestring_ascii."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items, ends = [_json_text(x, inner) for x in obj], "[]"
+    elif isinstance(obj, dict):
+        items, ends = [f"{_json_text(_json_key(k))}: {_json_text(v, inner)}" for k, v in obj.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _parse_point(text: str):
@@ -334,7 +368,7 @@ def _report_error(args, exc) -> int:
             "seed": args.seed,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
     return EXIT_ERROR
@@ -355,7 +389,7 @@ def _run_one(args) -> int:
             "request": _request_echo(args),
             "result": result,
         }
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print(text)
     if args.strict and negative:

@@ -8,7 +8,9 @@ for cones, exact double description (`_cone_facets`), for both the faces of a
 Newton polyhedron and a volume's pyramid sum.  The faces are the facets closed
 level by level under intersection, as bitmasks (Kaibel & Pfetsch, "Computing
 the face lattice of a polytope from its vertex-facet incidences", 2002), so
-each face's dimension is its level and no face is ranked.
+each face's dimension is its level and no face is ranked.  A simplex's volume
+is |det| of its edge vectors: the product of the pivots of their Hermite form
+(`hermite_rows`), whose transform is unimodular.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -249,7 +251,10 @@ def _cone_facets(gens, dim):
             held = np.packbits(rows.astype(bool), axis=0, bitorder="little").T
             holders = [int.from_bytes(c.tobytes(), "little") for c in held]
         for lo in range(0, len(neg), 256):  # shared generators of (neg, pos) pairs, 256 rows at once
-            shared = rows[neg[lo:lo + 256]] @ rows[pos].T
+            with np.errstate(invalid="ignore"):  # BLAS may flag 0/1 rows; the counts are checked
+                shared = rows[neg[lo:lo + 256]] @ rows[pos].T
+            if not ((np.rint(shared) == shared) & (shared >= 0) & (shared <= len(gens))).all():
+                raise ArithmeticError("the float32 product miscounted shared generators")
             for qi, pi in zip(*np.nonzero(shared >= dim - 2)):
                 (wp, mp, sp), (wq, mq, sq) = sides[pos[pi]], sides[neg[lo + qi]]
                 common = mp & mq
@@ -341,11 +346,14 @@ def _pyramid_sum(pts, m):
     cone over (den, den * p), den clearing denominators) that miss its lex-min
     vertex a.  Each adds |w.a - c| / |w_k| NV(pi_k F) for F's hyperplane
     w.x = c, where pi_k drops a coordinate with w_k != 0; this does not depend
-    on how w is scaled.
+    on how w is scaled.  A simplex (m + 1 points) is one determinant instead.
     """
     if m == 1:
         return pts[-1][0] - pts[0][0]
     den = lcm(*(x.denominator for p in pts for x in p))
+    if len(pts) == m + 1:
+        h, _, pivots = hermite_rows([[int((x - y) * den) for x, y in zip(p, pts[0])] for p in pts[1:]], m)
+        return Fraction(prod(h[i][col] for i, col in enumerate(pivots)), den**m)
     gens = [(den, *(int(x * den) for x in p)) for p in pts]
     total = Fraction(0)
     for w, mask in _cone_facets(gens, m + 1):

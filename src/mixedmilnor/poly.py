@@ -26,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import add, mul
 
@@ -49,7 +50,8 @@ class GaussianRational:
 
     ``Fraction`` keeps numerators and denominators in lowest terms with a
     positive denominator, so structural equality of the two components is
-    equality of canonical forms.
+    equality of canonical forms.  +, - and * work on integers, each operand
+    written (a + bi)/d, and reduce each result part once.
     """
 
     re: Fraction
@@ -59,17 +61,22 @@ class GaussianRational:
     def of(re, im=0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
+    def _integers(self):
+        """(a, b, d) with self = (a + bi)/d in integers."""
+        re, im = self.re, self.im
+        return re.numerator * im.denominator, im.numerator * re.denominator, re.denominator * im.denominator
+
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        (a, b, d), (c, e, f) = self._integers(), other._integers()
+        return GaussianRational(Fraction(a * f + c * d, d * f), Fraction(b * f + e * d, d * f))
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        (a, b, d), (c, e, f) = self._integers(), other._integers()
+        return GaussianRational(Fraction(a * f - c * d, d * f), Fraction(b * f - e * d, d * f))
 
     def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        (a, b, d), (c, e, f) = self._integers(), other._integers()
+        return GaussianRational(Fraction(a * c - b * e, d * f), Fraction(a * e + b * c, d * f))
 
     def __truediv__(self, other):
         d = other.re * other.re + other.im * other.im
@@ -104,7 +111,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
 GR_ONE = GaussianRational(Fraction(1), Fraction(0))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
 GR_HALF = GaussianRational(Fraction(1, 2), Fraction(0))
 # -i/2, the factor turning f - conj(f) into the imaginary part
 GR_NEG_HALF_I = GaussianRational(Fraction(0), Fraction(-1, 2))
@@ -627,22 +633,27 @@ class _Cursor:
         return value
 
     def literal(self) -> GaussianRational:
+        return GaussianRational(*map(Fraction, self._literal()))
+
+    def _literal(self):
+        """(real, imaginary) part of one literal, each an int or a Fraction."""
         tok = self.peek()
         if self.accept("("):
             value = self.literal_sum()
             self.expect(")")
-            return value
+            return value.re, value.im
         if self.accept("imag"):
-            return GR_I
+            return 0, 1
         if tok[0] not in _NUMBER:
             self.error(tok, "a coefficient")
         value = self.ratio()
-        if self.accept("imag"):
-            return GaussianRational(Fraction(0), value)
-        return GaussianRational(value, Fraction(0))
+        return (0, value) if self.accept("imag") else (value, 0)
 
     def literal_sum(self) -> GaussianRational:
-        return sum((c if s > 0 else -c for s, c in self.signed(self.literal)), GR_ZERO)
+        re = im = 0
+        for sign, (a, b) in self.signed(self._literal):
+            re, im = (re + a, im + b) if sign > 0 else (re - a, im - b)
+        return GaussianRational(Fraction(re), Fraction(im))
 
 
 class _Parser(_Cursor):
@@ -653,11 +664,12 @@ class _Parser(_Cursor):
     factor := (literal | z | zb | '(' expr ')') ('^' nat)? | |z| ('^' even)?
 
     A term's variable factors fold into one monomial, their exponents added
-    (|z_k|^e adds e/2 to those of z_k and zb_k); only literals and
-    parenthesized exprs stay polynomials, multiplied onto it in text order.
-    Each power is checked by _check_power, and the term is refused before
-    any power or product is computed when its factors' term bounds multiply
-    to more than MAX_POWER_TERMS**2.
+    (|z_k|^e adds e/2 to those of z_k and zb_k), and its literals and
+    constant parenthesized exprs into one coefficient; only the other
+    parenthesized exprs stay polynomials, multiplied in text order.  Each
+    power is checked by _check_power, and the term is refused before any
+    power or product is computed when its factors' term bounds multiply to
+    more than MAX_POWER_TERMS**2.
     """
 
     def __init__(self, text, n):
@@ -674,15 +686,16 @@ class _Parser(_Cursor):
     def expr(self):
         return MixedPoly(self.n, (
             (m, c if sign > 0 else -c)
-            for sign, term in self.signed(self.term)
-            for m, c in term.terms.items()
+            for sign, pairs in self.signed(self.term)
+            for m, c in pairs
         ))
 
     _FACTOR_START = ("nat", "dec", "imag", "z", "zbar", "abs", "(")
 
     def term(self):
+        """The (monomial, coefficient) pairs of one term."""
         nu, mu = [0] * self.n, [0] * self.n
-        factors = []
+        consts, polys = [], []  # (base, power) of the coefficient's and the other factors
         size = 1  # a bound on the term count of the factors' product
         while True:
             kind, k, pos = tok = self.peek()
@@ -691,36 +704,40 @@ class _Parser(_Cursor):
                 if not 1 <= k <= self.n:
                     self.error(tok, f"variable index in 1..{self.n}")
             elif kind in ("nat", "dec", "imag"):
-                poly = MixedPoly.constant(self.n, self.literal())
+                base = self.literal()
             elif self.accept("("):
-                poly = self.expr()
+                base = self.expr()
                 self.expect(")")
+                if not any(any(m.nu + m.mu) for m in base.terms):
+                    base = next(iter(base.terms.values()), GR_ZERO)
             else:
                 self.error(tok, "a coefficient, variable, or '('")
             e = self.expect("nat")[1] if self.accept("^") else 1
-            if kind not in _VARIABLES:
-                _check_power(poly.terms.values(), e)
-                factors.append((poly, e))
-                # a zero base counts as one term: its power 0 is the constant 1
-                size *= math.comb(e + max(len(poly.terms), 1) - 1, e)
-                if size > MAX_POWER_TERMS**2:
-                    raise BadRequestError(f"a term's factors could multiply to more than {MAX_POWER_TERMS**2} terms")
-            elif kind == "abs":
+            if kind == "abs":
                 # |z_k|^e desugars to z_k^(e/2) zb_k^(e/2), for even e only
                 if e % 2:
                     raise OddModulusExponentError(pos, e)
                 nu[k - 1] += e // 2
                 mu[k - 1] += e // 2
-            else:
+            elif kind in _VARIABLES:
                 (nu if kind == "z" else mu)[k - 1] += e
+            elif isinstance(base, GaussianRational):
+                _check_power([base] if base else [], e)
+                consts.append((base, e))
+            else:
+                _check_power(base.terms.values(), e)
+                polys.append((base, e))
+                size *= math.comb(e + len(base.terms) - 1, e)
+                if size > MAX_POWER_TERMS**2:
+                    raise BadRequestError(f"a term's factors could multiply to more than {MAX_POWER_TERMS**2} terms")
             if not (self.accept("*") or self.peek()[0] in self._FACTOR_START):
                 break
-        polys = [poly if e == 1 else poly**e for poly, e in factors]
-        unit = polys and not any(nu + mu)  # no variable factor: no monomial 1 to multiply
-        out = polys.pop(0) if unit else MixedPoly.monomial(self.n, nu, mu)
-        for poly in polys:
-            out = out * poly
-        return out
+        coeff = reduce(mul, [_power(c, e - 1, c) if e else GR_ONE for c, e in consts] or [GR_ONE])
+        if not polys:
+            return [(MixedMonomial(tuple(nu), tuple(mu)), coeff)]
+        out = reduce(mul, [poly if e == 1 else poly**e for poly, e in polys])
+        return [(MixedMonomial(tuple(map(add, m.nu, nu)), tuple(map(add, m.mu, mu))),
+                 c if coeff == GR_ONE else c * coeff) for m, c in out.terms.items()]
 
 
 def parse_poly(text: str, n: int | None = None) -> MixedPoly:

@@ -3,14 +3,17 @@
 import json
 import time
 import warnings
+from http import HTTPStatus
 from itertools import product
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mixedmilnor import arcs, degeneracy
+from mixedmilnor import arcs, cli, degeneracy
 from mixedmilnor.cli import main
 from mixedmilnor.poly import MixedPoly, parse_poly
 
@@ -682,6 +685,63 @@ class TestDeterminism:
     def test_seed_recorded(self, capsys):
         _, report = run_json(capsys, "vanishing", "--corpus", "tibar", "--seed", "9")
         assert report["seed"] == 9
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+    | st.floats() | st.text()
+)
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    @example([[], {}, [[]], {"": {}}, [{}]])
+    @example(["\u00e9\u2603\x00\x1f\"\\/\ud800", "\U0001f600"])
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-7, 1e16, 10**400, -(10**400)])
+    @example({1: True, 2.5: False, None: None, True: [1.0], "k": -0.0})
+    @example([np.float64(0.1), HTTPStatus.OK, {HTTPStatus.OK: np.float64(-0.0)}])  # subclasses of float and int
+    def test_same_bytes_as_json_dumps_property(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.float32(0.5), np.bool_(True), {3}, b"x"])
+    def test_types_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps([value], indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text([value])
+        with pytest.raises(TypeError):
+            cli._json_text({(1, 2): value})
+
+    def test_batch_output_is_what_json_dumps_writes(self, capsys, tmp_path, monkeypatch):
+        # reports with floats, nulls, nested lists, empty results and errors
+        batch = tmp_path / "requests.jsonl"
+        lines = [
+            {"command": "zeta", "corpus": "brieskorn_curve"},
+            {"command": "faces", "poly": "z1^2*zb2 + (1/2-i)*|z2|^4"},
+            {"command": "nondeg", "corpus": "tibar", "budget": 2, "seed": 3},
+            {"command": "tame", "corpus": "parusinski", "budget": 2},
+            {"command": "transversality", "corpus": "fig1", "samples": 5, "seed": 1},
+            {"command": "openness", "corpus": "tibar", "point": "1, 0", "samples": 200},
+            {"command": "arc-limit", "corpus": "tibar", "arc": "z1 = t; z2 = 1 + t"},
+            {"command": "join", "poly": "z1^2", "poly2": "|z1|^2 + z1"},
+            {"command": "corpus"},
+            {"command": "vanishing", "poly": "z1 + \u00e9"},
+            "{not json",
+        ]
+        batch.write_text("\n".join(x if isinstance(x, str) else json.dumps({**x, "json": True}) for x in lines))
+        argv = ["zeta", "--json", "--batch", str(batch)]
+        code, out = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_json_text", lambda obj: json.dumps(obj, indent=2))
+        assert run(capsys, *argv) == (code, out)
+        assert out.count('"error"') == 2 and out.count('"result"') == len(lines) - 2
 
 
 class TestBatch:

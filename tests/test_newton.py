@@ -1,5 +1,6 @@
 """Newton polyhedron combinatorics against brute-force oracles."""
 
+import types
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -437,6 +438,31 @@ class TestConeFacets:
         monkeypatch.setattr(lattice, "MAX_FACES", 5)
         with pytest.raises(TooManySupportPointsError, match="facets"):
             lattice._cone_facets(cube, 4)
+
+
+    @pytest.mark.parametrize("fault", ["flag", "miscount"])
+    def test_shared_counts_are_checked_not_the_blas_flag(self, monkeypatch, fault):
+        # a product that raises the invalid flag but counts right is served; a
+        # wrong count is refused whatever the flag says
+        class Rows(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ np.asarray(other)
+                if fault == "flag":
+                    np.float32(0) / np.float32(0)
+                else:
+                    out[0, 0] += 0.5
+                return out
+
+        cube = [(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        expected = set(lattice._cone_facets(cube, 4))
+        shim = types.SimpleNamespace(**vars(np))
+        shim.array = lambda *args, **kwargs: np.array(*args, **kwargs).view(Rows)
+        monkeypatch.setattr(lattice, "np", shim)
+        if fault == "flag":
+            assert set(lattice._cone_facets(cube, 4)) == expected
+        else:
+            with pytest.raises(ArithmeticError, match="miscounted"):
+                lattice._cone_facets(cube, 4)
 
 
 class TestFaceCap:

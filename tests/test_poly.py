@@ -18,6 +18,7 @@ from mixedmilnor.poly import (
     MixedMonomial,
     MixedPoly,
     _check_power,
+    _merge_terms,
     parse_coefficient,
     parse_poly,
 )
@@ -137,6 +138,28 @@ class TestParsing:
         for text, expected in ring.items():
             # key order too: _arrays reads the terms in this order
             assert list(parse_poly(text, n=3).terms.items()) == list(expected.terms.items()), text
+
+    def test_literals_fold_into_the_coefficient(self):
+        z1, z2 = (MixedPoly.monomial(2, {k: 1}, {}) for k in (1, 2))
+        zb1 = z1.conjugate()
+
+        def c(value):
+            return MixedPoly.constant(2, value)
+
+        ring = {
+            "(2 3)*z1": c(2) * c(3) * z1,
+            "(1/2^2)*z1": c(Fraction(1, 2)) ** 2 * z1,
+            "(1+i)^3*z1": (c(1) + c(I)) ** 3 * z1,
+            "0^0*(z1+z2)": c(0) ** 0 * (z1 + z2),
+            "-(1-i)*zb1": -((c(1) - c(I)) * zb1),
+            "0.25i*|z1|^2": c(GaussianRational.of(0, Fraction(1, 4))) * z1 * zb1,
+            "(z1+1)*(2-i)": (z1 + c(1)) * (c(2) - c(I)),
+            "2*(z1-z1)*z2": c(2) * (z1 - z1) * z2,
+            # a zero coefficient leaves its term's monomials out, not reordered
+            "z2*zb1 + 0*(z1+z2)*zb1 + z1*zb1": z2 * zb1 + c(0) * (z1 + z2) * zb1 + z1 * zb1,
+        }
+        for text, expected in ring.items():
+            assert list(parse_poly(text, n=2).terms.items()) == list(expected.terms.items()), text
 
     def test_variable_factors_build_one_monomial(self, monkeypatch):
         built = []
@@ -542,3 +565,49 @@ def test_float_layer_matches_exact_property(data):
         close(grads.d_zbar[j - 1], _exact_value(f.wirtinger(j, "zbar"), point))
         close(dg_zbar[j - 1], _exact_value(g.wirtinger(j, "zbar"), point))
         close(dh_zbar[j - 1], _exact_value(h.wirtinger(j, "zbar"), point))
+
+
+parts = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=12))
+
+
+def _sum_parts(x, y):
+    return x.re + y.re, x.im + y.im
+
+
+def _product_parts(x, y):
+    return x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts, parts, parts, parts)
+@example(3, -2, -3, 2)  # a sum that cancels to zero
+@example(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 2), Fraction(-1, 3))  # a difference that does
+@example(0, Fraction(3, 2), 0, Fraction(2, 3))  # a product with a zero imaginary part
+def test_gaussian_arithmetic_matches_fractions_property(a, b, c, d):
+    x, y = GaussianRational.of(a, b), GaussianRational.of(c, d)
+    expected = {
+        "+": _sum_parts(x, y),
+        "-": (x.re - y.re, x.im - y.im),
+        "*": _product_parts(x, y),
+        "neg": (-x.re, -x.im),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x}
+    for op, value in got.items():
+        assert (value.re, value.im) == expected[op], op
+        assert type(value.re) is type(value.im) is Fraction, op
+        assert value == GaussianRational(*map(Fraction, expected[op])), op
+        assert bool(value) == any(expected[op]), op
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts, parts, parts, parts)
+def test_equal_gaussian_values_hash_and_merge_alike_property(a, b, c, d):
+    x, y = GaussianRational.of(a, b), GaussianRational.of(c, d)
+    # the same value by two roads: x*y + y, and the Fraction parts of x*y then + y
+    direct = x * y + y
+    by_parts = GaussianRational(*map(Fraction, _sum_parts(GaussianRational(*_product_parts(x, y)), y)))
+    assert direct == by_parts and hash(direct) == hash(by_parts)
+    key = MixedMonomial((1,), (0,))
+    assert _merge_terms([(key, direct), (key, -by_parts)]) == {}
+    merged = _merge_terms([(key, direct), (key, by_parts)])
+    assert merged == ({key: direct + direct} if direct else {})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import expand_zeta_oracle, normalized_volume_oracle
-from mixedmilnor import newton, zeta
+from mixedmilnor import lattice, newton, zeta
 from mixedmilnor.arcs import series_to_text
 from mixedmilnor.constructors import PullbackSpec, corpus, pullback_cyclic
 from mixedmilnor.errors import (
@@ -193,6 +193,37 @@ class TestNormalizedVolume:
                 for _ in range(int(rng.integers(m + 1, m + 6)))
             ]
             assert normalized_volume(pts) == normalized_volume_oracle(pts), pts
+
+
+    def test_simplices_are_one_determinant(self, monkeypatch):
+        # m + 1 points take no cone facets, at the top of the recursion or in it
+        rng = np.random.default_rng(523)
+
+        def no_facets(gens, dim):
+            raise AssertionError("a simplex enumerated cone facets")
+
+        monkeypatch.setattr(lattice, "_cone_facets", no_facets)
+        flat = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            pts = [
+                tuple(Fraction(int(x), int(d))
+                      for x, d in zip(rng.integers(-6, 7, size=m), rng.integers(1, 5, size=m)))
+                for _ in range(m + 1)
+            ]
+            if rng.random() < 0.2:
+                # squash onto a hyperplane through the first point
+                pts = [p[:-1] + (pts[0][-1],) for p in pts]
+            vol = normalized_volume(pts)
+            assert vol == normalized_volume_oracle(pts), pts
+            flat += vol == 0
+        assert flat
+
+    def test_lower_dimensional_simplices_are_zero(self):
+        assert normalized_volume([(0, 0), (1, 1), (-2, -2)]) == 0
+        quarter = Fraction(1, 4)
+        assert normalized_volume([(2 * quarter, 0, 0), (0, 1, 0), (0, 0, 1), (quarter, quarter, quarter)]) == 0
+        assert normalized_volume([(-1, 0, 2), (3, 1, 2), (0, 5, 2), (7, -7, 2)]) == 0
 
 
 class TestZetaFunction:

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .degeneracy import _aligned_residual_float, real_span_residual
+from .degeneracy import _aligned_residual_float, _unit_rows, real_span_residual
 from .errors import (
     AllValuesZeroError,
     ArcInsideVarietyError,
@@ -558,7 +558,8 @@ def _transversality_residuals(f: MixedPoly, pts):
     the rows that are numerically mixed-critical (or have no finite gradients)."""
     grads = f.gradients(pts)
     regular = _aligned_residual_float(np.conj(grads.d_z), grads.d_zbar) > REGULARITY_THRESHOLD
-    norms = np.linalg.norm(pts, axis=-1)
+    rows, scale = _unit_rows(pts)  # at unit scale, so no square under- or overflows
+    norms = np.linalg.norm(rows.view(np.complex128), axis=-1) / scale[..., 0]
     if np.any(regular & (norms == 0)):
         raise ValueError("transversality residual is undefined at the origin")
     span = real_span_residual(pts, *grads.real_imag_zbar())
@@ -591,7 +592,8 @@ def _sphere(rng, size, n, radius):
     """size uniform points on the radius sphere in C^n."""
     block = rng.normal(size=(size, 2 * n))
     pts = block[:, :n] + 1j * block[:, n:]
-    return pts * (radius / np.linalg.norm(pts, axis=1))[:, None]
+    with np.errstate(over="ignore"):  # non-finite points are screened with their values
+        return pts * (radius / np.linalg.norm(pts, axis=1))[:, None]
 
 
 def _project(f: MixedPoly, u, radius, eta):

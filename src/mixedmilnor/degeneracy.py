@@ -10,7 +10,7 @@ Before any search, a face is tried against one exact decision
 (`exact_decision`): with u_k = c_k z^nu_k zbar^mu_k, a torus critical
 point on the free variables J gives a unit phase w = e^{i phi} u = x + i y
 with B_J^T x = 0 and A_J^T y = 0, where A_J = (nu + mu)_J and
-B_J = (nu - mu)_J.  When both left nullspaces vanish at some term k,
+B_J = (nu - mu)_J.  When both left kernels vanish at some term k,
 u_k = 0 is forced and the face has no critical point; the verdict names
 the forced term as "support[k]".  On a covered face, one whose rows of A_J
 are independent, y = 0, and a critical point exists iff some sign vector
@@ -737,10 +737,13 @@ def exact_decision(fpoly: MixedPoly, free, radius: float = 1.0):
     With u_k = c_k z^nu_k zbar^mu_k and the exponent matrices A = nu + mu and
     B = nu - mu (one row per term in printed order, the columns of J), a
     critical point gives w = e^{i phi} u = x + i y with B_J^T x = 0,
-    A_J^T y = 0 and w_k nonzero for every term k.  So when every vector of
-    both kernels vanishes at a term k, u_k = 0 is forced and there is no
-    critical point at any nonzero z_I: returns ("support[k]", None) for the
-    first such k, 1-based.
+    A_J^T y = 0 and w_k nonzero for every term k.  Both kernels are rows of
+    the unimodular transforms of two Hermite forms (lattice.hermite_rows),
+    taken once each: that of A_J past its pivots, and that of [B_J | B_I | 1]
+    past its pivots in the columns of J.  So when every vector of both
+    kernels vanishes at a term k, u_k = 0 is forced and there is no critical
+    point at any nonzero z_I: returns ("support[k]", None) for the first
+    such k, 1-based.
 
     Otherwise a face whose rows A_J are dependent returns None, for the
     search.  Independent rows ("covered") force y = 0 and leave the term
@@ -749,9 +752,9 @@ def exact_decision(fpoly: MixedPoly, free, radius: float = 1.0):
     Fourier-Motzkin (lattice.strict_point); (ii) the unit phases
     sigma_k conj(c_k)/|c_k| are e^{i(B_J theta_J + B_I theta_I + phi)} for
     some angles, which holds iff every lambda of a Z-basis of
-    L = {lambda : lambda^T [B_J | B_I | 1] = 0} (lattice.hermite_rows) gives
-    a real rho_lambda (_phase_product) of sign prod sigma_k^lambda_k.  A
-    non-real rho proves there is none; the signs filter sigma by parity.
+    L = {lambda : lambda^T [B_J | B_I | 1] = 0}, its rows past all pivots,
+    gives a real rho_lambda (_phase_product) of sign prod sigma_k^lambda_k.
+    A non-real rho proves there is none; the signs filter sigma by parity.
 
     Returns ("phase-lattice", None) when there is no critical point,
     ("phase-lattice", point) for one built from the Fourier-Motzkin x:
@@ -769,13 +772,14 @@ def exact_decision(fpoly: MixedPoly, free, radius: float = 1.0):
     I = [j for j in range(1, fpoly.n + 1) if j not in J]
     a = [[m.nu[j - 1] + m.mu[j - 1] for j in J] for m in monos]
     b = [[m.nu[j - 1] - m.mu[j - 1] for j in J + I] + [1] for m in monos]
-    ker_a, ker_b = (lattice.nullspace([[r[c] for r in rows] for c in range(len(J))], T) for rows in (a, b))
+    h_a, u_a, piv_a = lattice.hermite_rows(a, len(J))
+    h, u, piv = lattice.hermite_rows(b, len(J) + len(I) + 1)
+    ker_a, ker_b = u_a[len(piv_a):], u[sum(col < len(J) for col in piv):]
     for k in range(T):
         if all(v[k] == 0 for v in ker_a + ker_b):
             return f"support[{k + 1}]", None
     if ker_a:
         return None
-    h, u, piv = lattice.hermite_rows(b, len(J) + len(I) + 1)
     equations = []
     for lam in u[len(piv):]:
         rho = _phase_product(coeffs, lam)
@@ -807,7 +811,6 @@ def exact_decision(fpoly: MixedPoly, free, radius: float = 1.0):
         for xk, c, m in zip(x, coeffs, monos)
     ]
     phases = [Fraction((math.pi if sg < 0 else 0.0) - _arg(c)) for c, sg in zip(coeffs, sigma)]
-    h_a, u_a, piv_a = lattice.hermite_rows(a, len(J))
     s = lattice.echelon_solve(h_a, piv_a, [sum(map(mul, row, moduli)) for row in u_a])
     theta = lattice.echelon_solve(h, piv, [sum(map(mul, row, phases)) for row in u])
     point = np.zeros(fpoly.n, dtype=np.complex128)

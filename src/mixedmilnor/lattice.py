@@ -1,16 +1,17 @@
 """Exact rational linear algebra and polyhedral primitives.
 
 Everything operates on small integer/rational data, so the algorithms favor
-exactness over asymptotics.  The one Gaussian elimination is `nullspace`,
-fraction-free (Bareiss 1968): rows are cleared of denominators and eliminated
-in Python ints, each new row divided by its gcd.  On it sits one facet routine
-for cones, exact double description (`_cone_facets`), for both the faces of a
-Newton polyhedron and a volume's pyramid sum.  The faces are the facets closed
-level by level under intersection, as bitmasks (Kaibel & Pfetsch, "Computing
-the face lattice of a polytope from its vertex-facet incidences", 2002), so
-each face's dimension is its level and no face is ranked.  A simplex's volume
-is |det| of its edge vectors: the product of the pivots of their Hermite form
-(`hermite_rows`), whose transform is unimodular.
+exactness over asymptotics.  The one Gaussian elimination is `hermite_rows`,
+the row Hermite form with its unimodular transform U (Cohen, "A Course in
+Computational Algebraic Number Theory", 1993, 2.4), in Python ints: its
+pivots give a rank and a simplex's |det|, and the rows of U past them a
+Z-basis of the left kernel.  On it sits one facet routine for cones, exact
+double description (`_cone_facets`), for both the faces of a Newton
+polyhedron and a volume's pyramid sum.  The faces are the facets closed
+level by level under intersection, as bitmasks (Kaibel & Pfetsch,
+"Computing the face lattice of a polytope from its vertex-facet
+incidences", 2002), so each face's dimension is its level and no face is
+ranked.
 """
 
 from __future__ import annotations
@@ -36,54 +37,6 @@ def primitive(vec):
     vec = [int(v) for v in vec]
     g = gcd(*vec)
     return tuple(v // g for v in vec) if g > 1 else tuple(vec)
-
-
-def rank(rows) -> int:
-    """Rank of a rational matrix given as a list of row vectors."""
-    return len(rows[0]) - len(nullspace(rows, len(rows[0]))) if rows else 0
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a point set."""
-    pts = list(points)
-    return rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) if pts else 0
-
-
-def nullspace(rows, ncols):
-    """Basis of the right nullspace of a rational matrix, one primitive integer
-    tuple per free column (in column order): each is the positive multiple of
-    the reduced-row-echelon basis vector with 1 at its free column."""
-    m = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append([int(x * den) for x in row])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][col]
-        for i in range(len(m)):
-            f = m[i][col]
-            if i != r and f != 0:
-                row = [p * a - f * b for a, b in zip(m[i], m[r])]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        r += 1
-    scale = lcm(*(abs(m[i][pc]) for i, pc in enumerate(pivots)))
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = scale
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc] * (scale // m[i][pc])
-        basis.append(primitive(vec))
-    return basis
 
 
 def hermite_rows(rows, ncols):
@@ -230,13 +183,11 @@ def _cone_facets(gens, dim):
     and no third facet holds all of those.  Raises TooManySupportPointsError
     above MAX_FACES facets.
     """
-    basis = []
-    for k, g in enumerate(gens):
-        if len(basis) < dim and rank([gens[j] for j in basis] + [g]) > len(basis):
-            basis.append(k)
+    basis = hermite_rows(zip(*gens), len(gens))[2]  # the first dim independent gens
     facets = []
     for i in basis:
-        w = nullspace([gens[j] for j in basis if j != i], dim)[0]  # the facet opposite gens[i]
+        # the facet opposite gens[i]: the left kernel of the other basis gens as columns
+        w = tuple(hermite_rows(zip(*(gens[j] for j in basis if j != i)), dim - 1)[1][-1])
         w = w if _dot(w, gens[i]) > 0 else tuple(-x for x in w)
         facets.append((w, sum(1 << j for j in basis if j != i)))
     for k, g in enumerate(gens):
@@ -350,10 +301,9 @@ def _pyramid_sum(pts, m):
     """
     if m == 1:
         return pts[-1][0] - pts[0][0]
-    den = lcm(*(x.denominator for p in pts for x in p))
     if len(pts) == m + 1:
-        h, _, pivots = hermite_rows([[int((x - y) * den) for x, y in zip(p, pts[0])] for p in pts[1:]], m)
-        return Fraction(prod(h[i][col] for i, col in enumerate(pivots)), den**m)
+        return normalized_volume(pts)
+    den = lcm(*(x.denominator for p in pts for x in p))
     gens = [(den, *(int(x * den) for x in p)) for p in pts]
     total = Fraction(0)
     for w, mask in _cone_facets(gens, m + 1):
@@ -372,6 +322,14 @@ def normalized_volume(points) -> Fraction:
     coordinates (unimodular images are fine).
     """
     pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
-    if not pts or affine_rank(pts) < len(pts[0]):
+    if not pts:
         return Fraction(0)
-    return _pyramid_sum(pts, len(pts[0]))
+    m, den = len(pts[0]), lcm(*(x.denominator for p in pts for x in p))
+    # the Hermite form of the edge vectors: its rank, and a simplex's |det| as
+    # the product of its pivots, since the transform is unimodular
+    h, _, pivots = hermite_rows([[int((x - y) * den) for x, y in zip(p, pts[0])] for p in pts[1:]], m)
+    if len(pivots) < m:
+        return Fraction(0)
+    if len(pts) == m + 1:
+        return Fraction(prod(h[i][col] for i, col in enumerate(pivots)), den**m)
+    return _pyramid_sum(pts, m)

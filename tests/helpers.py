@@ -113,7 +113,7 @@ def top_faces_oracle(f, I):
         return [(lift((1,)), on({proj[min(pts)]}))]
     out = []
     for face in lattice.newton_faces(pts, len(I)):
-        if face.is_compact() and lattice.affine_rank(sorted(face.generators)) == len(I) - 1:
+        if face.is_compact() and affine_rank_oracle(face.generators) == len(I) - 1:
             out.append((lift(face.witness), on({proj[q] for q in face.generators})))
     return sorted(out, key=lambda pair: pair[0].p)
 
@@ -151,6 +151,17 @@ def nullspace_oracle(rows, ncols):
             vec[pc] = -m[row_idx][fc]
         basis.append(tuple(vec))
     return basis
+
+
+def rank_oracle(rows):
+    """Rank of a rational matrix given as a list of row vectors."""
+    return len(rows[0]) - len(nullspace_oracle(rows, len(rows[0]))) if rows else 0
+
+
+def affine_rank_oracle(points):
+    """Dimension of the affine hull of a point set."""
+    pts = sorted(points)
+    return rank_oracle([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) if pts else 0
 
 
 def integerize(vec):
@@ -394,7 +405,7 @@ def normalized_volume_oracle(points):
     if not pts:
         return Fraction(0)
     m = len(pts[0])
-    if lattice.affine_rank(pts) < m:
+    if affine_rank_oracle(pts) < m:
         return Fraction(0)
     total = Fraction(0)
     for simplex in _triangulate_full(pts, m):

@@ -398,6 +398,14 @@ class TestTransversality:
             expected = np.linalg.norm(t - proj) / np.linalg.norm(t)
             assert res == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("exponent", [-700, -1000, 700])
+    def test_residual_is_scale_invariant_to_the_bit(self, exponent):
+        # a linear f at p and at 2^exponent p: the norms are taken at unit
+        # scale, so neither the radius nor its squares under- or overflow
+        f = parse_poly("z1 + 2*z2")
+        p = np.array([0.6 - 0.3j, 0.2 + 0.7j])
+        assert ar.transversality_residual(f, np.ldexp(1.0, exponent) * p) == ar.transversality_residual(f, p)
+
     def test_singular_fiber_raises(self):
         k = parse_poly("|z1|^2 - |z2|^2")
         with pytest.raises(SingularFiberError):

@@ -554,6 +554,21 @@ class TestErrors:
         jsonschema.validate(report, SCHEMA)
         assert report["error"]["type"] == error
 
+    @pytest.mark.parametrize("radius, accepted", [("1e-200", 5), ("1e308", 0)])
+    def test_transversality_of_a_linear_poly_at_extreme_radii(self, capfd, radius, accepted):
+        # the sphere norms are taken at unit scale, so they do not underflow
+        # to 0 at 1e-200; at 1e308 the draws that overflow are screened, and
+        # neither radius prints a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["transversality", "--poly", "z1 + 2*z2", "--radius", radius,
+                         "--samples", "5", "--json"])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        report = strict_json(out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["result"]["accepted"] == accepted
+
     def test_transversality_accepting_nothing_reports_null(self, capsys):
         # |f| >= 3/2 on the unit sphere, so no draw and no projection accepts
         argv = ["transversality", "--poly", "2 + z1*z2", "--delta", "1e-3", "--samples", "5"]

@@ -11,10 +11,13 @@ import pytest
 from helpers import (
     SEARCHED_NONDEG,
     _det,
+    integerize,
+    nullspace_oracle,
     random_gaussian,
     random_mixed_poly,
     random_point,
     random_real_valued_poly,
+    rank_oracle,
     repeated_power,
 )
 from mixedmilnor import degeneracy as dg
@@ -216,7 +219,7 @@ def _planted_critical_face(rng, n, T, free):
 
     def combination(sign):
         rows = [[nu[j] + sign * mu[j] for nu, mu in monos] for j in cols]
-        basis = lattice.nullspace(rows, T)
+        basis = [integerize(v) for v in nullspace_oracle(rows, T)]
         weights = [int(w) for w in rng.integers(-4, 5, size=len(basis))]
         return [sum((w * b[k] for w, b in zip(weights, basis)), Fraction(0)) for k in range(T)]
 
@@ -695,9 +698,9 @@ def _planted_covered_face(rng, n, T, free):
     if len(monos) < T:
         return None
     cols = [j - 1 for j in free]
-    if lattice.rank([[Fraction(nu[j] + mu[j]) for j in cols] for nu, mu in monos]) < T:
+    if rank_oracle([[nu[j] + mu[j] for j in cols] for nu, mu in monos]) < T:
         return None
-    basis = lattice.nullspace([[nu[j] - mu[j] for nu, mu in monos] for j in cols], T)
+    basis = [integerize(v) for v in nullspace_oracle([[nu[j] - mu[j] for nu, mu in monos] for j in cols], T)]
     weights = [int(w) for w in rng.integers(-4, 5, size=len(basis))]
     x = [sum(w * b[k] for w, b in zip(weights, basis)) for k in range(T)]
     if not all(x):
@@ -732,7 +735,7 @@ def _worst_shape(rng):
             terms[(tuple(map(int, nu)), tuple(map(int, mu)))] = GaussianRational.of(int(rng.choice([1, -1, 2, -2])))
         f = MixedPoly(n, terms)
         rows = [[Fraction(a + b) for a, b in zip(m.nu, m.mu)] for m in f.terms]
-        if len(f.terms) == n and lattice.rank(rows) == n:
+        if len(f.terms) == n and rank_oracle(rows) == n:
             return f
 
 
@@ -805,17 +808,20 @@ class TestPhaseLattice:
         assert dg.exact_decision(f, [1, 2]) == ("phase-lattice", None)
 
     def test_one_decision_takes_each_kernel_once(self, monkeypatch):
-        # the phase test rejects this face, so no witness is built and the
-        # Hermite form of A_J is never taken
-        calls = {"nullspace": [], "hermite_rows": []}
-        for name, log in calls.items():
-            real = getattr(lattice, name)
-            monkeypatch.setattr(lattice, name, lambda *args, real=real, log=log: log.append(args) or real(*args))
+        # both kernels are read off the transforms of two Hermite forms, A_J
+        # with |J| columns and [B_J | B_I | 1] with |J| + |I| + 1, taken once
+        # each: on a face the phase test rejects, and on one with a witness
+        # (|z3| at the radius), whose back-substitution reuses both forms
+        calls = []
+        real = lattice.hermite_rows
+        monkeypatch.setattr(lattice, "hermite_rows", lambda *args: calls.append(args) or real(*args))
         f = parse_poly("|z1|^4*z2^3 + |z1|^6*z2^3")
         assert dg.exact_decision(f, [1, 2]) == ("phase-lattice", None)
-        assert len(calls["nullspace"]) == 2
-        # the one Hermite form taken is that of [B_J | 1], with 3 columns
-        assert [args[1] for args in calls["hermite_rows"]] == [3]
+        assert [args[1] for args in calls] == [2, 3]
+        calls.clear()
+        certified, point = dg.exact_decision(parse_poly("|z1|^2*z3 + |z2|^2*z3"), [1, 2])
+        assert certified == "phase-lattice" and point is not None
+        assert [args[1] for args in calls] == [2, 4]
 
     def test_z_basis_of_a_lattice_the_rref_vectors_miss(self):
         f = parse_poly(
@@ -824,7 +830,7 @@ class TestPhaseLattice:
         )
         rows = [[*(a - b for a, b in zip(m.nu, m.mu)), 1] for m, _ in f._sorted_terms()]
         _, u, pivots = lattice.hermite_rows(rows, 5)
-        rref = lattice.nullspace([[row[c] for row in rows] for c in range(5)], len(rows))
+        rref = [integerize(v) for v in nullspace_oracle([[row[c] for row in rows] for c in range(5)], len(rows))]
         # the primitive RREF vectors span a sublattice of index 4 of L: their
         # test misses the parity of a vector of L outside it
         assert _gram_det(rref) == 16 * _gram_det(u[len(pivots):])
@@ -910,7 +916,7 @@ class TestPhaseLattice:
         # Fourier-Motzkin elimination in 7 unknowns each, before the caps
         f = _worst_shape(np.random.default_rng(seed))
         monos = list(f.terms)
-        assert lattice.rank([[Fraction(a - b) for a, b in zip(m.nu, m.mu)] for m in monos]) == 7
+        assert rank_oracle([[a - b for a, b in zip(m.nu, m.mu)] for m in monos]) == 7
         start = time.perf_counter()
         decided = dg.exact_decision(f, range(1, 15))
         assert time.perf_counter() - start < 0.5

@@ -1,7 +1,7 @@
 """Newton polyhedron combinatorics against brute-force oracles."""
 
+import math
 import types
-from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -15,6 +15,7 @@ from helpers import (
     newton_vertices_oracle,
     nullspace_oracle,
     random_mixed_poly,
+    rank_oracle,
     top_faces_oracle,
 )
 from mixedmilnor import lattice, newton, zeta
@@ -349,13 +350,13 @@ class TestFaceEnumerationCompleteness:
         # a point p + e_i lies above the support point p, so it is never a
         # vertex of a facet or of a facet's projection and is never searched
         calls = []
-        nullspace = lattice.nullspace
+        hermite_rows = lattice.hermite_rows
 
         def counted(rows, ncols):
             calls.append(ncols)
-            return nullspace(rows, ncols)
+            return hermite_rows(rows, ncols)
 
-        monkeypatch.setattr(lattice, "nullspace", counted)
+        monkeypatch.setattr(lattice, "hermite_rows", counted)
         rng = np.random.default_rng(61)
         for _ in range(40):
             n = int(rng.integers(1, 5))
@@ -375,15 +376,15 @@ class TestFaceEnumerationCompleteness:
 
     def test_boundary_ranks_no_face(self, monkeypatch):
         # each face's dim is its closure level, so only the facet routine
-        # solves for normals: z10 has 1,023 faces and 10 facets
+        # eliminates, for its basis and normals: z10 has 1,023 faces and 10 facets
         calls = []
-        nullspace = lattice.nullspace
+        hermite_rows = lattice.hermite_rows
 
         def counted(rows, ncols):
             calls.append(ncols)
-            return nullspace(rows, ncols)
+            return hermite_rows(rows, ncols)
 
-        monkeypatch.setattr(lattice, "nullspace", counted)
+        monkeypatch.setattr(lattice, "hermite_rows", counted)
         assert len(newton.newton_boundary(parse_poly("z10")).faces) == 1023
         built = len(calls)
         calls.clear()
@@ -422,7 +423,7 @@ class TestConeFacets:
             pts = {tuple(int(x) for x in rng.integers(low, 3, size=dim - 1))
                    for _ in range(int(rng.integers(dim, dim + 7)))}
             gens = [(1, *p) for p in sorted(pts)]
-            if lattice.rank(gens) < dim:
+            if rank_oracle(gens) < dim:
                 continue
             facets = lattice._cone_facets(gens, dim)
             assert len(set(facets)) == len(facets), gens
@@ -468,9 +469,9 @@ class TestConeFacets:
 class TestFaceCap:
     def test_variables_refused_before_any_work(self, monkeypatch):
         def no_work(*args):
-            raise AssertionError("nullspace called")
+            raise AssertionError("hermite_rows called")
 
-        monkeypatch.setattr(lattice, "nullspace", no_work)
+        monkeypatch.setattr(lattice, "hermite_rows", no_work)
         for n in (15, 18, 3000000):
             with pytest.raises(TooManyVariablesError):
                 lattice.newton_faces([(0,) * (n - 1) + (1,)], n)
@@ -519,12 +520,33 @@ class TestExactFeasibility:
             h, u, pivots = lattice.hermite_rows(rows, ncols)
             assert (np.array(u) @ np.array(rows)).tolist() == h
             assert abs(_det(u)) == 1
-            assert len(pivots) == lattice.rank([[Fraction(x) for x in row] for row in rows])
+            assert len(pivots) == rank_oracle(rows)
             for i, col in enumerate(pivots):
                 assert not any(h[i][:col]) and h[i][col] > 0
                 assert all(0 <= h[k][col] < h[i][col] for k in range(i))
             # zero rows of H: the rows of U below are the left kernel's Z-basis
             assert not any(x for row in h[len(pivots):] for x in row)
+
+    def test_rows_past_the_leading_pivots_are_a_kernel_basis(self):
+        # for every k, the rows of U past the pivots in the first k columns
+        # are a Z-basis of the left kernel of those k columns: the reduction
+        # goes column by column, so later columns never mix the rows above
+        # those pivots into the rows below them
+        rng = np.random.default_rng(439)
+        for _ in range(300):
+            nrows, ncols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            rows = (rng.integers(-4, 5, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.7)).tolist()
+            _, u, pivots = lattice.hermite_rows(rows, ncols)
+            for k in range(ncols + 1):
+                lead = [row[:k] for row in rows]
+                kernel = u[sum(col < k for col in pivots):]
+                assert all(sum(x * row[c] for x, row in zip(v, rows)) == 0 for v in kernel for c in range(k))
+                assert len(kernel) == nrows - rank_oracle(lead)
+                oracle = nullspace_oracle([[row[c] for row in rows] for c in range(k)], nrows)
+                assert rank_oracle(kernel + oracle) == len(oracle) == len(kernel), (rows, k)
+                minors = [int(_det([[v[c] for c in cols] for v in kernel]))
+                          for cols in combinations(range(nrows), len(kernel))]
+                assert math.gcd(*minors) == 1, (rows, k)
 
     def test_strict_point_matches_a_linear_program(self):
         from scipy.optimize import linprog
@@ -554,25 +576,6 @@ class TestExactFeasibility:
 
 
 class TestFractionFreeEnumeration:
-    def test_nullspace_is_the_primitive_rref_basis(self):
-        rng = np.random.default_rng(419)
-        cases = [([], 3), ([[0, 0, 0]], 3), ([[0, 0], [0, 0], [0, 0]], 2)]
-        for _ in range(2400):
-            nrows, ncols = int(rng.integers(0, 7)), int(rng.integers(1, 7))
-            rows = []
-            for _ in range(nrows):
-                if rng.random() < 0.15:
-                    rows.append([0] * ncols)
-                    continue
-                row = [int(x) if rng.random() < 0.7 else 0 for x in rng.integers(-5, 6, size=ncols)]
-                if rng.random() < 0.4:
-                    row = [Fraction(x, int(rng.integers(1, 7))) for x in row]
-                rows.append(row)
-            cases.append((rows, ncols))
-        for rows, ncols in cases:
-            expected = [integerize(v) for v in nullspace_oracle(rows, ncols)]
-            assert lattice.nullspace(rows, ncols) == expected, rows
-
     def test_faces_match_the_unpruned_enumeration(self):
         # cells (n, points, max exponent) of the benchmark's support grid,
         # cut to size, plus n = 1 and n = 5; points with degree >= 2 as there

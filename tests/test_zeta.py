@@ -196,13 +196,17 @@ class TestNormalizedVolume:
 
 
     def test_simplices_are_one_determinant(self, monkeypatch):
-        # m + 1 points take no cone facets, at the top of the recursion or in it
+        # m + 1 points take no cone facets, and one Hermite form of their edge
+        # vectors gives both the rank test and the determinant
         rng = np.random.default_rng(523)
+        calls = []
+        hermite_rows = lattice.hermite_rows
 
         def no_facets(gens, dim):
             raise AssertionError("a simplex enumerated cone facets")
 
         monkeypatch.setattr(lattice, "_cone_facets", no_facets)
+        monkeypatch.setattr(lattice, "hermite_rows", lambda *args: calls.append(args) or hermite_rows(*args))
         flat = 0
         for _ in range(300):
             m = int(rng.integers(1, 5))
@@ -214,7 +218,9 @@ class TestNormalizedVolume:
             if rng.random() < 0.2:
                 # squash onto a hyperplane through the first point
                 pts = [p[:-1] + (pts[0][-1],) for p in pts]
+            calls.clear()
             vol = normalized_volume(pts)
+            assert len(calls) == 1, pts
             assert vol == normalized_volume_oracle(pts), pts
             flat += vol == 0
         assert flat

@@ -302,7 +302,7 @@ def _pyramid_sum(pts, m):
     if m == 1:
         return pts[-1][0] - pts[0][0]
     if len(pts) == m + 1:
-        return normalized_volume(pts)
+        return _pivot_volume(pts, m)
     den = lcm(*(x.denominator for p in pts for x in p))
     gens = [(den, *(int(x * den) for x in p)) for p in pts]
     total = Fraction(0)
@@ -324,12 +324,14 @@ def normalized_volume(points) -> Fraction:
     pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
     if not pts:
         return Fraction(0)
-    m, den = len(pts[0]), lcm(*(x.denominator for p in pts for x in p))
-    # the Hermite form of the edge vectors: its rank, and a simplex's |det| as
-    # the product of its pivots, since the transform is unimodular
+    volume = _pivot_volume(pts, len(pts[0]))
+    return _pyramid_sum(pts, len(pts[0])) if volume and len(pts) > len(pts[0]) + 1 else volume
+
+
+def _pivot_volume(pts, m):
+    """Product of the Hermite pivots of the edge vectors p - pts[0] of rational
+    points in R^m, 0 below rank m: a simplex's normalized volume (|det|, as the
+    transform is unimodular); for more points, nonzero exactly at rank m."""
+    den = lcm(*(x.denominator for p in pts for x in p))
     h, _, pivots = hermite_rows([[int((x - y) * den) for x, y in zip(p, pts[0])] for p in pts[1:]], m)
-    if len(pivots) < m:
-        return Fraction(0)
-    if len(pts) == m + 1:
-        return Fraction(prod(h[i][col] for i, col in enumerate(pivots)), den**m)
-    return _pyramid_sum(pts, m)
+    return Fraction(prod(h[i][col] for i, col in enumerate(pivots)), den**m) if len(pivots) == m else Fraction(0)

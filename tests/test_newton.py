@@ -348,29 +348,30 @@ class TestFaceEnumerationCompleteness:
 
     def test_dominated_points_add_no_hyperplane_search(self, monkeypatch):
         # a point p + e_i lies above the support point p, so it is never a
-        # vertex of a facet or of a facet's projection and is never searched
+        # vertex of a facet or of a facet's projection and is never searched:
+        # the facet routine gets the same generators, in the same order
         calls = []
-        hermite_rows = lattice.hermite_rows
+        cone_facets = lattice._cone_facets
 
-        def counted(rows, ncols):
-            calls.append(ncols)
-            return hermite_rows(rows, ncols)
+        def spied(gens, dim):
+            calls.append((list(gens), dim))
+            return cone_facets(gens, dim)
 
-        monkeypatch.setattr(lattice, "hermite_rows", counted)
+        monkeypatch.setattr(lattice, "_cone_facets", spied)
         rng = np.random.default_rng(61)
         for _ in range(40):
             n = int(rng.integers(1, 5))
             pts = sorted({tuple(int(x) for x in rng.integers(0, 5, size=n)) for _ in range(8)})
             calls.clear()
             faces = lattice.newton_faces(pts, n)
-            searched = len(calls)
+            searched = list(calls)
             above = set(pts)
             for p in pts[:4]:
                 i = int(rng.integers(n))
                 above.add(tuple(x + (j == i) for j, x in enumerate(p)))
             calls.clear()
             more = lattice.newton_faces(sorted(above), n)
-            assert len(calls) == searched, (pts, sorted(above))
+            assert len(searched) == 1 and calls == searched, (pts, sorted(above))
             # the same polyhedron: its faces keep their witnesses
             assert sorted(f.witness for f in more) == sorted(f.witness for f in faces)
 

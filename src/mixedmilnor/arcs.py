@@ -71,7 +71,7 @@ __all__ = [
 # limit_tangent reports a reduction longer than this as non-terminating
 MAX_REDUCTION_STEPS = 10_000
 # transversality_scan draws at most MAX_DRAWS sphere points in blocks from FIRST_BLOCK
-# doubling to MAX_BLOCK; a batch it scores has at most SCORE_ENTRIES gradient-table entries
+# doubling to MAX_BLOCK, scored and projected in batches whose arrays SCORE_ENTRIES bounds
 MAX_DRAWS = 40_000_000
 FIRST_BLOCK, MAX_BLOCK, SCORE_ENTRIES = 4_096, 200_000, 2**20
 # a short first block is followed by projection rounds (transversality_scan) of at least
@@ -664,7 +664,7 @@ def transversality_scan(
             size = min(max(PROJECTION_ROUND, need), MAX_BLOCK, MAX_DRAWS - drawn)
             eta = delta * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
             u = _sphere(rng, size, f.n, 1.0)
-            # projected in scoring batches, which bound the gradient tables
+            # projected in scoring batches, which bound the arrays of each step
             pts = np.concatenate([_project(f, u[i : i + batch], radius, eta[i : i + batch])
                                   for i in range(0, size, batch)])
             # f == 0 is a hit here, not a sign of underflow, but only a point that

@@ -169,13 +169,8 @@ def criticality_residual(f: MixedPoly, p, free=None) -> float:
     equals 1 at regular points of holomorphic f.
     """
     grads = f.gradients(p)
-    v = np.conj(grads.d_z)
-    w = grads.d_zbar
-    if free is not None:
-        idx = [j - 1 for j in sorted(free)]
-        v = v[idx]
-        w = w[idx]
-    return float(_aligned_residual_float(v, w))
+    idx = slice(None) if free is None else [j - 1 for j in sorted(free)]
+    return float(_aligned_residual_float(np.conj(grads.d_z[idx]), grads.d_zbar[idx]))
 
 
 def criticality_residual_exact(f: MixedPoly, p, free=None) -> Fraction:
@@ -304,7 +299,7 @@ def _unit_rows(x):
 
 
 def _torus_point(u, theta):
-    return np.exp(u) * np.exp(1j * theta)
+    return np.array([math.exp(x) for x in u]) * np.exp(1j * theta)  # numpy rounds float64 exp by SIMD level
 
 
 # Nelder and Mead's method (Comput. J. 7, 1965) as the bounded, non-adaptive path of scipy 1.17's
@@ -436,14 +431,12 @@ def _guarded_residual(fpoly, p, free):
     """The search objective: criticality_residual on the free variables, but
     inf where every free gradient is exactly 0 in floats: there the residual
     reads 0 whatever its exact value, so such a point witnesses nothing and
-    bounds nothing."""
-    value = criticality_residual(fpoly, p, free=free)
-    if value == 0.0:
-        grads = fpoly.gradients(p)
-        idx = [j - 1 for j in free]
-        if not (grads.d_z[idx].any() or grads.d_zbar[idx].any()):
-            return math.inf
-    return value
+    bounds nothing.  free is sorted, as criticality_residual sorts it."""
+    grads = fpoly.gradients(p)
+    idx = [j - 1 for j in free]
+    v, w = np.conj(grads.d_z[idx]), grads.d_zbar[idx]
+    value = float(_aligned_residual_float(v, w))
+    return math.inf if value == 0.0 and not (v.any() or w.any()) else value
 
 
 # caps on the polynomial whose real roots one exact shell decision counts:

@@ -11,9 +11,9 @@ sign-definiteness of tameness witnesses) are exact, which is why coefficients
 are Gaussian rationals and never floats, and why a power that input sets is
 checked against two caps before one square-and-multiply routine computes it.
 Floats enter only through :meth:`MixedPoly.evaluate`,
-:meth:`MixedPoly.evaluate_many` and :meth:`MixedPoly.gradients`, which all
-read one cached term table (nu, mu, coefficients) and build no derivative or
-real/imaginary-part polynomial.
+:meth:`MixedPoly.evaluate_many` and :meth:`MixedPoly.gradients`: one pass over
+a cached plan of the terms gives the values and, when asked, both Wirtinger
+gradients, and builds no derivative or real/imaginary-part polynomial.
 
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -390,25 +390,59 @@ class MixedPoly:
     # -- numeric evaluation --------------------------------------------------
 
     def _arrays(self):
+        """(nu, mu, coeff) as int64 and complex arrays, built once beside the term plan: per term its
+        coefficient and (column, exponent) factors, z_j (column j) before zb_j (n + j), exponents > 0."""
         cache = self._eval_cache
         if cache is None:
-            m = len(self.terms)
-            nu = np.zeros((m, self.n), dtype=np.int64)
-            mu = np.zeros((m, self.n), dtype=np.int64)
-            coeff = np.zeros(m, dtype=np.complex128)
-            for i, (mono, c) in enumerate(self.terms.items()):
+            m, n = len(self.terms), self.n
+            nu, mu = np.zeros((2, m, n), dtype=np.int64)
+            for i, mono in enumerate(self.terms):
                 try:
-                    nu[i] = mono.nu
-                    mu[i] = mono.mu
+                    nu[i], mu[i] = mono.nu, mono.mu
                 except OverflowError:
                     raise NonFiniteValuesError("an exponent is beyond int64 range") from None
-                coeff[i] = complex(c)
-            # beside them, the constant parts of the gradients table
-            e = np.concatenate([nu, mu], axis=1)
-            lower = np.eye(2 * self.n, dtype=bool)[:, None, :]
-            cache = (nu, mu, coeff), (e, np.maximum(e - 1, 0), lower, e.T * coeff, e.T != 0)
+            coeff = np.array([complex(c) for c in self.terms.values()], dtype=np.complex128)
+            plan = [(c, tuple((k, e) for j in range(n) for k, e in ((j, a[j]), (n + j, b[j])) if e))
+                    for c, a, b in zip(coeff, nu.tolist(), mu.tolist())]
+            cache = (nu, mu, coeff), plan
             object.__setattr__(self, "_eval_cache", cache)
         return cache[0]
+
+    def _over_terms(self, p, grads):
+        """f at the points p (N, n), or with grads d_z and d_zbar side by side in
+        (..., 2n) at p (n,) or (N, n), from one pass over the term plan (one
+        point on numpy scalars: inf or nan where Python complex raises).  A
+        term chains coeff * b**e * ... in plan order; for the gradients its
+        factor b**e adds e * pre * suf * b**(e - 1) to its column, pre and suf
+        the products before (from coeff) and after it.  No division keeps zero
+        coordinates exact, and a term adds nothing to a column it lacks."""
+        p = np.asarray(p, dtype=np.complex128)
+        self._arrays()
+        cols = list(p.T) + list(np.conj(p).T)
+        # on an array, ** takes np.square for a Python int 2, which rounds unlike np.power
+        pow_ = pow if p.ndim == 1 else np.power
+        zero = np.zeros(p.shape[:-1], dtype=np.complex128)[()]
+        value, d = zero.copy(), [zero] * (2 * self.n)
+        for c, factors in self._eval_cache[1]:
+            if not grads:
+                # powers stay unnamed: from 256 KiB numpy multiplies into them, and the values keep that rounding
+                term = np.full(p.shape[:-1], c)
+                for k, e in factors:
+                    term = term * pow_(cols[k], e)
+                value += term
+                continue
+            term, seen = c, []
+            for k, e in factors:
+                power = cols[k] if e == 1 else pow_(cols[k], e)
+                seen.append((k, e, term, power))
+                term = term * power
+            suf = None
+            for k, e, part, power in reversed(seen):
+                if suf is not None:
+                    part, power = part * suf, power * suf
+                suf = power
+                d[k] = d[k] + (part if e == 1 else e * (part * pow_(cols[k], e - 1)))
+        return np.ascontiguousarray(np.array(d).T) if grads else value
 
     def evaluate(self, p) -> complex:
         """Value at a point p in C^n (floats)."""
@@ -416,39 +450,12 @@ class MixedPoly:
 
     def evaluate_many(self, pts) -> np.ndarray:
         """Values at an (N, n) array of points, vectorized over N."""
-        pts = np.asarray(pts, dtype=np.complex128)
-        nu, mu, coeff = self._arrays()
-        out = np.zeros(pts.shape[0], dtype=np.complex128)
-        conj = np.conj(pts)
-        for i in range(len(coeff)):
-            term = np.full(pts.shape[0], coeff[i])
-            for j in range(self.n):
-                if nu[i, j]:
-                    term = term * pts[:, j] ** nu[i, j]
-                if mu[i, j]:
-                    term = term * conj[:, j] ** mu[i, j]
-            out += term
-        return out
+        return self._over_terms(pts, grads=False)
 
     def gradients(self, p) -> "GradientPair":
-        """Both Wirtinger gradients at p, as a GradientPair of complex vectors.
-
-        p is one point (n,) or points (N, n); each gradient has p's shape.
-        Entry j of d_z (d_zbar) sums nu_j (mu_j) times each term with one
-        power of z_j (zbar_j) removed; lowering the power instead of dividing
-        by z_j keeps zero coordinates exact, and a term free of z_j (zbar_j)
-        adds exactly 0 even where its monomial overflows.
-        """
-        p = np.asarray(p, dtype=np.complex128)
-        self._arrays()
-        exps, lowered, lower, weighted, present = self._eval_cache[1]
-        base = np.concatenate([p, np.conj(p)], axis=-1)[..., None, None, :]
-        # layer k of the (..., 2n, terms, 2n) table lowers column k only; z and zbar
-        # factors multiply apart and the weight comes last, rounding each term as
-        # the derivative polynomial's evaluation does (seeded searches rely on it)
-        table = np.where(lower, base**lowered, base**exps)
-        mono = table[..., : self.n].prod(axis=-1) * table[..., self.n :].prod(axis=-1)
-        d = (weighted * np.where(present, mono, 0)).sum(axis=-1)
+        """Both Wirtinger gradients at p (n,) or (N, n), a GradientPair of arrays of p's shape:
+        entry j of d_z (d_zbar) sums nu_j (mu_j) times each term with a z_j (zbar_j) removed."""
+        d = self._over_terms(p, grads=True)
         return GradientPair(d[..., : self.n], d[..., self.n :])
 
     # -- printing ----------------------------------------------------------

@@ -15,6 +15,7 @@ from mixedmilnor.poly import (
     MAX_POWER_BITS,
     MAX_POWER_TERMS,
     GaussianRational,
+    GradientPair,
     MixedMonomial,
     MixedPoly,
     _check_power,
@@ -557,14 +558,16 @@ def test_float_layer_matches_exact_property(data):
 
     close(f.evaluate(p), _exact_value(f, point))
     close(f.evaluate_many(np.stack([p, p]))[1], _exact_value(f, point))
-    grads = f.gradients(p)
     g, h = f.real_imag_parts()
-    dg_zbar, dh_zbar = grads.real_imag_zbar()
-    for j in range(1, f.n + 1):
-        close(grads.d_z[j - 1], _exact_value(f.wirtinger(j, "z"), point))
-        close(grads.d_zbar[j - 1], _exact_value(f.wirtinger(j, "zbar"), point))
-        close(dg_zbar[j - 1], _exact_value(g.wirtinger(j, "zbar"), point))
-        close(dh_zbar[j - 1], _exact_value(h.wirtinger(j, "zbar"), point))
+    batch = f.gradients(np.stack([p, p]))
+    # one point runs on numpy scalars and a batch on arrays: check both
+    for grads in (f.gradients(p), GradientPair(batch.d_z[1], batch.d_zbar[1])):
+        dg_zbar, dh_zbar = grads.real_imag_zbar()
+        for j in range(1, f.n + 1):
+            close(grads.d_z[j - 1], _exact_value(f.wirtinger(j, "z"), point))
+            close(grads.d_zbar[j - 1], _exact_value(f.wirtinger(j, "zbar"), point))
+            close(dg_zbar[j - 1], _exact_value(g.wirtinger(j, "zbar"), point))
+            close(dh_zbar[j - 1], _exact_value(h.wirtinger(j, "zbar"), point))
 
 
 parts = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=12))

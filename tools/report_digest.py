@@ -33,6 +33,13 @@ witness, a new label), diffing these lines shows whether a verdict moved:
     python3 tools/report_digest.py --verdicts > after.txt
 
 The flags combine: ``--wide --verdicts`` prints verdicts for both sweeps.
+``tools/digest_verdicts.txt`` holds those lines without the ``#`` line and
+without the ``transversality`` and ``openness`` hashes, which follow numpy's
+version and SIMD level; CI diffs against it, so a change that moves a verdict
+or an exact report rewrites it:
+
+    python3 tools/report_digest.py --verdicts --wide \
+        | grep -v -e '^#' -e '^transversality:' -e '^openness:' > tools/digest_verdicts.txt
 """
 
 import hashlib

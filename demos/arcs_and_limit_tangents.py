@@ -12,7 +12,7 @@ violation of the Thom regularity condition along that subspace.
 
 import numpy as np
 
-from mixedmilnor import arcs, parse_poly
+from mixedmilnor import arcs, fibers, parse_poly
 from mixedmilnor.constructors import corpus
 
 # The classic failure: z1 |z2|^2 along the arc (1, t) into the z1-axis.
@@ -54,10 +54,10 @@ print("\nleading exponent of the curve along (t^2, t^3):", min(series))
 # Numeric probes: transversality of near-zero fibers with spheres, and the
 # argument coverage of f near a point of its zero set (an open map covers
 # the whole circle; a sector means the map is not open there).
-report = arcs.transversality_scan(tibar, radius=1.0, delta=1e-2, samples=300, seed=0)
+report = fibers.transversality_scan(tibar, radius=1.0, delta=1e-2, samples=300, seed=0)
 print("\nmin fiber/sphere transversality residual:", round(report.min_residual, 4))
 
-openness = arcs.boundary_openness_probe(tibar, [1, 0], epsilon=0.1, seed=0)
+openness = fibers.boundary_openness_probe(tibar, [1, 0], epsilon=0.1, seed=0)
 print(
     "argument coverage near (1, 0):", round(openness.arg_coverage, 4),
     "| sector half-width:", round(openness.sector_halfwidth, 4),

@@ -8,6 +8,9 @@ request echoed back; --strict turns analysis-negative verdicts (NotTame, a
 critical-point witness, a failed containment test) into exit code 2.
 Errors exit with code 1, each as a typed error (a --subset index outside
 1..n is a DimensionMismatchError, a negative --seed a BadRequestError).
+The float commands load their numpy layer at entry (nondeg and tame
+degeneracy, transversality and openness fibers), so the exact commands
+never import numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import arcs, constructors, degeneracy, newton, zeta
+from . import arcs, constructors, newton, zeta
 from .errors import BadRequestError, MixedMilnorError, require_positive
 from .poly import MixedPoly, parse_coefficient, parse_poly
 
@@ -140,6 +143,8 @@ def cmd_faces(f, args):
 
 
 def cmd_nondeg(f, args):
+    from . import degeneracy
+
     verdicts = degeneracy.falsify_nondegeneracy(f, budget=args.budget, seed=args.seed)
     result = {"verdicts": [degeneracy.nondeg_verdict_to_json(v) for v in verdicts]}
     negative = any(
@@ -154,6 +159,8 @@ def cmd_nondeg(f, args):
 
 
 def cmd_tame(f, args):
+    from . import degeneracy
+
     report = newton.vanishing_subsets(f)
     subset = frozenset(_parse_ints(args.subset or ""))
     subsets = [subset] if subset else sorted(report.vanishing, key=sorted)
@@ -188,7 +195,7 @@ def cmd_arc_limit(f, args):
     limit = arcs.limit_tangent(f, arc)
     result = arcs.limit_to_json(limit)
     text = (
-        f"covector_g = {limit.covector_g}\ncovector_h = {limit.covector_h}\n"
+        f"covector_g = {result['covector_g']}\ncovector_h = {result['covector_h']}\n"
         f"independent = {limit.independent}, steps = {len(limit.reduction_steps)}"
     )
     return result, False, text
@@ -205,7 +212,9 @@ def cmd_af_test(f, args):
 
 
 def cmd_transversality(f, args):
-    report = arcs.transversality_scan(
+    from . import fibers
+
+    report = fibers.transversality_scan(
         f,
         radius=args.radius,
         delta=args.delta,
@@ -221,7 +230,9 @@ def cmd_transversality(f, args):
 
 def cmd_openness(f, args):
     p = _parse_point(_required(args, "point"))
-    report = arcs.boundary_openness_probe(
+    from . import fibers
+
+    report = fibers.boundary_openness_probe(
         f, p, epsilon=args.epsilon, samples=args.samples, seed=args.seed
     )
     result = dataclasses.asdict(report)

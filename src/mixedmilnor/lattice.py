@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
 
-import numpy as np
-
 from .errors import TooManySupportPointsError, TooManyVariablesError
 
 MAX_SUPPORT = 64
@@ -171,7 +169,41 @@ def _dot(u, v):
 
 
 def _bits(mask):
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+    """The set bits of mask, ascending: one find per bit in its binary string,
+    so a wide sparse mask costs its length once, not once per bit."""
+    bits, text = [], f"{mask:b}"[::-1]
+    k = text.find("1")
+    while k >= 0:
+        bits.append(k)
+        k = text.find("1", k + 1)
+    return bits
+
+
+def _holders(masks, width):
+    """For each bit j < width, the mask of the indices i whose masks[i] hold
+    it: the bit matrix transposed, one binary string per bit."""
+    rows = [format(m, f"0{width}b") for m in reversed(masks)]
+    return [int("".join(col), 2) for col in reversed(list(zip(*rows)))] if rows else [0] * width
+
+
+def _sharing(holders, mask, k, lanes):
+    """The lanes (bits of lanes) whose facets hold at least k of the bits of
+    mask, holders[j] the facets holding bit j: one bit-sliced counter per
+    lane, int AND and XOR over all lanes at once, started at 2^m - k so that
+    a carry out of its top plane means k is reached."""
+    if k <= 0:
+        return lanes
+    m = k.bit_length()
+    planes = [lanes if ((1 << m) - k) >> b & 1 else 0 for b in range(m)]
+    reached = 0
+    for j in _bits(mask):
+        carry = holders[j] & lanes
+        for b in range(m):
+            if not carry:
+                break
+            planes[b], carry = planes[b] ^ carry, planes[b] & carry
+        reached |= carry
+    return reached
 
 
 def _cone_facets(gens, dim):
@@ -179,9 +211,9 @@ def _cone_facets(gens, dim):
     gens in R^dim, as (primitive inner normal, mask of the gens on it) pairs,
     by double description (Motzkin et al. 1953; Fukuda & Prodon 1996): each
     generator after dim independent ones keeps the facets it satisfies and
-    joins each adjacent pair it separates: they share dim - 2 or more gens,
-    and no third facet holds all of those.  Raises TooManySupportPointsError
-    above MAX_FACES facets.
+    joins each adjacent pair it separates: they share dim - 2 or more gens
+    (`_sharing`, all positive facets at once), and no third facet holds all
+    of those.  Raises TooManySupportPointsError above MAX_FACES facets.
     """
     basis = hermite_rows(zip(*gens), len(gens))[2]  # the first dim independent gens
     facets = []
@@ -195,23 +227,19 @@ def _cone_facets(gens, dim):
             continue
         sides = [(w, mask, _dot(w, g)) for w, mask in facets]
         kept = [(w, mask | 1 << k if s == 0 else mask) for w, mask, s in sides if s >= 0]
-        pos = [i for i, side in enumerate(sides) if side[2] > 0]
-        neg = [i for i, side in enumerate(sides) if side[2] < 0]
-        if neg:  # the masks as 0/1 rows, and for each generator the facets holding it
-            rows = np.array([[m >> j & 1 for j in range(len(gens))] for _, m, _ in sides], np.float32)
-            held = np.packbits(rows.astype(bool), axis=0, bitorder="little").T
-            holders = [int.from_bytes(c.tobytes(), "little") for c in held]
-        for lo in range(0, len(neg), 256):  # shared generators of (neg, pos) pairs, 256 rows at once
-            with np.errstate(invalid="ignore"):  # BLAS may flag 0/1 rows; the counts are checked
-                shared = rows[neg[lo:lo + 256]] @ rows[pos].T
-            if not ((np.rint(shared) == shared) & (shared >= 0) & (shared <= len(gens))).all():
-                raise ArithmeticError("the float32 product miscounted shared generators")
-            for qi, pi in zip(*np.nonzero(shared >= dim - 2)):
-                (wp, mp, sp), (wq, mq, sq) = sides[pos[pi]], sides[neg[lo + qi]]
-                common = mp & mq
-                on = [holders[j] for j in range(len(gens)) if common >> j & 1]
-                if reduce(int.__and__, on, (1 << len(sides)) - 1).bit_count() == 2:
-                    kept.append((primitive(a * sp - b * sq for a, b in zip(wq, wp)), common | 1 << k))
+        if any(s < 0 for _, _, s in sides):
+            # for each generator, the facets holding it; lanes: the positive facets
+            holders = _holders([mask for _, mask, _ in sides], len(gens))
+            lanes = int("".join("1" if s > 0 else "0" for _, _, s in reversed(sides)), 2)
+            everyone = (1 << len(sides)) - 1
+            for wq, mq, sq in sides:
+                if sq >= 0:
+                    continue
+                for p in _bits(_sharing(holders, mq, dim - 2, lanes)):
+                    wp, mp, sp = sides[p]
+                    common = mp & mq
+                    if reduce(int.__and__, [holders[j] for j in _bits(common)], everyone).bit_count() == 2:
+                        kept.append((primitive(a * sp - b * sq for a, b in zip(wq, wp)), common | 1 << k))
         if len(kept) > MAX_FACES:
             raise TooManySupportPointsError(f"more than {MAX_FACES} facets, the face cap")
         facets = kept

@@ -14,6 +14,7 @@ Floats enter only through :meth:`MixedPoly.evaluate`,
 :meth:`MixedPoly.evaluate_many` and :meth:`MixedPoly.gradients`: one pass over
 a cached plan of the terms gives the values and, when asked, both Wirtinger
 gradients, and builds no derivative or real/imaginary-part polynomial.
+These methods import numpy in their bodies, so exact work never loads it.
 
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to use concurrently.
@@ -29,8 +30,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import add, mul
-
-import numpy as np
 
 from .errors import BadRequestError, NonFiniteValuesError, OddModulusExponentError, PolySyntaxError
 
@@ -394,6 +393,8 @@ class MixedPoly:
         coefficient and (column, exponent) factors, z_j (column j) before zb_j (n + j), exponents > 0."""
         cache = self._eval_cache
         if cache is None:
+            import numpy as np
+
             m, n = len(self.terms), self.n
             nu, mu = np.zeros((2, m, n), dtype=np.int64)
             for i, mono in enumerate(self.terms):
@@ -416,6 +417,8 @@ class MixedPoly:
         factor b**e adds e * pre * suf * b**(e - 1) to its column, pre and suf
         the products before (from coeff) and after it.  No division keeps zero
         coordinates exact, and a term adds nothing to a column it lacks."""
+        import numpy as np
+
         p = np.asarray(p, dtype=np.complex128)
         self._arrays()
         cols = list(p.T) + list(np.conj(p).T)
@@ -446,9 +449,11 @@ class MixedPoly:
 
     def evaluate(self, p) -> complex:
         """Value at a point p in C^n (floats)."""
+        import numpy as np
+
         return complex(self.evaluate_many(np.asarray(p)[None])[0])
 
-    def evaluate_many(self, pts) -> np.ndarray:
+    def evaluate_many(self, pts) -> numpy.ndarray:
         """Values at an (N, n) array of points, vectorized over N."""
         return self._over_terms(pts, grads=False)
 
@@ -515,12 +520,14 @@ class GradientPair:
     conjugation: conj(d_z) == d_zbar.
     """
 
-    d_z: np.ndarray
-    d_zbar: np.ndarray
+    d_z: numpy.ndarray
+    d_zbar: numpy.ndarray
 
     def real_imag_zbar(self):
         """dzbar g = (dzbar f + conj dz f)/2 and dzbar h = i(conj dz f - dzbar f)/2
         for g = Re f, h = Im f: their gradients without building g and h."""
+        import numpy as np
+
         conj_d_z = np.conj(self.d_z)
         return (self.d_zbar + conj_d_z) / 2, 1j * (conj_d_z - self.d_zbar) / 2
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from helpers import newton_vertices_oracle, random_mixed_poly, random_point
-from mixedmilnor import arcs, degeneracy, newton, zeta
+from mixedmilnor import degeneracy, fibers, newton, zeta
 from mixedmilnor.arcs import af_test_arc, parse_arc
 from mixedmilnor.constructors import PullbackSpec, corpus, pullback_cyclic
 from mixedmilnor.degeneracy import NondegStatus, TameStatus
@@ -163,23 +163,23 @@ def test_criterion_07_transversality_property():
         # u = alpha |v|^2, 1 = 2 |alpha| |u| on the unit sphere, which force
         # |f| = 2/(3 sqrt 3) ~ 0.385.  On the band |f| <= 1e-3 the residual
         # therefore stays above ~0.97; 0.5 is asserted to leave float slack.
-        report = arcs.transversality_scan(
+        report = fibers.transversality_scan(
             corpus("tibar"), radius=1.0, delta=1e-3, samples=10_000, seed=0
         )
         assert report.accepted == 10_000
         assert report.min_residual >= 0.5
         # tangency control case: complex hyperplane fiber touching the sphere
-        assert arcs.transversality_residual(parse_poly("z1", n=2), [0.9, 0]) < 1e-12
+        assert fibers.transversality_residual(parse_poly("z1", n=2), [0.9, 0]) < 1e-12
 
 
 def test_criterion_08_openness_probe():
     with criterion(8, "argument-coverage openness probe", 20.0):
-        rep = arcs.boundary_openness_probe(
+        rep = fibers.boundary_openness_probe(
             corpus("tibar"), [1, 0], epsilon=0.1, samples=20_000, seed=0
         )
         assert rep.arg_coverage < 1.0
         assert abs(rep.sector_halfwidth - math.atan(0.1)) <= 0.2 * math.atan(0.1)
-        rep2 = arcs.boundary_openness_probe(
+        rep2 = fibers.boundary_openness_probe(
             parse_poly("z1*z2"), [1, 0], epsilon=0.1, samples=20_000, seed=0
         )
         assert rep2.arg_coverage == 1.0

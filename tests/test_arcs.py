@@ -1,4 +1,4 @@
-"""Arc expansion, limit tangents, a_f verdicts, and the numeric probes."""
+"""Arc expansion, limit tangents, a_f verdicts, and the numeric probes of fibers."""
 
 from fractions import Fraction
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_gaussian, random_mixed_poly, random_point, repeated_power
 from mixedmilnor import arcs as ar
+from mixedmilnor import fibers as fb
 from mixedmilnor.arcs import Arc, af_test_arc, expand_arc, limit_tangent, parse_arc
 from mixedmilnor.constructors import corpus
 from mixedmilnor.errors import (
@@ -372,7 +373,7 @@ class TestAfTest:
 class TestTransversality:
     def test_hyperplane_tangency(self):
         f = parse_poly("z1", n=2)
-        assert ar.transversality_residual(f, [0.8, 0]) < 1e-12
+        assert fb.transversality_residual(f, [0.8, 0]) < 1e-12
 
     def test_gram_determinant_crosscheck(self):
         rng = np.random.default_rng(127)
@@ -381,7 +382,7 @@ class TestTransversality:
             f = random_mixed_poly(rng, n=2, max_exp=2)
             p = random_point(rng, 2)
             try:
-                res = ar.transversality_residual(f, p)
+                res = fb.transversality_residual(f, p)
             except SingularFiberError:
                 continue
             checked += 1
@@ -404,12 +405,12 @@ class TestTransversality:
         # scale, so neither the radius nor its squares under- or overflow
         f = parse_poly("z1 + 2*z2")
         p = np.array([0.6 - 0.3j, 0.2 + 0.7j])
-        assert ar.transversality_residual(f, np.ldexp(1.0, exponent) * p) == ar.transversality_residual(f, p)
+        assert fb.transversality_residual(f, np.ldexp(1.0, exponent) * p) == fb.transversality_residual(f, p)
 
     def test_singular_fiber_raises(self):
         k = parse_poly("|z1|^2 - |z2|^2")
         with pytest.raises(SingularFiberError):
-            ar.transversality_residual(k, [1.0, 1.0])
+            fb.transversality_residual(k, [1.0, 1.0])
 
     def test_one_gradient_evaluation_per_block(self, monkeypatch):
         # the first block keeps 3 points, so the scan goes on to projection
@@ -417,7 +418,7 @@ class TestTransversality:
         # kept points with one batched gradients call, and only the points the
         # report counts, and each projection step takes one gradients call
         scored, steps, kept, rounds, inside = [], [], [], [], []
-        gradients, evaluate_many, project = MixedPoly.gradients, MixedPoly.evaluate_many, ar._project
+        gradients, evaluate_many, project = MixedPoly.gradients, MixedPoly.evaluate_many, fb._project
 
         def counted(poly, p):
             (steps if inside else scored).append(len(p))
@@ -439,13 +440,13 @@ class TestTransversality:
 
         monkeypatch.setattr(MixedPoly, "gradients", counted)
         monkeypatch.setattr(MixedPoly, "evaluate_many", screened)
-        monkeypatch.setattr(ar, "_project", projected)
-        report = ar.transversality_scan(corpus("tibar"), samples=20, delta=1e-3, seed=3)
+        monkeypatch.setattr(fb, "_project", projected)
+        report = fb.transversality_scan(corpus("tibar"), samples=20, delta=1e-3, seed=3)
         assert kept[0] == 3 and len(kept) == len(rounds) + 1
-        assert len(steps) == ar.PROJECTION_STEPS * len(rounds)
+        assert len(steps) == fb.PROJECTION_STEPS * len(rounds)
         assert len(scored) == np.count_nonzero(kept)
         assert sum(scored) == report.accepted + report.skipped_singular == 20
-        assert report.samples_drawn == ar.FIRST_BLOCK + sum(rounds)
+        assert report.samples_drawn == fb.FIRST_BLOCK + sum(rounds)
 
     @staticmethod
     def one_block_scan(f, delta, samples, seed):
@@ -459,7 +460,7 @@ class TestTransversality:
             if len(residuals) == samples:
                 break
             try:
-                residuals.append(ar.transversality_residual(f, p))
+                residuals.append(fb.transversality_residual(f, p))
             except SingularFiberError:
                 skipped += 1
         assert len(residuals) == samples
@@ -479,9 +480,9 @@ class TestTransversality:
     def test_blocks_and_batches_match_one_block_point_by_point(self, monkeypatch, f, delta, samples, seed):
         # a first block of 200,000 draws fills each of these scans, which
         # then draws nothing else
-        monkeypatch.setattr(ar, "FIRST_BLOCK", 200_000)
+        monkeypatch.setattr(fb, "FIRST_BLOCK", 200_000)
         residuals, skipped = self.one_block_scan(f, delta, samples, seed)
-        report = ar.transversality_scan(f, delta=delta, samples=samples, seed=seed)
+        report = fb.transversality_scan(f, delta=delta, samples=samples, seed=seed)
         assert (report.accepted, report.skipped_singular) == (samples, skipped)
         assert report.samples_drawn == 200_000
         assert report.min_residual == pytest.approx(min(residuals), rel=1e-12)
@@ -493,16 +494,16 @@ class TestTransversality:
         # after one round the scan goes back to rejection blocks, which
         # accept the 40 samples in 12,288 draws
         f = parse_poly("|z1|^2 - |z2|^2 + 2/1000000*z1", n=2)
-        report = ar.transversality_scan(f, delta=1e-2, samples=40, seed=seed)
+        report = fb.transversality_scan(f, delta=1e-2, samples=40, seed=seed)
         assert report.accepted == 40
         assert report.samples_drawn <= 2 * 12_288
         assert report.skipped_singular > 0
 
     def test_batch_size_does_not_change_the_report(self, monkeypatch):
         f = parse_poly("|z1|^2 - |z2|^2 + 2/1000000*z1", n=2)
-        batched = ar.transversality_scan(f, delta=1e-2, samples=40, seed=7)
-        monkeypatch.setattr(ar, "SCORE_ENTRIES", 1)  # one point per batch
-        assert ar.transversality_scan(f, delta=1e-2, samples=40, seed=7) == batched
+        batched = fb.transversality_scan(f, delta=1e-2, samples=40, seed=7)
+        monkeypatch.setattr(fb, "SCORE_ENTRIES", 1)  # one point per batch
+        assert fb.transversality_scan(f, delta=1e-2, samples=40, seed=7) == batched
         assert batched.skipped_singular > 0
 
     def test_batch_skips_the_singular_rows_of_a_mixed_point_set(self):
@@ -511,40 +512,40 @@ class TestTransversality:
         pts = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
         pts[::3, 1] = 0  # both gradients vanish where z2 = 0
         singular = 0
-        for p, res in zip(pts, ar._transversality_residuals(f, pts)):
+        for p, res in zip(pts, fb._transversality_residuals(f, pts)):
             try:
-                assert res == pytest.approx(ar.transversality_residual(f, p), rel=1e-12)
+                assert res == pytest.approx(fb.transversality_residual(f, p), rel=1e-12)
             except SingularFiberError:
                 assert np.isnan(res)
                 singular += 1
-        assert singular == np.count_nonzero(np.isnan(ar._transversality_residuals(f, pts))) == 4
+        assert singular == np.count_nonzero(np.isnan(fb._transversality_residuals(f, pts))) == 4
 
     def test_tiny_radius_is_not_singular(self, monkeypatch):
         # at radius 1e-60 the squared gradient norms underflow; every draw
         # was skipped as singular until the draw cap
-        monkeypatch.setattr(ar, "MAX_DRAWS", 400_000)
-        report = ar.transversality_scan(corpus("tibar"), radius=1e-60, samples=5, seed=0)
+        monkeypatch.setattr(fb, "MAX_DRAWS", 400_000)
+        report = fb.transversality_scan(corpus("tibar"), radius=1e-60, samples=5, seed=0)
         assert (report.accepted, report.skipped_singular) == (5, 0)
-        big = ar.transversality_scan(corpus("tibar"), radius=1.0, delta=1.0, samples=5, seed=0)
+        big = fb.transversality_scan(corpus("tibar"), radius=1.0, delta=1.0, samples=5, seed=0)
         assert report.min_residual == pytest.approx(big.min_residual, rel=1e-9)
 
     @pytest.mark.parametrize(
         "radius, error", [(1e200, NonFiniteValuesError), (1e-200, AllValuesZeroError)]
     )
     def test_values_out_of_float_range(self, monkeypatch, radius, error):
-        monkeypatch.setattr(ar, "MAX_DRAWS", 400_000)
+        monkeypatch.setattr(fb, "MAX_DRAWS", 400_000)
         with pytest.raises(error):
-            ar.transversality_scan(corpus("tibar"), radius=radius, samples=5)
+            fb.transversality_scan(corpus("tibar"), radius=radius, samples=5)
 
     def test_nothing_accepted_has_no_statistics(self, monkeypatch):
         # |f| >= 3/2 on the unit sphere: the first block accepts nothing, and
         # the scan stops once PROJECTION_EVIDENCE projected points miss
         rounds = []
-        project = ar._project
-        monkeypatch.setattr(ar, "_project", lambda *a: rounds.append(len(a[1])) or project(*a))
-        report = ar.transversality_scan(parse_poly("2 + z1*z2"), delta=1e-3, samples=5)
-        assert rounds == [ar.PROJECTION_ROUND] * (ar.PROJECTION_EVIDENCE // ar.PROJECTION_ROUND)
-        assert (report.samples_drawn, report.accepted) == (ar.FIRST_BLOCK + sum(rounds), 0)
+        project = fb._project
+        monkeypatch.setattr(fb, "_project", lambda *a: rounds.append(len(a[1])) or project(*a))
+        report = fb.transversality_scan(parse_poly("2 + z1*z2"), delta=1e-3, samples=5)
+        assert rounds == [fb.PROJECTION_ROUND] * (fb.PROJECTION_EVIDENCE // fb.PROJECTION_ROUND)
+        assert (report.samples_drawn, report.accepted) == (fb.FIRST_BLOCK + sum(rounds), 0)
         assert report.min_residual is None and report.mean_residual is None
 
     @pytest.mark.parametrize("poly", ["|z1|^2 - |z2|^2", "i*|z1|^2 - i*|z2|^2"])
@@ -554,10 +555,10 @@ class TestTransversality:
         # out of the projection step, so projected points land in the band,
         # where every point is mixed-critical (rejection draws 40,000,000
         # points and accepts none either)
-        report = ar.transversality_scan(parse_poly(poly), delta=1e-5, samples=5, seed=seed)
+        report = fb.transversality_scan(parse_poly(poly), delta=1e-5, samples=5, seed=seed)
         assert (report.accepted, report.min_residual) == (0, None)
         assert report.skipped_singular > 0
-        assert report.samples_drawn <= ar.FIRST_BLOCK + ar.PROJECTION_EVIDENCE + ar.PROJECTION_ROUND
+        assert report.samples_drawn <= fb.FIRST_BLOCK + fb.PROJECTION_EVIDENCE + fb.PROJECTION_ROUND
 
     @pytest.mark.parametrize("delta, samples, seed", [(1e-3, 20, 3), (1e-4, 5, 2), (1e-4, 5, 9)])
     def test_rounds_that_drop_every_point_fall_back_to_rejection(self, monkeypatch, delta, samples, seed):
@@ -565,21 +566,21 @@ class TestTransversality:
         # draws rejection blocks, also after a first block that accepted
         # nothing (delta 1e-4 at seeds 2 and 9), and fills the request
         rounds = []
-        monkeypatch.setattr(ar, "_project", lambda f, u, radius, eta: rounds.append(len(u)) or u[:0])
-        report = ar.transversality_scan(corpus("tibar"), delta=delta, samples=samples, seed=seed)
+        monkeypatch.setattr(fb, "_project", lambda f, u, radius, eta: rounds.append(len(u)) or u[:0])
+        report = fb.transversality_scan(corpus("tibar"), delta=delta, samples=samples, seed=seed)
         assert report.accepted == samples and len(rounds) == 1
-        assert report.samples_drawn > ar.FIRST_BLOCK + sum(rounds)
+        assert report.samples_drawn > fb.FIRST_BLOCK + sum(rounds)
 
     def test_constant_modulus_falls_back_to_rejection(self, monkeypatch):
         # f = 1 on the unit sphere: its Re row is the sphere row, so every
         # projected point is dropped and the scan draws rejection blocks to
         # the draw cap
-        monkeypatch.setattr(ar, "MAX_DRAWS", 100_000)
+        monkeypatch.setattr(fb, "MAX_DRAWS", 100_000)
         rounds = []
-        project = ar._project
-        monkeypatch.setattr(ar, "_project", lambda *a: rounds.append(len(a[1])) or project(*a))
-        report = ar.transversality_scan(parse_poly("|z1|^2 + |z2|^2"), delta=1e-3, samples=5)
-        assert rounds == [ar.PROJECTION_ROUND]
+        project = fb._project
+        monkeypatch.setattr(fb, "_project", lambda *a: rounds.append(len(a[1])) or project(*a))
+        report = fb.transversality_scan(parse_poly("|z1|^2 + |z2|^2"), delta=1e-3, samples=5)
+        assert rounds == [fb.PROJECTION_ROUND]
         assert (report.samples_drawn, report.accepted) == (100_000, 0)
 
     @pytest.mark.parametrize(
@@ -588,15 +589,15 @@ class TestTransversality:
     def test_projection_reaches_bands_the_sphere_misses(self, radius, delta):
         # no sphere draw has |f| <= delta; the projected points do, f == 0
         # among them (which is no underflow), in one or two rounds
-        report = ar.transversality_scan(corpus("tibar"), radius=radius, delta=delta, samples=5)
+        report = fb.transversality_scan(corpus("tibar"), radius=radius, delta=delta, samples=5)
         assert (report.accepted, report.skipped_singular) == (5, 0)
-        assert report.samples_drawn <= ar.FIRST_BLOCK + 16 * ar.PROJECTION_ROUND
+        assert report.samples_drawn <= fb.FIRST_BLOCK + 16 * fb.PROJECTION_ROUND
         assert report.min_residual == pytest.approx(1.0, abs=1e-9)
 
     def test_scan_runs_deterministically(self):
         f = corpus("tibar")
-        a = ar.transversality_scan(f, samples=50, delta=1e-2, seed=3)
-        b = ar.transversality_scan(f, samples=50, delta=1e-2, seed=3)
+        a = fb.transversality_scan(f, samples=50, delta=1e-2, seed=3)
+        b = fb.transversality_scan(f, samples=50, delta=1e-2, seed=3)
         assert a == b
         assert a.accepted == 50
         assert a.min_residual > 0.5
@@ -622,11 +623,11 @@ def test_scored_points_lie_in_the_band_on_the_sphere_property(f, delta, radius, 
     # shortens scans on which projection drops every point, such as an f of
     # |z1|^2 and |z2|^2 alone, whose band points are all singular)
     points = []
-    residuals = ar._transversality_residuals
+    residuals = fb._transversality_residuals
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ar, "MAX_DRAWS", 50_000)
-        mp.setattr(ar, "_transversality_residuals", lambda f, pts: points.append(pts) or residuals(f, pts))
-        ar.transversality_scan(f, radius=radius, delta=delta, samples=8, seed=seed)
+        mp.setattr(fb, "MAX_DRAWS", 50_000)
+        mp.setattr(fb, "_transversality_residuals", lambda f, pts: points.append(pts) or residuals(f, pts))
+        fb.transversality_scan(f, radius=radius, delta=delta, samples=8, seed=seed)
     for pts in points:
         assert np.all(np.abs(f.evaluate_many(pts)) <= delta)
         assert np.all(np.abs(np.linalg.norm(pts, axis=1) - radius) <= 1e-12 * radius)
@@ -634,37 +635,37 @@ def test_scored_points_lie_in_the_band_on_the_sphere_property(f, delta, radius, 
 
 class TestOpenness:
     def test_tibar_sector(self):
-        rep = ar.boundary_openness_probe(corpus("tibar"), [1, 0], 0.1, seed=0)
+        rep = fb.boundary_openness_probe(corpus("tibar"), [1, 0], 0.1, seed=0)
         assert rep.arg_coverage < 1
         assert rep.sector_halfwidth == pytest.approx(0.1, rel=0.1)
 
     def test_holomorphic_full_coverage(self):
-        rep = ar.boundary_openness_probe(parse_poly("z1*z2"), [1, 0], 0.05, seed=0)
+        rep = fb.boundary_openness_probe(parse_poly("z1*z2"), [1, 0], 0.05, seed=0)
         assert rep.arg_coverage == 1.0
         assert rep.sector_halfwidth is None
 
     def test_monotone_in_epsilon(self):
         f = corpus("tibar")
         values = [
-            ar.boundary_openness_probe(f, [1, 0], eps, seed=0).arg_coverage
+            fb.boundary_openness_probe(f, [1, 0], eps, seed=0).arg_coverage
             for eps in (0.05, 0.1, 0.2)
         ]
         assert values[0] <= values[1] <= values[2]
 
     def test_all_values_zero(self):
         with pytest.raises(AllValuesZeroError):
-            ar.boundary_openness_probe(MixedPoly.zero(2), [0, 0], 0.1, samples=100)
+            fb.boundary_openness_probe(MixedPoly.zero(2), [0, 0], 0.1, samples=100)
 
     def test_samples_above_one_block_are_refused(self):
         f = corpus("tibar")
-        rep = ar.boundary_openness_probe(f, [1, 0], 0.1, samples=ar.MAX_BLOCK, seed=0)
-        assert rep.nonzero_samples == ar.MAX_BLOCK
-        for samples in (ar.MAX_BLOCK + 1, 10**15):
+        rep = fb.boundary_openness_probe(f, [1, 0], 0.1, samples=fb.MAX_BLOCK, seed=0)
+        assert rep.nonzero_samples == fb.MAX_BLOCK
+        for samples in (fb.MAX_BLOCK + 1, 10**15):
             with pytest.raises(BadRequestError, match="at most 200000"):
-                ar.boundary_openness_probe(f, [1, 0], 0.1, samples=samples)
+                fb.boundary_openness_probe(f, [1, 0], 0.1, samples=samples)
 
     def test_cone_not_open(self):
         f = corpus("cone", (2, 3, 1, 1, 1))
         p = [1.0, 1.0, np.sqrt(2)]
-        rep = ar.boundary_openness_probe(f, p, 0.1, seed=0)
+        rep = fb.boundary_openness_probe(f, p, 0.1, seed=0)
         assert rep.arg_coverage < 1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixedmilnor import arcs, cli, degeneracy
+from mixedmilnor import cli, degeneracy, fibers
 from mixedmilnor.cli import main
 from mixedmilnor.poly import MixedPoly, parse_poly
 
@@ -256,6 +256,15 @@ class TestReports:
         )
         assert code == 0
         assert report["result"]["independent"] is True
+
+    def test_arc_limit_text_prints_the_json_pairs(self, capsys):
+        # the covectors as the report's [re, im] pairs, signed zeros included
+        argv = ["arc-limit", "--corpus", "tibar", "--arc", "z1 = 1; z2 = t"]
+        result = run_json(capsys, *argv)[1]["result"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[:2] == [f"covector_{k} = {result[f'covector_{k}']}" for k in "gh"]
+        assert out.startswith("covector_g = [[-0.0, 1.0], [-0.0, -0.0]]\n")
 
     @pytest.mark.parametrize("exponent", [100_000, 10_000_000])
     def test_arc_limit_high_power_of_a_unit_coordinate(self, capsys, exponent):
@@ -543,7 +552,7 @@ class TestErrors:
     def test_transversality_out_of_float_range(self, capfd, monkeypatch, radius, error):
         # f overflows (underflows) on every draw; a block of draws says so at
         # once instead of scanning to the draw cap
-        monkeypatch.setattr(arcs, "MAX_DRAWS", 400_000)
+        monkeypatch.setattr(fibers, "MAX_DRAWS", 400_000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["transversality", "--corpus", "tibar", "--radius", radius,

@@ -1,11 +1,12 @@
 """Newton polyhedron combinatorics against brute-force oracles."""
 
 import math
-import types
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     _det,
@@ -441,30 +442,21 @@ class TestConeFacets:
         with pytest.raises(TooManySupportPointsError, match="facets"):
             lattice._cone_facets(cube, 4)
 
-
-    @pytest.mark.parametrize("fault", ["flag", "miscount"])
-    def test_shared_counts_are_checked_not_the_blas_flag(self, monkeypatch, fault):
-        # a product that raises the invalid flag but counts right is served; a
-        # wrong count is refused whatever the flag says
-        class Rows(np.ndarray):
-            def __matmul__(self, other):
-                out = np.asarray(self) @ np.asarray(other)
-                if fault == "flag":
-                    np.float32(0) / np.float32(0)
-                else:
-                    out[0, 0] += 0.5
-                return out
-
-        cube = [(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-        expected = set(lattice._cone_facets(cube, 4))
-        shim = types.SimpleNamespace(**vars(np))
-        shim.array = lambda *args, **kwargs: np.array(*args, **kwargs).view(Rows)
-        monkeypatch.setattr(lattice, "np", shim)
-        if fault == "flag":
-            assert set(lattice._cone_facets(cube, 4)) == expected
-        else:
-            with pytest.raises(ArithmeticError, match="miscounted"):
-                lattice._cone_facets(cube, 4)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**10 - 1), max_size=24),
+        st.integers(0, 2**10 - 1),
+        st.integers(-2, 11),
+        st.integers(0, 2**24 - 1),
+    )
+    def test_sharing_counts_shared_generators_property(self, masks, mask, k, lanes):
+        # the bit-sliced counter against a count per pair: the lanes whose
+        # facets share at least k generators with mask, every lane when k <= 0
+        lanes &= (1 << len(masks)) - 1
+        holders = lattice._holders(masks, 10)
+        assert holders == [sum(1 << i for i, m in enumerate(masks) if m >> j & 1) for j in range(10)]
+        expected = sum(1 << i for i, m in enumerate(masks) if lanes >> i & 1 and (m & mask).bit_count() >= k)
+        assert lattice._sharing(holders, mask, k, lanes) == expected
 
 
 class TestFaceCap:

@@ -1,6 +1,8 @@
 """No command loads scipy: the float search runs the package's own bounded
 Nelder-Mead on numpy, so every command, exact, probe or search, runs with
-scipy absent, and scipy, sympy and mpmath stay out of every module's load."""
+scipy absent, and scipy, sympy and mpmath stay out of every module's load.
+Only the float commands load numpy: the exact ones never import it, and only
+the float layers, degeneracy and fibers, import it at module load."""
 
 import ast
 import json
@@ -11,7 +13,7 @@ from helpers import SEARCHED_NONDEG, SEARCHED_TAME, SRC, run_fresh
 
 HEAVY = ("scipy", "sympy", "mpmath")
 
-NO_SEARCH = [
+EXACT = [
     ["newton", "--corpus", "fig1"],
     ["faces", "--corpus", "tibar"],
     ["vanishing", "--corpus", "fig1"],
@@ -21,9 +23,14 @@ NO_SEARCH = [
     ["pullback", "--corpus", "tibar", "--cover-a", "2,2"],
     ["join", "--corpus", "tibar", "--corpus2", "fig1"],
     ["corpus"],
+]
+PROBES = [
     ["transversality", "--corpus", "tibar", "--samples", "5"],
     ["openness", "--corpus", "tibar", "--point", "1, 0", "--samples", "2000"],
 ]
+NO_SEARCH = EXACT + PROBES
+# the float layers: the only modules that import numpy, or each other, at load
+FLOAT_LAYERS = ("degeneracy", "fibers")
 
 # decided exactly (no Nelder-Mead start), decided exactly, searched
 SEARCHES = [
@@ -94,6 +101,42 @@ def test_searches_run_with_scipy_blocked():
     assert 0 < nondeg_starts < all_starts
 
 
+NUMPY_LOADED = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import mixedmilnor.cli as cli
+
+def loaded(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, "--json"])
+    return [code, "numpy" in sys.modules]
+
+exact, float_command = json.loads(sys.argv[1])
+print(json.dumps({"exact": [loaded(argv) for argv in exact], "float": loaded(float_command)}))
+"""
+
+
+@pytest.mark.parametrize("float_command", [SEARCHES[0], SEARCHES[1], *PROBES],
+                         ids=["nondeg", "tame", "transversality", "openness"])
+def test_only_the_float_commands_load_numpy(float_command):
+    # an openness point that fails to parse is refused before fibers loads
+    exact = [*EXACT, ["openness", "--corpus", "tibar", "--point", "1, x"]]
+    got = run_fresh(NUMPY_LOADED, json.dumps([exact, float_command]))
+    assert got["exact"] == [[0, False]] * len(EXACT) + [[1, False]]
+    assert got["float"] == [0, True]
+
+
+def test_float_verdicts_resolve_on_first_access():
+    script = """
+import json, sys
+import mixedmilnor
+before = "numpy" in sys.modules
+falsify = mixedmilnor.falsify_nondegeneracy
+print(json.dumps([before, falsify.__module__, "numpy" in sys.modules]))
+"""
+    assert run_fresh(script) == [False, "mixedmilnor.degeneracy", True]
+
+
 def _top_level_imports(tree):
     """Import nodes that run at module load: everything outside a function body."""
     stack = list(tree.body)
@@ -105,12 +148,24 @@ def _top_level_imports(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _loaded(node):
+    """The modules an import node loads, by top-level name; the package's own by short name."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if node.level and not node.module:  # from . import a, b
+        return [alias.name for alias in node.names]
+    return [node.module.split(".")[0]]
+
+
 def test_no_heavy_import_at_module_load():
     for path in sorted((SRC / "mixedmilnor").glob("*.py")):
         for node in _top_level_imports(ast.parse(path.read_text())):
-            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
-            heavy = [name for name in names if name.split(".")[0] in HEAVY]
+            names = _loaded(node)
+            heavy = [name for name in names if name in HEAVY]
             assert not heavy, f"{path.name}:{node.lineno} imports {heavy} at module load"
+            if path.stem not in FLOAT_LAYERS:
+                floats = [name for name in names if name in ("numpy", *FLOAT_LAYERS)]
+                assert not floats, f"{path.name}:{node.lineno} imports {floats} at module load"
 
 
 def test_no_module_imports_scipy():
